@@ -14,9 +14,10 @@ import numpy as np
 
 from . import bounds, rng
 from .correlation import (
+    edge_homogeneity_check,
+    edge_linear_sampler,
     exact_corr_discrete,
     exact_edge_corr,
-    edge_homogeneity_check,
     h_parity,
     h_sum,
     lemma_consequence_check,
@@ -25,6 +26,7 @@ from .correlation import (
     random_exchangeable_joint,
     symmetrization_moment_check,
     verify_bound,
+    vertex_linear_sampler,
 )
 from .factor_engine import (
     LinearRule,
@@ -36,10 +38,8 @@ from .factor_engine import (
     geometric_profile,
     linear_rule_covariance_exact,
     parity_rule,
-    subtree_levels,
     sum_rule,
     symmetrize_rule,
-    vertex_ball_levels,
     xor_pair_rule,
 )
 from .nb_operator import build_operator, certify_claims, cone_weight_sums, operator_norm_pow, walk_count
@@ -47,6 +47,7 @@ from .tree_core import (
     TreeBall,
     build_ball,
     edge_between,
+    forward_cone_interior,
     hull_distance,
     path_vertices,
     vertex_distance,
@@ -74,63 +75,6 @@ def _operator(d: int, radius: int):
 
 def _rel_close(a: float, b: float, rel: float = 1e-12) -> bool:
     return abs(a - b) <= rel * max(abs(a), abs(b), 1e-300)
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo samplers over linear observables
-# ---------------------------------------------------------------------------
-
-
-def linear_site_coefficients(ball: TreeBall, levels, weights) -> tuple[np.ndarray, np.ndarray]:
-    """(vertex ids, coefficient per id) for sum_j weights[j] * labels(level j)."""
-    ids = np.concatenate(levels)
-    coeff = np.concatenate([np.full(len(lv), float(w)) for lv, w in zip(levels, weights)])
-    return ids, coeff
-
-
-def linear_pair_sampler(ball: TreeBall, ids_a, coeff_a, ids_b, coeff_b, domain_kind: str):
-    """Sampler of (sum coeff_a * Z, sum coeff_b * Z) over i.i.d. labels.
-
-    One fresh labeling per sample index; label (index, vertex) is a pure
-    function of (seed, index, vertex), so chunking cannot change values.
-    """
-    support = np.unique(np.concatenate([ids_a, ids_b]))
-    vec_a = np.zeros(len(support))
-    vec_b = np.zeros(len(support))
-    pos = {int(v): i for i, v in enumerate(support)}
-    for v, c in zip(ids_a.tolist(), coeff_a.tolist()):
-        vec_a[pos[v]] += c
-    for v, c in zip(ids_b.tolist(), coeff_b.tolist()):
-        vec_b[pos[v]] += c
-
-    def sampler(seed: int, idx: np.ndarray):
-        w = rng.words2(seed, idx, support)
-        if domain_kind == "rademacher":
-            labels = rng.to_rademacher(w)
-        elif domain_kind == "centered_uniform":
-            labels = rng.to_centered_uniform(w)
-        else:
-            raise ValueError(f"sampler needs a centered domain, got {domain_kind}")
-        return labels @ vec_a, labels @ vec_b
-
-    return sampler
-
-
-def vertex_linear_sampler(ball: TreeBall, rule: LinearRule, u: int, v: int):
-    lu = vertex_ball_levels(ball, u, rule.radius)
-    lv = vertex_ball_levels(ball, v, rule.radius)
-    ids_a, ca = linear_site_coefficients(ball, lu, rule.profile)
-    ids_b, cb = linear_site_coefficients(ball, lv, rule.profile)
-    return linear_pair_sampler(ball, ids_a, ca, ids_b, cb, "rademacher")
-
-
-def edge_linear_sampler(ball: TreeBall, depth: int, rate: float, e1: int, e2: int):
-    l1 = subtree_levels(ball, e1, depth)
-    l2 = subtree_levels(ball, e2, depth)
-    weights = [rate ** j for j in range(depth + 1)]
-    ids_a, ca = linear_site_coefficients(ball, l1, weights)
-    ids_b, cb = linear_site_coefficients(ball, l2, weights)
-    return linear_pair_sampler(ball, ids_a, ca, ids_b, cb, "rademacher")
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +162,7 @@ def criterion_walk_counts(seed: int = 0, threads: int | None = None) -> dict:
             while checked < 100:
                 e = int(rng.randint(seed + 17 * d + k, draw, ball.n_edges)[0])
                 draw += 1
-                h = ball.edge_height(e)
-                interior = (h <= ball.radius - k if ball.is_away(e)
-                            else h <= ball.radius - k + 1)
-                if not interior:
+                if not forward_cone_interior(ball, e, k):
                     continue
                 checked += 1
                 if walk_count(op, e, k) == expected:
@@ -418,11 +359,7 @@ def criterion_symmetrization(seed: int = 0, threads: int | None = None) -> dict:
     for k, (e1, e2) in pairs.items():
         for rule in view_rules:
             chk = symmetrization_moment_check(ball, e1, e2, rule, "alphabet:2", process)
-            ok = (chk.mean_residual_1 <= 1e-12 and chk.mean_residual_2 <= 1e-12
-                  and chk.second_moment_gap_1 >= -1e-12
-                  and chk.second_moment_gap_2 >= -1e-12
-                  and chk.cross_moment_residual <= 1e-12
-                  and chk.variance_gap_1 >= -1e-12)
+            ok = chk.passed
             passed &= ok
             rows.append({"k": k, "rule": rule.name,
                          "mean_residual": max(chk.mean_residual_1, chk.mean_residual_2),

@@ -15,11 +15,13 @@ import sys
 
 from . import acceptance, bounds
 from .correlation import (
+    edge_linear_sampler,
     exact_corr_discrete,
     monte_carlo_corr,
     resolve_threads,
     symmetrization_moment_check,
     verify_bound,
+    vertex_linear_sampler,
 )
 from .errors import NbtreeError
 from .factor_engine import (
@@ -32,8 +34,15 @@ from .factor_engine import (
     symmetrize_rule,
 )
 from .nb_operator import build_operator, certify_claims, operator_norm_pow, walk_count
-from .tree_core import build_ball, edge_between, hull_distance, path_vertices, vertices_at_distance
-from .universal_factor import roundtrip_check
+from .tree_core import (
+    build_ball,
+    edge_between,
+    forward_cone_interior,
+    hull_distance,
+    path_vertices,
+    vertices_at_distance,
+)
+from .universal_factor import roundtrip_check, roundtrip_min_radius
 
 
 def _fmt(x) -> str:
@@ -115,9 +124,7 @@ def _cmd_walk_count(args, out) -> int:
     ball = build_ball(args.d, args.radius)
     op = build_operator(ball)
     count = walk_count(op, args.edge, args.k)
-    h = ball.edge_height(args.edge)
-    interior = (h <= ball.radius - args.k if ball.is_away(args.edge)
-                else h <= ball.radius - args.k + 1)
+    interior = forward_cone_interior(ball, args.edge, args.k)
     expected = (args.d - 1) ** args.k
     _emit_json({"d": args.d, "radius": args.radius, "edge": args.edge,
                 "k": args.k, "count": count, "interior": interior,
@@ -144,10 +151,8 @@ def _linear_rule_from_args(args) -> LinearRule:
 
 
 def _cmd_simulate_vertex(args, out) -> int:
-    from .acceptance import vertex_linear_sampler
-
+    ball = build_ball(args.d, (args.k + 1) // 2 + args.r)  # validates d first
     rule = _linear_rule_from_args(args)
-    ball = build_ball(args.d, (args.k + 1) // 2 + rule.radius)
     u, v = vertices_at_distance(ball, args.k)
     sampler = vertex_linear_sampler(ball, rule, u, v)
     est = monte_carlo_corr(sampler, args.samples, args.seed,
@@ -161,8 +166,8 @@ def _cmd_simulate_vertex(args, out) -> int:
 
 
 def _cmd_simulate_edge(args, out) -> int:
-    from .acceptance import edge_linear_sampler
-
+    if args.k < 0:
+        raise ValueError("k must be >= 0")
     depth = args.depth
     ball = build_ball(args.d, (args.k + 2) // 2 + depth + 1)
     a, b = vertices_at_distance(ball, args.k + 1)
@@ -219,16 +224,12 @@ def _cmd_symmetrize_check(args, out) -> int:
         "variance_gap": chk.variance_gap_1,
     }
     _emit_json(doc, out)
-    ok = (chk.mean_residual_1 <= 1e-12 and chk.cross_moment_residual <= 1e-12
-          and chk.second_moment_gap_1 >= -1e-12)
-    return 0 if ok else 1
+    return 0 if chk.passed else 1
 
 
 def _cmd_universal_check(args, out) -> int:
-    depth = args.depth
-    min_radius = depth + (depth + 2) // 2 + 1
-    ball = build_ball(args.d, max(args.radius or 0, min_radius))
-    res = roundtrip_check(ball, depth, args.trials, args.seed)
+    radius = max(args.radius or 0, roundtrip_min_radius(args.depth))
+    res = roundtrip_check(build_ball(args.d, radius), args.depth, args.trials, args.seed)
     _emit_json(res.to_json_dict(), out)
     return 0 if (res.successes == res.trials and res.collisions == 0) else 1
 
@@ -252,22 +253,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def out_flag(p):
+        p.add_argument("--out", type=str, default=None,
+                       help="output file (default: standard output)")
+
     def common(p, k=None):
         p.add_argument("--d", type=int, required=True, help="vertex degree, >= 3")
         if k is not None:
             p.add_argument("--k", type=int, default=k)
-        p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--out", type=str, default=None,
-                       help="output file (default: standard output)")
+        out_flag(p)
+
+    def rows(p, default="json"):
+        p.add_argument("--format", choices=("csv", "json"), default=default)
+
+    def threads(p):
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads (default: NBTREE_THREADS or cpu count)")
 
     p = sub.add_parser("bounds", help="emit the closed-form bound table")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    rows(p, default="csv")
+    out_flag(p)
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("ball-info", help="vertex/edge counts of a tree ball")
@@ -302,6 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-vertex", help="Monte Carlo vertex-pair correlation vs bound")
     common(p, k=1)
+    rows(p)
+    threads(p)
     p.add_argument("--rule", choices=("linear",), default="linear")
     p.add_argument("--profile", choices=("geometric", "flat"), default="geometric")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
@@ -313,6 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-edge", help="Monte Carlo edge-pair correlation vs bound")
     common(p, k=1)
+    rows(p)
+    threads(p)
     p.add_argument("--depth", type=int, default=3, help="subtree view depth")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--samples", type=int, default=100_000)
@@ -321,6 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact-corr", help="exact vertex-pair correlation vs bound")
     common(p, k=1)
+    rows(p)
     p.add_argument("--rule", type=str, default="sum")
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--theta", type=float, default=2.0)
@@ -329,7 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("symmetrize-check",
                        help="orbit-average moment identities on a subtree pair")
-    common(p, k=2)
+    common(p)
+    p.add_argument("--k", type=int, choices=(1, 2), default=2)
     p.add_argument("--rule", choices=("first-child", "table"), default="table")
     p.add_argument("--alphabet", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
@@ -345,9 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run the full verification suite, emit one JSON doc")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--format", choices=("json",), default="json")
-    p.add_argument("--out", type=str, default=None)
+    threads(p)
+    out_flag(p)
     p.set_defaults(fn=_cmd_report)
 
     return parser

@@ -39,7 +39,7 @@ from .factor_engine import (
     symmetrize_rule,
     vertex_ball_levels,
 )
-from .tree_core import TreeBall, successors
+from .tree_core import TreeBall, cone
 
 #: largest number of configurations the exact route will enumerate
 ENUMERATION_CAP = 4_194_304
@@ -145,6 +145,58 @@ def monte_carlo_corr(pair_sampler: Callable[[int, np.ndarray], tuple],
     ci_high = max(math.tanh(z + _Z95 * se_z), r)
     stderr = (1.0 - r * r) * se_z
     return CorrEstimate(r, n_samples, stderr, ci_low, ci_high, seed)
+
+
+def linear_site_coefficients(ball: TreeBall, levels, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(vertex ids, coefficient per id) for sum_j weights[j] * labels(level j)."""
+    ids = np.concatenate(levels)
+    coeff = np.concatenate([np.full(len(lv), float(w)) for lv, w in zip(levels, weights)])
+    return ids, coeff
+
+
+def linear_pair_sampler(ball: TreeBall, ids_a, coeff_a, ids_b, coeff_b, domain_kind: str):
+    """Sampler of (sum coeff_a * Z, sum coeff_b * Z) over i.i.d. labels.
+
+    One fresh labeling per sample index; label (index, vertex) is a pure
+    function of (seed, index, vertex), so chunking cannot change values.
+    """
+    support = np.unique(np.concatenate([ids_a, ids_b]))
+    vec_a = np.zeros(len(support))
+    vec_b = np.zeros(len(support))
+    pos = {int(v): i for i, v in enumerate(support)}
+    for v, c in zip(ids_a.tolist(), coeff_a.tolist()):
+        vec_a[pos[v]] += c
+    for v, c in zip(ids_b.tolist(), coeff_b.tolist()):
+        vec_b[pos[v]] += c
+
+    def sampler(seed: int, idx: np.ndarray):
+        w = rng.words2(seed, idx, support)
+        if domain_kind == "rademacher":
+            labels = rng.to_rademacher(w)
+        elif domain_kind == "centered_uniform":
+            labels = rng.to_centered_uniform(w)
+        else:
+            raise ValueError(f"sampler needs a centered domain, got {domain_kind}")
+        return labels @ vec_a, labels @ vec_b
+
+    return sampler
+
+
+def vertex_linear_sampler(ball: TreeBall, rule: LinearRule, u: int, v: int):
+    lu = vertex_ball_levels(ball, u, rule.radius)
+    lv = vertex_ball_levels(ball, v, rule.radius)
+    ids_a, ca = linear_site_coefficients(ball, lu, rule.profile)
+    ids_b, cb = linear_site_coefficients(ball, lv, rule.profile)
+    return linear_pair_sampler(ball, ids_a, ca, ids_b, cb, "rademacher")
+
+
+def edge_linear_sampler(ball: TreeBall, depth: int, rate: float, e1: int, e2: int):
+    l1 = subtree_levels(ball, e1, depth)
+    l2 = subtree_levels(ball, e2, depth)
+    weights = [rate ** j for j in range(depth + 1)]
+    ids_a, ca = linear_site_coefficients(ball, l1, weights)
+    ids_b, cb = linear_site_coefficients(ball, l2, weights)
+    return linear_pair_sampler(ball, ids_a, ca, ids_b, cb, "rademacher")
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +416,15 @@ class SymmetrizationCheck:
     cross_moment_residual: float
     variance_gap_1: float        # var f - var fbar, must be >= 0
 
+    @property
+    def passed(self) -> bool:
+        """Means and cross-moment preserved, second moment and variance not increased."""
+        return (self.mean_residual_1 <= 1e-12 and self.mean_residual_2 <= 1e-12
+                and self.second_moment_gap_1 >= -1e-12
+                and self.second_moment_gap_2 >= -1e-12
+                and self.cross_moment_residual <= 1e-12
+                and self.variance_gap_1 >= -1e-12)
+
 
 def symmetrization_moment_check(ball: TreeBall, e1: int, e2: int,
                                 view_rule: EdgeRule, domain,
@@ -486,9 +547,13 @@ def lemma_consequence_check(joint, f1, f2, alpha: float) -> bool:
 
     Scaling by 1/sqrt(var) is irrational, so both hypothesis sides are
     carried as rational + rational*sqrt(m) with m = var1*var2 and
-    compared exactly.
+    compared exactly.  The joint is renormalised by its exact total first:
+    float entries summing to 1 only within rounding would otherwise leave
+    the variance of a constant table slightly negative.
     """
     p = _as_fraction_matrix(joint)
+    total = sum(sum(row) for row in p)
+    p = [[x / total for x in row] for row in p]
     f1 = [Fraction(float(x)) for x in np.asarray(f1, dtype=np.float64)]
     f2 = [Fraction(float(x)) for x in np.asarray(f2, dtype=np.float64)]
     alpha_f = Fraction(float(alpha))
@@ -536,10 +601,10 @@ def _cov_tables_same(p: list[list[Fraction]], f: list[Fraction],
 
 
 def random_exchangeable_joint(n_points: int, seed: int) -> np.ndarray:
-    """Random swap-symmetric joint distribution with exactly representable entries.
+    """Random swap-symmetric joint distribution.
 
-    Entries are built from small integers over a power-of-two total, so
-    symmetrization and normalization are exact in floating point.
+    Entries are integer weights divided by their float total, so the
+    matrix is exactly symmetric but sums to 1 only within rounding.
     """
     w = rng.words(seed, np.arange(n_points * n_points))
     raw = (w >> np.uint64(40)).astype(np.float64).reshape(n_points, n_points) + 1.0
@@ -591,11 +656,7 @@ def edge_homogeneity_check(ball: TreeBall, rule: EdgeRule, k: int, domain
     for e1 in range(ball.n_edges):
         if not subtree_ok(e1):
             continue
-        frontier = np.array([e1], dtype=np.int64)
-        for _ in range(k):
-            if frontier.size == 0:
-                break
-            frontier = np.concatenate([successors(ball, int(x)) for x in frontier])
+        frontier = cone(ball, e1, k)
         if frontier.size != full:
             continue
         if not all(subtree_ok(int(e2)) for e2 in frontier):

@@ -417,15 +417,20 @@ def delta_profile() -> LinearRule:
     return LinearRule(0, (1.0,))
 
 
-def table_block_rule(radius: int, d: int, alphabet: int, seed: int) -> BlockRule:
-    """Deterministic random-valued rule on an alphabet view, driven by a table."""
+def _table_rule_func(alphabet: int, seed: int) -> Callable[[Levels], float]:
+    """Uniform value hashed from the view's labels, read as base-`alphabet` digits."""
     def f(lv: Levels) -> float:
         key = np.concatenate(lv).astype(np.int64)
         idx = 0
         for x in key.tolist():
             idx = idx * alphabet + x
         return float(rng.to_unit(rng.words(seed, np.array([idx])))[0])
-    return BlockRule(radius, f, symmetric=False,
+    return f
+
+
+def table_block_rule(radius: int, d: int, alphabet: int, seed: int) -> BlockRule:
+    """Deterministic random-valued rule on an alphabet view, driven by a table."""
+    return BlockRule(radius, _table_rule_func(alphabet, seed), symmetric=False,
                      name=f"table:r{radius}:s{seed}", domain=f"alphabet:{alphabet}")
 
 
@@ -445,13 +450,8 @@ def edge_first_child_rule() -> EdgeRule:
 
 
 def edge_table_rule(depth: int, alphabet: int, seed: int) -> EdgeRule:
-    def f(lv: Levels) -> float:
-        key = np.concatenate(lv).astype(np.int64)
-        idx = 0
-        for x in key.tolist():
-            idx = idx * alphabet + x
-        return float(rng.to_unit(rng.words(seed, np.array([idx])))[0])
-    return EdgeRule(depth, f, symmetric=False, name=f"edge-table:D{depth}:s{seed}")
+    return EdgeRule(depth, _table_rule_func(alphabet, seed), symmetric=False,
+                    name=f"edge-table:D{depth}:s{seed}")
 
 
 def edge_geometric_rule(depth: int, rate: float) -> EdgeRule:

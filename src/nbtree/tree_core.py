@@ -11,6 +11,11 @@ directed edge is addressed by the child vertex it touches:
 reverse(e) is therefore e XOR 1, and the height of either orientation is
 the depth of the child vertex.  Boundary vertices (depth R) keep degree 1;
 operations that need full neighborhoods check interiority explicitly.
+
+The non-backtracking successor rule e -> e' (head(e) = tail(e') and
+e' != reverse(e)) is computed in one place, `successor_lists`, vectorised
+over edge arrays.  Predecessors, k-step cones and the sparse operator of
+``nb_operator`` are all derived from it.
 """
 
 from __future__ import annotations
@@ -353,30 +358,71 @@ def edge_distance(ball: TreeBall, e1: int, e2: int) -> int:
     )
 
 
-def successors(ball: TreeBall, e: int) -> np.ndarray:
-    """Edges e' with e -> e': head(e) = tail(e') and e' != reverse(e)."""
-    ball._check_edge(e)
-    v = e // 2 + 1
-    if e % 2 == 0:  # away edge parent -> v: continue into v's children
-        return 2 * (ball.children(v) - 1)
-    p = int(ball.parent[v])  # toward edge v -> p: continue out of p, not back to v
-    out = [2 * (c - 1) for c in ball.children(p) if c != v]
-    if p != 0:
-        out.append(2 * (p - 1) + 1)
-    return np.array(sorted(out), dtype=np.int64)
+def successor_lists(ball: TreeBall, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated successor lists of `edges` and the length of each list.
+
+    The edges leaving head(e) are toward(head) (absent at the root) and then
+    the away edges to head's children, in ascending id order; e's
+    successors are those minus reverse(e), which always leaves head(e):
+    reverse(e) is toward(head) for an away e and away(tail) for a toward e.
+    """
+    edges = np.atleast_1d(np.asarray(edges, dtype=np.int64))
+    if edges.size and not 0 <= edges.min() <= edges.max() < ball.n_edges:
+        raise ValueError(f"edge ids outside [0, {ball.n_edges})")
+    v = edges // 2 + 1
+    away = edges % 2 == 0
+    head = np.where(away, v, ball.parent[v])
+    has_up = (head != 0).astype(np.int64)
+    first_child = ball.child_start[head]
+    n_out = ball.child_count[head] + has_up
+    starts = np.cumsum(n_out) - n_out
+    # slot j holds away(first_child + j - has_up), except that slot 0 of a
+    # non-root head holds toward(head)
+    out = np.repeat(2 * (first_child - has_up - 1 - starts), n_out)
+    out += 2 * np.arange(out.size)
+    up = has_up == 1
+    out[starts[up]] = 2 * head[up] - 1
+    reverse_slot = starts + np.where(away, 0, has_up + v - first_child)
+    return np.delete(out, reverse_slot), n_out - 1
 
 
-def predecessors(ball: TreeBall, e: int) -> np.ndarray:
-    """Edges e' with e' -> e: head(e') = tail(e) and e != reverse(e')."""
-    ball._check_edge(e)
-    v = e // 2 + 1
-    if e % 2 == 1:  # toward edge v -> p: arrived from v's children
-        return 2 * (ball.children(v) - 1) + 1
-    p = int(ball.parent[v])  # away edge p -> v: arrived into p, not from v
-    inc = [2 * (c - 1) + 1 for c in ball.children(p) if c != v]
-    if p != 0:
-        inc.append(2 * (p - 1))
-    return np.array(sorted(inc), dtype=np.int64)
+def successors(ball: TreeBall, edges) -> np.ndarray:
+    """Edges e' with e -> e': head(e) = tail(e') and e' != reverse(e).
+
+    Accepts one edge id or an array of them; returns each input edge's
+    successors in ascending id order, concatenated in input order.
+    """
+    return successor_lists(ball, edges)[0]
+
+
+def predecessors(ball: TreeBall, edges) -> np.ndarray:
+    """Edges e' with e' -> e; e' -> e exactly when reverse(e) -> reverse(e')."""
+    return successors(ball, np.asarray(edges, dtype=np.int64) ^ 1) ^ 1
+
+
+def cone(ball: TreeBall, e, k: int, backward: bool = False) -> np.ndarray:
+    """Edges at the end of the k-step non-backtracking walks from e (or into e).
+
+    Inside a tree such walks never revisit an edge, so the result is
+    duplicate-free.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    flip = int(backward)  # the backward cone is the reversed forward cone of reverse(e)
+    frontier = np.atleast_1d(np.asarray(e, dtype=np.int64)) ^ flip
+    for _ in range(k):
+        frontier = successors(ball, frontier)
+    return frontier ^ flip
+
+
+def forward_cone_interior(ball: TreeBall, e: int, k: int) -> bool:
+    """True when every k-step walk from e stays inside the ball.
+
+    The deepest such walk descends at once: an away edge at height h
+    reaches depth h + k, a toward edge h + k - 1.
+    """
+    reach = ball.edge_height(e) + k - (0 if ball.is_away(e) else 1)
+    return reach <= ball.radius
 
 
 def edge_between(ball: TreeBall, a: int, b: int) -> int:

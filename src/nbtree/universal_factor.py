@@ -145,6 +145,11 @@ class RoundtripResult:
                 "collisions": self.collisions}
 
 
+def roundtrip_min_radius(depth: int) -> int:
+    """Smallest ball radius with interior pairs at every distance 1..D+1."""
+    return depth + (depth + 2) // 2 + 1
+
+
 def roundtrip_check(ball: TreeBall, depth: int, trials: int, seed: int
                     ) -> RoundtripResult:
     """Encode random interior vertex pairs, reconstruct, compare to ground truth.
@@ -154,7 +159,7 @@ def roundtrip_check(ball: TreeBall, depth: int, trials: int, seed: int
     label collision (counted separately).  The contract for continuous
     labels is successes == trials with zero collisions.
     """
-    min_radius = depth + (depth + 1 + 1) // 2 + 1
+    min_radius = roundtrip_min_radius(depth)
     if ball.radius < min_radius:
         raise ValueError(
             f"radius {ball.radius} too small for depth {depth}: need >= {min_radius} "

@@ -159,3 +159,71 @@ def test_thread_count_does_not_change_output():
             capture_output=True, env=env, text=True, check=True)
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_failed_norm_and_certificate_verdicts_exit_one(capsys, monkeypatch):
+    # a bound set below the true values must come back as a FAIL verdict
+    # (JSON on stdout, exit 1), not as an error
+    from fractions import Fraction
+
+    from nbtree import nb_operator
+
+    monkeypatch.setattr(nb_operator.bounds, "bnorm_bound", lambda d, k: 1.0)
+    monkeypatch.setattr(nb_operator, "_bound_exact", lambda d, k: (Fraction(1), Fraction(0)))
+    code, out = run_cli(capsys, "nb-norm", "--d", "3", "--radius", "6", "--k", "2")
+    doc = json.loads(out)
+    assert code == 1 and doc["converged"] and doc["estimate"] > doc["bound"] == 1.0
+    code, out = run_cli(capsys, "nb-certify", "--d", "3", "--radius", "6", "--k", "2")
+    doc = json.loads(out)
+    assert code == 1 and doc["strict"] is False and doc["bound"] == 1.0
+
+
+def test_removed_flags_are_usage_errors(capsys):
+    assert main(["bounds", "--d", "3", "--k-max", "2", "--threads", "2"]) == 2
+    assert main(["nb-norm", "--d", "3", "--radius", "3", "--format", "csv"]) == 2
+    assert main(["report", "--format", "json"]) == 2
+    assert main(["symmetrize-check", "--d", "3", "--k", "3"]) == 2
+
+
+#: cheap valid arguments per subcommand, perturbed by the fuzz test below
+FUZZ_BASE = {
+    "bounds": ["--d", "3", "--k-max", "3"],
+    "ball-info": ["--d", "3", "--radius", "2"],
+    "nb-norm": ["--d", "3", "--radius", "3", "--k", "1"],
+    "nb-certify": ["--d", "3", "--radius", "3", "--k", "1"],
+    "walk-count": ["--d", "3", "--radius", "3", "--k", "1", "--edge", "0"],
+    "hull-distance": ["--d", "3", "--radius", "3", "--set1", "1", "--set2", "2"],
+    "simulate-vertex": ["--d", "3", "--k", "1", "--r", "1", "--samples", "200"],
+    "simulate-edge": ["--d", "3", "--k", "1", "--depth", "1", "--samples", "200"],
+    "exact-corr": ["--d", "3", "--k", "1"],
+    "symmetrize-check": ["--d", "3", "--k", "1", "--rule", "first-child"],
+    "universal-check": ["--d", "3", "--depth", "1", "--trials", "3"],
+}
+
+
+def _fuzz_cases(command):
+    base = FUZZ_BASE[command]
+    cases = [base]
+    for extra in (["--bogus"], ["--format", "csv"], ["--threads", "2"],
+                  ["--radius", "40"], ["--k", "0"], ["--k", "3"], ["--k", "-1"]):
+        cases.append(base + extra)
+    for i, flag in enumerate(base):
+        if flag.startswith("--"):
+            for value in ("0", "-1", "1", "2", "x", ""):
+                cases.append(base[:i + 1] + [value] + base[i + 2:])
+    return cases
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_BASE))
+def test_bad_and_edge_arguments_never_traceback(command, capsys):
+    for argv in _fuzz_cases(command):
+        code = main([command] + argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+
+
+def test_report_argument_errors_exit_two(capsys):
+    for argv in (["--bogus"], ["--seed", "x"], ["--threads", "x"], ["--format", "csv"]):
+        assert main(["report"] + argv) == 2
+        assert "Traceback" not in capsys.readouterr().err

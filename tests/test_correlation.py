@@ -1,6 +1,7 @@
 """Monte Carlo estimation, the exact enumeration engine, and identity checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from nbtree.correlation import (
     random_exchangeable_joint,
     symmetrization_moment_check,
     verify_bound,
+    vertex_linear_sampler,
 )
 from nbtree.errors import CapExceededError, NonExchangeableError
 from nbtree.factor_engine import (
@@ -73,8 +75,6 @@ def test_mc_matches_exact_oracle():
     d, k = 3, 3
     rule = geometric_profile(d, 6)
     oracle = linear_rule_covariance_exact(d, rule.profile, k)
-    from nbtree.acceptance import vertex_linear_sampler
-
     ball = build_ball(d, 6 + (k + 1) // 2)
     u, v = vertices_at_distance(ball, k)
     sampler = vertex_linear_sampler(ball, rule, u, v)
@@ -249,6 +249,14 @@ def test_transfer_identical_functions_reduce_to_hypothesis():
 def test_transfer_degenerate_variance_true():
     joint = random_exchangeable_joint(3, 13)
     assert lemma_consequence_check(joint, np.zeros(3), np.array([1.0, 2.0, 3.0]), 0.0)
+
+
+def test_transfer_joint_summing_to_one_only_within_rounding():
+    # the float entries of this joint do not sum to exactly 1, so the exact
+    # variance of a constant table is zero only after renormalisation
+    joint = random_exchangeable_joint(3, 6009)
+    assert sum(Fraction(float(x)) for x in joint.ravel()) != 1
+    assert isinstance(lemma_consequence_check(joint, [1, 1, 1], [1, 0, -1], 0.5), bool)
 
 
 def _float_transfer_decision(joint, f1, f2, alpha):

@@ -62,11 +62,21 @@ def test_total_predecessors_equal_total_successors():
         assert n_pred == n_succ
 
 
-def test_operator_lists_match_ball_relation():
-    op = _op(3, 3)
-    ball = op.ball
-    for e in range(op.m):
-        assert op.successors(e).tolist() == successors(ball, e).tolist()
+def test_operator_rows_match_successor_definition():
+    # e -> e' exactly when head(e) = tail(e') and e' != reverse(e), checked
+    # over every ordered edge pair against both CSR matrices
+    for d, radius in ((3, 3), (4, 2), (5, 2)):
+        op = _op(d, radius)
+        ball = op.ball
+        heads = [ball.edge_head(e) for e in range(op.m)]
+        tails = [ball.edge_tail(e) for e in range(op.m)]
+        succ = [[f for f in range(op.m) if heads[e] == tails[f] and f != reverse_edge(e)]
+                for e in range(op.m)]
+        for e in range(op.m):
+            pred = [f for f in range(op.m) if e in succ[f]]
+            assert successors(ball, e).tolist() == succ[e]
+            assert op.successors(e).tolist() == succ[e]
+            assert op.predecessors(e).tolist() == pred
 
 
 # ---------------------------------------------------------------------------

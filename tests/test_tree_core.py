@@ -9,9 +9,11 @@ from nbtree.errors import CapExceededError
 from nbtree.tree_core import (
     build_ball,
     ball_size,
+    cone,
     convex_hull,
     edge_between,
     edge_distance,
+    forward_cone_interior,
     hull_distance,
     path_vertices,
     predecessors,
@@ -337,6 +339,39 @@ def test_predecessors_are_transpose_of_successors():
     pred_pairs = {(int(p), e) for e in range(ball.n_edges)
                   for p in predecessors(ball, e)}
     assert succ_pairs == pred_pairs
+
+
+def test_successors_of_an_edge_array_concatenate_in_input_order():
+    ball = build_ball(4, 3)
+    edges = [7, 0, 7, 31, ball.n_edges - 1]
+    expected = [s for e in edges for s in successors(ball, e).tolist()]
+    assert successors(ball, np.array(edges)).tolist() == expected
+    assert successors(ball, np.array([], dtype=np.int64)).size == 0
+    with pytest.raises(ValueError):
+        successors(ball, np.array([0, ball.n_edges]))
+
+
+def test_cone_is_iterated_successors_and_backward_is_reversal():
+    ball = build_ball(3, 5)
+    for e in range(0, ball.n_edges, 3):
+        frontier = [e]
+        back = [e]
+        for k in range(4):
+            assert cone(ball, e, k).tolist() == frontier
+            assert cone(ball, e, k, backward=True).tolist() == back
+            frontier = [s for x in frontier for s in successors(ball, x).tolist()]
+            back = [p for x in back for p in predecessors(ball, x).tolist()]
+    with pytest.raises(ValueError):
+        cone(ball, 0, -1)
+
+
+def test_forward_cone_interior_matches_full_cone_size():
+    for d, radius in ((3, 5), (4, 3)):
+        ball = build_ball(d, radius)
+        for k in range(0, 4):
+            for e in range(ball.n_edges):
+                full = cone(ball, e, k).size == (d - 1) ** k
+                assert forward_cone_interior(ball, e, k) == full
 
 
 def test_bfs_distances_match_parent_walk():

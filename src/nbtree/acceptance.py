@@ -244,8 +244,9 @@ def criterion_bound_sweep(seed: int = 0, threads: int | None = None) -> dict:
     rows = []
     n_mc = 50_000
 
-    def add(d, k, rule_name, mode, value, stderr, bound, n_samples, row_seed):
-        verdict = verify_bound(value, bound, stderr)
+    def add(d, k, rule_name, mode, value, stderr, bound, n_samples, row_seed,
+            degenerate=False):
+        verdict = verify_bound(value, bound, stderr, degenerate)
         rows.append({
             "d": d, "k": k, "rule": rule_name, "mode": mode,
             "value": value, "stderr": stderr, "bound": bound,
@@ -281,7 +282,8 @@ def criterion_bound_sweep(seed: int = 0, threads: int | None = None) -> dict:
                 row_seed = seed * 65537 + 101 * d + 13 * k + (7 if "flat" in rule_name else 0)
                 sampler = vertex_linear_sampler(ball4, rule, u4, v4)
                 est = monte_carlo_corr(sampler, n_mc, row_seed, threads=threads)
-                add(d, k, rule_name, "mc", est.estimate, est.stderr, vb, n_mc, row_seed)
+                add(d, k, rule_name, "mc", est.estimate, est.stderr, vb, n_mc, row_seed,
+                    est.degenerate)
 
             # region pairs at hull distance k, exact
             ball_r = _ball(d, (k + 1) // 2 + 2)
@@ -312,7 +314,8 @@ def criterion_bound_sweep(seed: int = 0, threads: int | None = None) -> dict:
             row_seed = seed * 65537 + 9001 * d + 17 * k
             sampler = edge_linear_sampler(ball_e, 3, 1.0 / math.sqrt(d - 1), e1, e2_same)
             est = monte_carlo_corr(sampler, n_mc, row_seed, threads=threads)
-            add(d, k, "edge-geom:D3", "mc", est.estimate, est.stderr, eb, n_mc, row_seed)
+            add(d, k, "edge-geom:D3", "mc", est.estimate, est.stderr, eb, n_mc, row_seed,
+                est.degenerate)
 
     failures = [r for r in rows if r["verdict"] != "PASS"]
     return {"passed": not failures, "n_rows": len(rows),

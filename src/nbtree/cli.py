@@ -67,8 +67,9 @@ def _emit_rows(rows: list[dict], header: list[str], fmt: str, out) -> None:
             out.write("\n")
 
 
-def _corr_row(d, k, rule, mode, value, stderr, bound, n_samples, seed):
-    verdict = verify_bound(value, bound, stderr)
+def _corr_row(d, k, rule, mode, value, stderr, bound, n_samples, seed,
+              degenerate=False):
+    verdict = verify_bound(value, bound, stderr, degenerate)
     return {
         "d": d, "k": k, "rule": rule, "mode": mode, "value": value,
         "stderr": stderr, "bound": bound, "verdict": verdict.label,
@@ -160,7 +161,7 @@ def _cmd_simulate_vertex(args, out) -> int:
     row, ok = _corr_row(args.d, args.k, f"linear-{args.profile}", "mc",
                         est.estimate, est.stderr,
                         bounds.vertex_corr_bound(args.d, args.k),
-                        args.samples, args.seed)
+                        args.samples, args.seed, est.degenerate)
     _emit_rows([row], CORR_HEADER, args.format, out)
     return 0 if ok else 1
 
@@ -181,7 +182,7 @@ def _cmd_simulate_edge(args, out) -> int:
     row, ok = _corr_row(args.d, args.k, f"edge-geom:D{depth}", "mc",
                         est.estimate, est.stderr,
                         bounds.edge_corr_bound(args.d, args.k),
-                        args.samples, args.seed)
+                        args.samples, args.seed, est.degenerate)
     _emit_rows([row], CORR_HEADER, args.format, out)
     return 0 if ok else 1
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from nbtree.bounds import bound_table
@@ -176,6 +177,40 @@ def test_failed_norm_and_certificate_verdicts_exit_one(capsys, monkeypatch):
     code, out = run_cli(capsys, "nb-certify", "--d", "3", "--radius", "6", "--k", "2")
     doc = json.loads(out)
     assert code == 1 and doc["strict"] is False and doc["bound"] == 1.0
+
+
+def _constant_pair_sampler(*_args):
+    def sampler(seed, idx):
+        return np.ones(len(idx)), np.ones(len(idx))
+
+    return sampler
+
+
+def test_degenerate_monte_carlo_rows_fail(capsys, monkeypatch):
+    # a zero-variance observable gives correlation 0 with stderr 0, which
+    # trivially meets any bound; such a row must FAIL and exit 1
+    from nbtree import cli
+
+    monkeypatch.setattr(cli, "vertex_linear_sampler", _constant_pair_sampler)
+    monkeypatch.setattr(cli, "edge_linear_sampler", _constant_pair_sampler)
+    for argv in (["simulate-vertex", "--d", "3", "--k", "2", "--samples", "1000"],
+                 ["simulate-edge", "--d", "3", "--k", "1", "--depth", "1",
+                  "--samples", "1000"]):
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        doc = json.loads(out)
+        assert code == 1 and doc["verdict"] == "FAIL", argv
+        assert doc["value"] == 0.0 and doc["stderr"] == 0.0
+
+
+def test_degenerate_monte_carlo_rows_fail_the_bound_sweep(monkeypatch):
+    from nbtree import acceptance
+
+    monkeypatch.setattr(acceptance, "vertex_linear_sampler", _constant_pair_sampler)
+    monkeypatch.setattr(acceptance, "edge_linear_sampler", _constant_pair_sampler)
+    res = acceptance.criterion_bound_sweep(0, threads=1)
+    mc_rows = [r for r in res["rows"] if r["mode"] == "mc"]
+    assert not res["passed"] and res["n_fail"] == len(mc_rows) == 48
+    assert all(r["verdict"] == "FAIL" for r in mc_rows)
 
 
 def test_removed_flags_are_usage_errors(capsys):

@@ -18,6 +18,7 @@ from nbtree.correlation import (
     h_parity,
     h_sum,
     lemma_consequence_check,
+    linear_pair_sampler,
     monte_carlo_corr,
     polarization_check,
     random_exchangeable_joint,
@@ -94,6 +95,38 @@ def test_mc_degenerate_variance_flag():
 
     est = monte_carlo_corr(constant, 1000, 5)
     assert est.degenerate and est.estimate == 0.0
+
+
+@pytest.mark.parametrize("n_samples", [20_000, 20_001])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_linear_sampler_estimate_matches_words2_reference(n_samples, threads):
+    # the label kernel must reproduce to_rademacher(words2(...)) @ vec exactly,
+    # including a last chunk whose row count is not a multiple of 4
+    ball = build_ball(3, 5)
+    ids_a, ids_b = np.arange(0, 40), np.arange(20, 90)
+    ca = 0.5 + rng.to_unit(rng.words(1, ids_a))
+    cb = rng.to_unit(rng.words(2, ids_b)) - 0.25
+    support = np.arange(0, 90)
+    vec_a, vec_b = np.zeros(90), np.zeros(90)
+    vec_a[ids_a], vec_b[ids_b] = ca, cb
+
+    def reference(seed, idx):
+        labels = rng.to_rademacher(rng.words2(seed, idx, support))
+        return labels @ vec_a, labels @ vec_b
+
+    sampler = linear_pair_sampler(ball, ids_a, ca, ids_b, cb)
+    for idx in (np.arange(4096), np.arange(16_384, n_samples)):
+        for x, ref in zip(sampler(77, idx), reference(77, idx)):
+            assert x.tobytes() == ref.tobytes()
+    got = monte_carlo_corr(sampler, n_samples, 77, threads=threads)
+    assert got == monte_carlo_corr(reference, n_samples, 77, threads=threads)
+    assert not got.degenerate and got.estimate > 0.1
+
+
+def test_degenerate_estimate_fails_its_verdict():
+    assert verify_bound(0.0, 0.5, 0.0).passed
+    verdict = verify_bound(0.0, 0.5, 0.0, degenerate=True)
+    assert not verdict.passed and verdict.label == "FAIL"
 
 
 def test_mc_minimum_samples():

@@ -1,6 +1,10 @@
 """Counter-based generator: determinism, domains, and marginal frequencies."""
 
+import hashlib
+
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nbtree import rng
 from nbtree.factor_engine import sample_iid
@@ -67,3 +71,42 @@ def test_alphabet_frequency_concentration():
         cfg = sample_iid(ball, "alphabet:2", seed)
         freq = float(np.mean(cfg.labels == 0.0))
         assert 0.497 <= freq <= 0.503
+
+
+# rows x cols crosses rademacher2's row blocks (and ends in a partial one)
+# whenever rows * cols exceeds rng._BLOCK_WORDS
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 2 ** 64 - 1, -977, 41]), st.integers(1, 600),
+       st.integers(1, 400), st.integers(0, 10 ** 6))
+@example(2 ** 64 - 1, 600, 400, 0)  # 240,000 words: 7 full blocks and a partial one
+@example(-977, 1, 1, 0)
+def test_rademacher2_is_to_rademacher_of_words2(seed, n_rows, n_cols, offset):
+    rows = np.arange(offset, offset + n_rows)
+    cols = np.arange(n_cols) * 3 + offset % 7
+    fast = rng.rademacher2(seed, rows, cols)
+    ref = rng.to_rademacher(rng.words2(seed, rows, cols))
+    assert fast.dtype == ref.dtype and fast.shape == ref.shape
+    assert fast.tobytes() == ref.tobytes()
+
+
+def test_rademacher2_row_slices_are_invariant():
+    rows, cols = np.arange(700), np.arange(150)
+    whole = rng.rademacher2(17, rows, cols)
+    for lo, hi in ((0, 1), (0, 218), (218, 219), (219, 700), (333, 650)):
+        assert whole[lo:hi].tobytes() == rng.rademacher2(17, rows[lo:hi], cols).tobytes()
+
+
+def test_rademacher2_stream_is_pinned():
+    # sha256 of the sign bits of to_rademacher(words2(...)) on this grid;
+    # integer-only, so independent of the platform's float kernels
+    rows, cols = np.arange(0, 3000, 3), np.arange(257) * 5 + 1
+    bits = np.packbits(rng.rademacher2(20161, rows, cols) < 0)
+    assert hashlib.sha256(bits.tobytes()).hexdigest() == (
+        "9321b4d2f1da36191c8450be2bf34385520e8eff3a9edcae1e3ac56ae9afe6d2")
+
+
+def test_mix64_does_not_mutate_its_input():
+    x = np.arange(50, dtype=np.uint64)
+    mixed = rng.mix64(x)
+    assert np.array_equal(x, np.arange(50, dtype=np.uint64))
+    assert not np.array_equal(mixed, x)

@@ -1,8 +1,10 @@
 """Exact arithmetic on numbers of the form a + b*sqrt(r) with rational a, b, r.
 
 Strict inequalities against such numbers cannot be decided reliably in
-floating point, so comparisons here square out the radical and stay in
-``fractions.Fraction`` throughout.  r must be a non-negative rational.
+floating point, so comparisons here square out the radical and stay
+exact: int and ``fractions.Fraction`` arguments are used as they are,
+anything else (a float, say) is converted to a ``Fraction`` first.  r
+must be non-negative.
 """
 
 from __future__ import annotations
@@ -11,16 +13,20 @@ import math
 from fractions import Fraction
 
 
-def root_value(a: Fraction, b: Fraction, r) -> float:
+def _rational(x) -> int | Fraction:
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def root_value(a: int | Fraction, b: int | Fraction, r) -> float:
     """Float value of a + b*sqrt(r)."""
     return float(a) + float(b) * math.sqrt(float(r))
 
 
-def root_sign(a: Fraction, b: Fraction, r) -> int:
+def root_sign(a: int | Fraction, b: int | Fraction, r) -> int:
     """Sign (-1, 0, +1) of a + b*sqrt(r), decided exactly."""
-    a = Fraction(a)
-    b = Fraction(b)
-    r = Fraction(r)
+    a = _rational(a)
+    b = _rational(b)
+    r = _rational(r)
     if r < 0:
         raise ValueError("radicand must be non-negative")
     if b == 0:
@@ -49,14 +55,14 @@ def root_sign(a: Fraction, b: Fraction, r) -> int:
 
 def root_lt(a1, b1, a2, b2, r) -> bool:
     """Exact test of a1 + b1*sqrt(r) < a2 + b2*sqrt(r)."""
-    return root_sign(Fraction(a1) - Fraction(a2), Fraction(b1) - Fraction(b2), r) < 0
+    return root_sign(_rational(a1) - _rational(a2), _rational(b1) - _rational(b2), r) < 0
 
 
 def root_leq(a1, b1, a2, b2, r) -> bool:
     """Exact test of a1 + b1*sqrt(r) <= a2 + b2*sqrt(r)."""
-    return root_sign(Fraction(a1) - Fraction(a2), Fraction(b1) - Fraction(b2), r) <= 0
+    return root_sign(_rational(a1) - _rational(a2), _rational(b1) - _rational(b2), r) <= 0
 
 
 def root_abs_leq(a, b, bound_a, bound_b, r) -> bool:
     """Exact test of |a + b*sqrt(r)| <= bound_a + bound_b*sqrt(r)."""
-    return root_leq(a, b, bound_a, bound_b, r) and root_leq(-Fraction(a), -Fraction(b), bound_a, bound_b, r)
+    return root_leq(a, b, bound_a, bound_b, r) and root_leq(-_rational(a), -_rational(b), bound_a, bound_b, r)

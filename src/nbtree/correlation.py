@@ -10,9 +10,9 @@ Two independent computation routes coexist deliberately:
   count.
 
 Exact identities (the polarization identity and its consequence for
-exchangeable pairs) are evaluated in rational arithmetic: float inputs
-are rationals, so an identity that holds algebraically yields residual
-exactly zero.
+exchangeable pairs) are evaluated exactly: float inputs are dyadic
+rationals, which become integers over a common power-of-two denominator,
+so an identity that holds algebraically yields residual exactly zero.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -206,7 +205,7 @@ def edge_linear_sampler(ball: TreeBall, depth: int, rate: float, e1: int, e2: in
 class Site:
     """One scalar observable: a function of the labels at fixed vertices."""
 
-    local_ids: np.ndarray  # vertex ids the value depends on, in evaluation order
+    local_ids: np.ndarray  # distinct vertex ids the value depends on, in evaluation order
     func: Callable[[np.ndarray], float]  # maps labels (in local_ids order) to a real
 
 
@@ -284,7 +283,10 @@ def _site_values(ball: TreeBall, domain, sites: Sequence[Site]
 
     Configurations are indexed in odometer order over the sorted support;
     support position p holds digit (cfg // A^p) % A.  Per-site tables keep
-    the Python-level rule evaluations down to A^|local support| calls.
+    the Python-level rule evaluations down to A^|local support| calls, and
+    each table reaches every configuration through one broadcast copy: seen
+    as an (A,)*|support| array, a site's row varies only along the axes of
+    the positions it reads.  The local ids of a site must be distinct.
     """
     domain = parse_domain(domain)
     if not domain.is_discrete:
@@ -293,34 +295,38 @@ def _site_values(ball: TreeBall, domain, sites: Sequence[Site]
     a_size = len(values)
 
     support = np.unique(np.concatenate([s.local_ids for s in sites]))
-    n_cfg = a_size ** len(support)
+    n = len(support)
+    n_cfg = a_size ** n
     if n_cfg > ENUMERATION_CAP:
         raise CapExceededError(
-            f"{a_size}^{len(support)} = {n_cfg} configurations exceed the "
+            f"{a_size}^{n} = {n_cfg} configurations exceed the "
             f"enumeration cap {ENUMERATION_CAP}"
         )
+    for site in sites:
+        loc = len(site.local_ids)
+        if a_size ** loc > TABLE_CAP:
+            raise CapExceededError(
+                f"site table {a_size}^{loc} = {a_size ** loc} exceeds cap {TABLE_CAP}"
+            )
     pos_of = {int(v): p for p, v in enumerate(support)}
-    cfg = np.arange(n_cfg, dtype=np.int64)
 
     out = np.empty((len(sites), n_cfg), dtype=np.float64)
+    grid = out.reshape((len(sites),) + (a_size,) * n)
     for row, site in enumerate(sites):
         loc = len(site.local_ids)
         n_local = a_size ** loc
-        if n_local > TABLE_CAP:
-            raise CapExceededError(
-                f"site table {a_size}^{loc} = {n_local} exceeds cap {TABLE_CAP}"
-            )
         # table over local configurations, local position j least significant
         local_cfg = np.arange(n_local, dtype=np.int64)
         digits = (local_cfg[:, None] // a_size ** np.arange(loc, dtype=np.int64)[None, :]) % a_size
         labels = values[digits]
         table = np.array([site.func(labels[i]) for i in range(n_local)])
-        # index of each global configuration in the local table
-        local_idx = np.zeros(n_cfg, dtype=np.int64)
-        for j, v in enumerate(site.local_ids.tolist()):
-            p = pos_of[int(v)]
-            local_idx += ((cfg // a_size ** p) % a_size) * a_size ** j
-        out[row] = table[local_idx]
+        # axis i of a C-order (A,)*m array holds digit m-1-i, so the table's
+        # axes are the local ids reversed and support position p is axis n-1-p
+        axes = [n - 1 - pos_of[v] for v in reversed(site.local_ids.tolist())]
+        shape = [1] * n
+        for ax in axes:
+            shape[ax] = a_size
+        grid[row] = table.reshape((a_size,) * loc).transpose(np.argsort(axes)).reshape(shape)
     return out, n_cfg
 
 
@@ -469,27 +475,62 @@ def symmetrization_moment_check(ball: TreeBall, e1: int, e2: int,
 # ---------------------------------------------------------------------------
 
 
-def _as_fraction_matrix(joint) -> list[list[Fraction]]:
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has a non-finite entry")
+
+
+def _scaled_ints(*tables: np.ndarray) -> tuple[list[list[int]], int]:
+    """Finite float tables as integer numerators over one denominator.
+
+    Every finite float is m * 2^e, so the largest denominator among the
+    entries is a power of two that every other one divides: the scaling
+    is exact, and sums and differences of entries stay on that scale.
+    """
+    ratios = [[x.as_integer_ratio() for x in t.tolist()] for t in tables]
+    den = max(d for r in ratios for _, d in r)
+    return [[num * (den // d) for num, d in r] for r in ratios], den
+
+
+def _joint_ints(joint) -> tuple[list[list[int]], int]:
+    """Validated swap-symmetric joint: integer rows and their denominator."""
     arr = np.asarray(joint, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("joint must be a square matrix")
+    _check_finite("joint", arr)
     if np.any(arr < 0):
         raise ValueError("joint probabilities must be non-negative")
     if abs(float(arr.sum()) - 1.0) > 1e-9:
         raise ValueError("joint probabilities must sum to 1")
     if not np.array_equal(arr, arr.T):
         raise NonExchangeableError("joint distribution is not swap-symmetric")
-    return [[Fraction(float(x)) for x in row] for row in arr]
+    return _scaled_ints(*arr)
 
 
-def _cov_tables(p: list[list[Fraction]], f: list[Fraction], g: list[Fraction]
-                ) -> Fraction:
-    """cov(f(X1), g(X2)) for the finite pair distribution p, exactly."""
-    n = len(p)
-    e_fg = sum(p[i][j] * f[i] * g[j] for i in range(n) for j in range(n))
-    e_f = sum(f[i] * sum(p[i]) for i in range(n))
-    e_g = sum(g[j] * sum(p[i][j] for i in range(n)) for j in range(n))
-    return e_fg - e_f * e_g
+def _table_ints(n: int, f1, f2) -> tuple[list[list[int]], int]:
+    """f1 and f2 as integer numerators over one common denominator."""
+    tables = []
+    for name, f in (("f1", f1), ("f2", f2)):
+        arr = np.asarray(f, dtype=np.float64)
+        _check_finite(name, arr)
+        if arr.shape != (n,):
+            raise ValueError("function tables must match the joint's size")
+        tables.append(arr)
+    return _scaled_ints(*tables)
+
+
+def _cov_ints(p: list[list[int]], den: int, f: list[int], g: list[int]) -> int:
+    """den^2 * cov(f(X1), g(X2)) under the pair weights p / den."""
+    e_fg = sum(a * sum(x * b for x, b in zip(row, g)) for a, row in zip(f, p))
+    e_f = sum(a * sum(row) for a, row in zip(f, p))
+    e_g = sum(b * sum(col) for b, col in zip(g, zip(*p)))
+    return den * e_fg - e_f * e_g
+
+
+def _cov_same_ints(marg: list[int], den: int, f: list[int], g: list[int]) -> int:
+    """den^2 * cov(f(X), g(X)) under the weights marg / den."""
+    e_fg = sum(m * a * b for m, a, b in zip(marg, f, g))
+    return den * e_fg - sum(m * a for m, a in zip(marg, f)) * sum(m * b for m, b in zip(marg, g))
 
 
 @dataclass(frozen=True)
@@ -503,35 +544,27 @@ def polarization_check(joint, f1, f2) -> PolarizationResult:
     """Residual of the polarization identity on an exchangeable pair.
 
     cov(f1(X1), f2(X2)) must equal one quarter of the difference between
-    the sum-function and difference-function covariances.  Everything is
-    evaluated in exact rational arithmetic, so a correct implementation
-    returns residual 0.0 exactly; also reports the swap-symmetry residual
-    cov(f1(X1), f2(X2)) - cov(f1(X2), f2(X1)).
+    the sum-function and difference-function covariances.  Float inputs
+    are dyadic rationals, so with the joint over one power-of-two
+    denominator D and both tables over another, E, every covariance is an
+    integer over D^2 E^2 and the identity is evaluated exactly: a correct
+    implementation returns residual 0.0 exactly.  Also reports the
+    swap-symmetry residual cov(f1(X1), f2(X2)) - cov(f1(X2), f2(X1)).
+    Each float returned is the correctly rounded value of the exact one.
     """
-    p = _as_fraction_matrix(joint)
-    f1 = [Fraction(float(x)) for x in np.asarray(f1, dtype=np.float64)]
-    f2 = [Fraction(float(x)) for x in np.asarray(f2, dtype=np.float64)]
-    if len(f1) != len(p) or len(f2) != len(p):
-        raise ValueError("function tables must match the joint's size")
+    p, p_den = _joint_ints(joint)
+    (f1, f2), f_den = _table_ints(len(p), f1, f2)
+    scale = (p_den * f_den) ** 2
     s = [a + b for a, b in zip(f1, f2)]
     diff = [a - b for a, b in zip(f1, f2)]
-    lhs = _cov_tables(p, f1, f2)
-    rhs = (_cov_tables(p, s, s) - _cov_tables(p, diff, diff)) / 4
-    swapped = _cov_tables(p, f2, f1)
+    lhs = _cov_ints(p, p_den, f1, f2)
+    rhs4 = _cov_ints(p, p_den, s, s) - _cov_ints(p, p_den, diff, diff)
+    swapped = _cov_ints(p, p_den, f2, f1)
     return PolarizationResult(
-        residual=abs(float(lhs - rhs)),
-        swap_residual=abs(float(lhs - swapped)),
-        cross_covariance=float(lhs),
+        residual=abs(4 * lhs - rhs4) / (4 * scale),
+        swap_residual=abs(lhs - swapped) / scale,
+        cross_covariance=lhs / scale,
     )
-
-
-def _var_table(p: list[list[Fraction]], f: list[Fraction], first: bool) -> Fraction:
-    n = len(p)
-    marg = [sum(p[i]) for i in range(n)] if first else \
-           [sum(p[i][j] for i in range(n)) for j in range(n)]
-    e_f = sum(m * x for m, x in zip(marg, f))
-    e_ff = sum(m * x * x for m, x in zip(marg, f))
-    return e_ff - e_f * e_f
 
 
 def lemma_consequence_check(joint, f1, f2, alpha: float) -> bool:
@@ -544,58 +577,54 @@ def lemma_consequence_check(joint, f1, f2, alpha: float) -> bool:
     True (vacuously) otherwise; a False return indicates a defect.
 
     Scaling by 1/sqrt(var) is irrational, so both hypothesis sides are
-    carried as rational + rational*sqrt(m) with m = var1*var2 and
-    compared exactly.  The joint is renormalised by its exact total first:
-    float entries summing to 1 only within rounding would otherwise leave
-    the variance of a constant table slightly negative.
+    carried as a + b*sqrt(m) with m = var1*var2 and compared exactly.  The
+    joint is renormalised by its exact total T: float entries summing to 1
+    only within rounding would otherwise leave the variance of a constant
+    table slightly negative.  With the joint's and the tables' integer
+    numerators, every variance and covariance is an integer over one
+    common positive scale, and with alpha = A/D each comparison is
+    homogeneous, so it is decided on integers with those factors cleared.
     """
-    p = _as_fraction_matrix(joint)
-    total = sum(sum(row) for row in p)
-    p = [[x / total for x in row] for row in p]
-    f1 = [Fraction(float(x)) for x in np.asarray(f1, dtype=np.float64)]
-    f2 = [Fraction(float(x)) for x in np.asarray(f2, dtype=np.float64)]
-    alpha_f = Fraction(float(alpha))
+    p, _ = _joint_ints(joint)
+    (f1, f2), _ = _table_ints(len(p), f1, f2)
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    a_num, a_den = alpha.as_integer_ratio()
+    total = sum(map(sum, p))
+    rows = [sum(row) for row in p]
+    cols = [sum(col) for col in zip(*p)]
 
-    var1 = _var_table(p, f1, True)
-    var2 = _var_table(p, f2, False)
+    var1 = _cov_same_ints(rows, total, f1, f1)
+    var2 = _cov_same_ints(cols, total, f2, f2)
     if var1 == 0 or var2 == 0:
         return True  # correlation 0 by convention
 
-    c11 = _cov_tables(p, f1, f1)
-    c22 = _cov_tables(p, f2, f2)
-    c12 = _cov_tables(p, f1, f2)
-    c21 = _cov_tables(p, f2, f1)
-    w12 = _cov_tables_same(p, f1, f2)
+    c11 = _cov_ints(p, total, f1, f1)
+    c22 = _cov_ints(p, total, f2, f2)
+    c12 = _cov_ints(p, total, f1, f2)
+    c21 = _cov_ints(p, total, f2, f1)
+    w12 = _cov_same_ints(rows, total, f1, f2)
     m = var1 * var2
 
     # For s = f1/s1 + f2/s2 (unit-variance scalings), multiplying through by
     # m = var1*var2 gives  m*cov_s = var2*c11 + var1*c22 + (c12+c21)*sqrt(m)
-    # and m*var_s = 2m + 2*w12*sqrt(m); the difference g flips the radical term.
+    # and m*var_s = 2m + 2*w12*sqrt(m), both up to one positive factor; the
+    # difference g flips the radical term.
     def piece_ok(sign: int) -> bool:
         cov_a = var2 * c11 + var1 * c22
         cov_b = sign * (c12 + c21)
-        var_a = 2 * m
-        var_b = sign * 2 * w12
-        if root_sign(var_a, var_b, m) == 0:
+        # m*var_g / 2 = m + sign*w12*sqrt(m)
+        if root_sign(m, sign * w12, m) == 0:
             return True  # degenerate combination: correlation 0 by convention
-        return root_abs_leq(cov_a, cov_b, alpha_f * var_a, alpha_f * var_b, m)
+        return root_abs_leq(a_den * cov_a, a_den * cov_b,
+                            2 * a_num * m, 2 * a_num * sign * w12, m)
 
     hypothesis = piece_ok(+1) and piece_ok(-1)
     if not hypothesis:
         return True  # chain not applicable on this instance
     # conclusion: c12^2 <= alpha^2 * var1 * var2
-    return c12 * c12 <= alpha_f * alpha_f * m
-
-
-def _cov_tables_same(p: list[list[Fraction]], f: list[Fraction],
-                     g: list[Fraction]) -> Fraction:
-    """cov(f(X1), g(X1)): both functions of the first coordinate."""
-    n = len(p)
-    marg = [sum(p[i]) for i in range(n)]
-    e_fg = sum(m * a * b for m, a, b in zip(marg, f, g))
-    e_f = sum(m * a for m, a in zip(marg, f))
-    e_g = sum(m * b for m, b in zip(marg, g))
-    return e_fg - e_f * e_g
+    return (a_den * c12) ** 2 <= a_num * a_num * m
 
 
 def random_exchangeable_joint(n_points: int, seed: int) -> np.ndarray:

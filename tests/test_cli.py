@@ -97,6 +97,17 @@ def test_exact_corr_command(capsys):
     assert ",exact," in row and row.split(",")[7] == "PASS"
 
 
+@pytest.mark.parametrize("k,value,n_configs", [(1, 0.6, 16384), (4, 0.1, 524288),
+                                                (9, 0.0, 1048576)])
+def test_exact_corr_sum_rule_values_are_pinned(capsys, k, value, n_configs):
+    # values the index-arithmetic enumeration gave
+    code, out = run_cli(capsys, "exact-corr", "--d", "3", "--k", str(k),
+                        "--rule", "sum", "--r", "2")
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["value"], doc["n_samples"]) == (value, n_configs)
+
+
 def test_exact_corr_symmetrizes_order_sensitive_rules(capsys):
     # the raw pair rule is order-sensitive and correlates perfectly at
     # k = 1; the command must test its orbit average instead and pass

@@ -5,13 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbtree import rng
+from nbtree._exact import root_abs_leq, root_sign
 from nbtree.bounds import vertex_corr_bound
 from nbtree.correlation import (
+    ENUMERATION_CAP,
+    TABLE_CAP,
+    PolarizationResult,
+    Site,
+    _site_values,
     compensated_sum,
+    composite_edge_site,
     edge_homogeneity_check,
     exact_corr_discrete,
     exact_edge_corr,
@@ -22,6 +29,7 @@ from nbtree.correlation import (
     monte_carlo_corr,
     polarization_check,
     random_exchangeable_joint,
+    rule_site,
     symmetrization_moment_check,
     verify_bound,
     vertex_linear_sampler,
@@ -34,7 +42,9 @@ from nbtree.factor_engine import (
     geometric_profile,
     linear_rule_covariance_exact,
     parity_rule,
+    parse_domain,
     sum_rule,
+    symmetrize_rule,
 )
 from nbtree.nb_operator import build_operator, walk_count
 from nbtree.tree_core import build_ball, edge_between, path_vertices, vertices_at_distance
@@ -218,6 +228,107 @@ def test_exact_edge_corr_bounds():
 
 
 # ---------------------------------------------------------------------------
+# site tables against the odometer reference
+# ---------------------------------------------------------------------------
+
+
+def _odometer_site_values(domain, sites):
+    """Reference: each configuration's index into every site table by digit arithmetic."""
+    values = parse_domain(domain).values()
+    a_size = len(values)
+    support = np.unique(np.concatenate([s.local_ids for s in sites]))
+    n_cfg = a_size ** len(support)
+    pos_of = {int(v): p for p, v in enumerate(support)}
+    cfg = np.arange(n_cfg, dtype=np.int64)
+    out = np.empty((len(sites), n_cfg), dtype=np.float64)
+    for row, site in enumerate(sites):
+        loc = len(site.local_ids)
+        n_local = a_size ** loc
+        local_cfg = np.arange(n_local, dtype=np.int64)
+        digits = (local_cfg[:, None] // a_size ** np.arange(loc, dtype=np.int64)[None, :]) % a_size
+        labels = values[digits]
+        table = np.array([site.func(labels[i]) for i in range(n_local)])
+        local_idx = np.zeros(n_cfg, dtype=np.int64)
+        for j, v in enumerate(site.local_ids.tolist()):
+            local_idx += ((cfg // a_size ** pos_of[int(v)]) % a_size) * a_size ** j
+        out[row] = table[local_idx]
+    return out, n_cfg
+
+
+def _order_sensitive_site(ids, salt):
+    # a distinct weight per local position, so permuting the ids changes the table
+    w = 1.0 + rng.to_unit(rng.words(salt, np.arange(len(ids))))
+    return Site(np.asarray(ids, dtype=np.int64), lambda x: float(x @ w + x[0] * x[-1]))
+
+
+def _assert_matches_odometer(domain, sites):
+    got, n_cfg = _site_values(None, domain, sites)
+    ref, ref_n = _odometer_site_values(domain, sites)
+    assert n_cfg == ref_n
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("domain", ["alphabet:2", "alphabet:3", "rademacher"])
+def test_site_values_match_odometer_on_interleaved_unsorted_sites(domain):
+    sites = [_order_sensitive_site([5, 1, 7], 1), _order_sensitive_site([6, 2, 5, 0], 2),
+             _order_sensitive_site([3], 3), _order_sensitive_site([7, 0, 6], 4)]
+    _assert_matches_odometer(domain, sites)
+
+
+@pytest.mark.parametrize("domain", ["alphabet:2", "alphabet:3"])
+def test_site_values_match_odometer_on_a_single_vertex_support(domain):
+    _assert_matches_odometer(domain, [_order_sensitive_site([4], 5),
+                                      _order_sensitive_site([4], 6)])
+
+
+def test_site_values_match_odometer_on_composite_edge_sites():
+    ball = build_ball(3, 4)
+    view = edge_first_child_rule()
+    sites = [composite_edge_site(ball, e, rule, parity_rule(1))
+             for rule in (view, symmetrize_rule(view, 3)) for e in (1, 3)]
+    _assert_matches_odometer("alphabet:2", sites)
+
+
+def test_site_values_match_odometer_on_rule_sites():
+    ball = build_ball(3, 3)
+    u, v = vertices_at_distance(ball, 2)
+    sites = [rule_site(ball, LinearRule(1, (1.0, 0.5)), u), rule_site(ball, parity_rule(1), v)]
+    _assert_matches_odometer("alphabet:3", sites)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_site_values_match_odometer_on_random_sites(data):
+    domain = data.draw(st.sampled_from(["alphabet:2", "alphabet:3"]))
+    pool = 12 if domain == "alphabet:2" else 8
+    n_sites = data.draw(st.integers(1, 4))
+    sites = [_order_sensitive_site(
+        data.draw(st.lists(st.integers(0, pool - 1), min_size=1, max_size=5, unique=True)), salt)
+        for salt in range(n_sites)]
+    _assert_matches_odometer(domain, sites)
+
+
+def test_site_values_caps_raise_before_any_table_is_built():
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return 0.0
+
+    # 2^23 configurations over 23 vertices, with no site table over the cap
+    wide = [Site(np.arange(0, 12), counted), Site(np.arange(11, 23), counted)]
+    assert 2 ** 23 > ENUMERATION_CAP and 2 ** 12 <= TABLE_CAP
+    with pytest.raises(CapExceededError, match="enumeration cap"):
+        _site_values(None, "alphabet:2", wide)
+    # one table of 2^19 entries, within the enumeration cap
+    deep = [Site(np.arange(0, 3), counted), Site(np.arange(0, 19), counted)]
+    assert 2 ** 19 > TABLE_CAP and 2 ** 19 <= ENUMERATION_CAP
+    with pytest.raises(CapExceededError, match="site table"):
+        _site_values(None, "alphabet:2", deep)
+    assert not calls
+
+
+# ---------------------------------------------------------------------------
 # polarization identity
 # ---------------------------------------------------------------------------
 
@@ -369,6 +480,232 @@ def test_transfer_small_exhaustive_scan():
     for f1 in tables[::3]:
         for f2 in tables[::3]:
             assert lemma_consequence_check(joint, f1, f2, alpha)
+
+
+# ---------------------------------------------------------------------------
+# integer identity checks against the Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def _fraction_matrix(joint):
+    arr = np.asarray(joint, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError("joint must be a square matrix")
+    if np.any(arr < 0):
+        raise ValueError("joint probabilities must be non-negative")
+    if abs(float(arr.sum()) - 1.0) > 1e-9:
+        raise ValueError("joint probabilities must sum to 1")
+    if not np.array_equal(arr, arr.T):
+        raise NonExchangeableError("joint distribution is not swap-symmetric")
+    return [[Fraction(float(x)) for x in row] for row in arr]
+
+
+def _fraction_cov(p, f, g):
+    n = len(p)
+    e_fg = sum(p[i][j] * f[i] * g[j] for i in range(n) for j in range(n))
+    e_f = sum(f[i] * sum(p[i]) for i in range(n))
+    e_g = sum(g[j] * sum(p[i][j] for i in range(n)) for j in range(n))
+    return e_fg - e_f * e_g
+
+
+def _fraction_var(p, f, first):
+    n = len(p)
+    marg = [sum(p[i]) for i in range(n)] if first else \
+           [sum(p[i][j] for i in range(n)) for j in range(n)]
+    e_f = sum(m * x for m, x in zip(marg, f))
+    e_ff = sum(m * x * x for m, x in zip(marg, f))
+    return e_ff - e_f * e_f
+
+
+def _fraction_cov_same(p, f, g):
+    marg = [sum(row) for row in p]
+    e_fg = sum(m * a * b for m, a, b in zip(marg, f, g))
+    return e_fg - sum(m * a for m, a in zip(marg, f)) * sum(m * b for m, b in zip(marg, g))
+
+
+def _fraction_polarization(joint, f1, f2):
+    """Reference: the polarization check in Fraction arithmetic."""
+    p = _fraction_matrix(joint)
+    f1 = [Fraction(float(x)) for x in np.asarray(f1, dtype=np.float64)]
+    f2 = [Fraction(float(x)) for x in np.asarray(f2, dtype=np.float64)]
+    s = [a + b for a, b in zip(f1, f2)]
+    diff = [a - b for a, b in zip(f1, f2)]
+    lhs = _fraction_cov(p, f1, f2)
+    rhs = (_fraction_cov(p, s, s) - _fraction_cov(p, diff, diff)) / 4
+    swapped = _fraction_cov(p, f2, f1)
+    return PolarizationResult(residual=abs(float(lhs - rhs)),
+                              swap_residual=abs(float(lhs - swapped)),
+                              cross_covariance=float(lhs))
+
+
+def _fraction_transfer(joint, f1, f2, alpha, hits):
+    """Reference: the bound transfer in Fraction arithmetic; adds the branches taken to hits."""
+    p = _fraction_matrix(joint)
+    total = sum(sum(row) for row in p)
+    p = [[x / total for x in row] for row in p]
+    f1 = [Fraction(float(x)) for x in np.asarray(f1, dtype=np.float64)]
+    f2 = [Fraction(float(x)) for x in np.asarray(f2, dtype=np.float64)]
+    alpha_f = Fraction(float(alpha))
+    var1 = _fraction_var(p, f1, True)
+    var2 = _fraction_var(p, f2, False)
+    if var1 == 0 or var2 == 0:
+        hits.add("zero variance")
+        return True
+    c11, c22 = _fraction_cov(p, f1, f1), _fraction_cov(p, f2, f2)
+    c12, c21 = _fraction_cov(p, f1, f2), _fraction_cov(p, f2, f1)
+    w12 = _fraction_cov_same(p, f1, f2)
+    m = var1 * var2
+
+    def piece_ok(sign):
+        cov_a, cov_b = var2 * c11 + var1 * c22, sign * (c12 + c21)
+        var_a, var_b = 2 * m, sign * 2 * w12
+        if root_sign(var_a, var_b, m) == 0:
+            hits.add("degenerate")
+            return True
+        return root_abs_leq(cov_a, cov_b, alpha_f * var_a, alpha_f * var_b, m)
+
+    hypothesis = piece_ok(+1) and piece_ok(-1)
+    conclusion = c12 * c12 <= alpha_f * alpha_f * m
+    hits.add("conclusion true" if conclusion else "conclusion false")
+    if not hypothesis:
+        hits.add("hypothesis fails")
+        return True
+    return conclusion
+
+
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** 10]),
+    st.integers(-2, 2).map(float),
+    st.tuples(st.booleans(), st.floats(min_value=5e-324, max_value=2.0 ** 10))
+    .map(lambda t: -t[1] if t[0] else t[1]))
+
+
+def _dyadic_weights(draw, n, zero):
+    """Integer weights with the zero indices' rows empty, summing to a power of two."""
+    live = [i for i in range(n) if i not in zero]
+    w = [[0] * n for _ in range(n)]
+    for i in live:
+        for j in live:
+            if j >= i:
+                w[i][j] = w[j][i] = draw(st.integers(0, 1 << 20))
+    total = sum(map(sum, w))
+    scale = 1 << total.bit_length()
+    w[live[0]][live[0]] += scale - total
+    return w, scale
+
+
+@st.composite
+def _exchangeable_cases(draw):
+    """(joint, f1, f2): dyadic, independent and non-dyadic-total joints,
+    zero rows, subnormal entries, constant and proportional tables."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["dyadic", "independent", "random"]))
+    zero = set(draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True)))
+    if kind == "random":
+        joint = random_exchangeable_joint(n, draw(st.integers(0, 2 ** 32)))
+    elif kind == "independent":
+        marg_w, scale = _dyadic_weights(draw, n, zero)
+        marg = np.array([sum(row) for row in marg_w], dtype=np.float64) / scale
+        joint = np.outer(marg, marg)
+    else:
+        w, scale = _dyadic_weights(draw, n, zero)
+        joint = np.array(w, dtype=np.float64) / scale
+        empty = [(i, j) for i in range(n) for j in range(i, n)
+                 if w[i][j] == 0 and i not in zero and j not in zero]
+        if empty and draw(st.booleans()):
+            i, j = draw(st.sampled_from(empty))
+            joint[i, j] = joint[j, i] = 5e-324
+    table = st.one_of(st.lists(_ENTRY, min_size=n, max_size=n), _ENTRY.map(lambda c: [c] * n))
+    f1 = draw(table)
+    f2 = draw(st.one_of(table, st.sampled_from([1.0, -1.0, 2.0]).map(
+        lambda c: [c * x for x in f1])))
+    return joint, f1, f2
+
+
+def _near_tie_alpha(joint, f1, f2, target, ulps):
+    """A float |correlation| moved by a few ulps: of the conclusion's pair or of
+    the sum or difference piece of the hypothesis; 0.5 where floats fail."""
+    p = np.asarray(joint)
+    f1, f2 = np.asarray(f1), np.asarray(f2)
+    marg = p.sum(axis=1)
+
+    def cov(f, g):
+        return f @ p @ g - (marg @ f) * (marg @ g)
+
+    def var(f):
+        return marg @ (f * f) - (marg @ f) ** 2
+
+    with np.errstate(all="ignore"):
+        v1, v2 = var(f1), var(f2)
+        g = f1 / np.sqrt(v1) + (1 if target == "sum" else -1) * f2 / np.sqrt(v2)
+        rho = abs(cov(f1, f2)) / np.sqrt(v1 * v2) if target == "conclusion" else abs(cov(g, g)) / var(g)
+    if not math.isfinite(rho):
+        return 0.5
+    for _ in range(abs(ulps)):
+        rho = math.nextafter(rho, math.copysign(math.inf, ulps))
+    return float(rho)
+
+
+_SCAN_JOINT = random_exchangeable_joint(3, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exchangeable_cases())
+@example((np.array([[1.0]]), [0.0], [-0.0]))
+@example((np.array([[0.25, 0.25], [0.25, 0.25]]), [5e-324, 2.0 ** 10], [-5e-324, 1.0]))
+def test_polarization_matches_fraction_reference(case):
+    got = polarization_check(*case)
+    want = _fraction_polarization(*case)
+    for field in ("residual", "swap_residual", "cross_covariance"):
+        assert repr(getattr(got, field)) == repr(getattr(want, field))
+
+
+def test_transfer_matches_fraction_reference():
+    hits = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_exchangeable_cases(), st.one_of(
+        st.sampled_from([0.0, 1.0, -0.5]), st.floats(0.0, 1.5),
+        st.tuples(st.sampled_from(["conclusion", "sum", "difference"]), st.integers(-2, 2))))
+    @example((_SCAN_JOINT, [1.0, -0.5, 0.25], [1.0, -0.5, 0.25]), 1.0)   # degenerate piece
+    @example((_SCAN_JOINT, [1.0, -0.5, 0.25], [1.0, -0.5, 0.25]), 0.0)   # hypothesis fails
+    @example((_SCAN_JOINT, [1.0, 1.0, 1.0], [1.0, 0.0, -1.0]), 0.5)      # constant table
+    # the hypothesis fails here, but would hold with the difference piece's radical sign flipped
+    @example((np.array([[0.578125, 0.0, 0.03125], [0.0, 0.0625, 0.125],
+                        [0.03125, 0.125, 0.046875]]), [1.0, 1.0, -1.0], [-1.0, 2.0, -2.0]), 0.375)
+    def check(case, alpha):
+        if isinstance(alpha, tuple):
+            alpha = _near_tie_alpha(*case, *alpha)
+        assert lemma_consequence_check(*case, alpha) == _fraction_transfer(*case, alpha, hits)
+
+    check()
+    # the lemma makes a False return unreachable: a false conclusion is met
+    # only where the hypothesis fails, which must then return True
+    assert {"zero variance", "degenerate", "hypothesis fails", "conclusion false"} <= hits
+
+
+@pytest.mark.parametrize("check", [
+    polarization_check, lambda j, f1, f2: lemma_consequence_check(j, f1, f2, 0.5)],
+    ids=["polarization", "transfer"])
+@pytest.mark.parametrize("joint,f1,f2,name", [
+    ([[0.5, math.nan], [math.nan, 0.5]], [1.0, 0.0], [0.0, 1.0], "joint"),
+    ([[0.5, 0.0], [0.0, 0.5]], [math.inf, 0.0], [0.0, 1.0], "f1"),
+    ([[0.5, 0.0], [0.0, 0.5]], [1.0, 0.0], [0.0, -math.inf], "f2"),
+    ([[0.5, 0.0], [0.0, 0.5]], [1.0, 0.0], [math.nan, 1.0], "f2"),
+], ids=["nan-joint", "inf-f1", "inf-f2", "nan-f2"])
+def test_non_finite_inputs_are_value_errors(check, joint, f1, f2, name):
+    # a NaN joint used to pass as "not swap-symmetric", an infinity as OverflowError
+    with pytest.raises(ValueError, match=f"{name} has a non-finite entry") as info:
+        check(np.array(joint), f1, f2)
+    assert info.type is ValueError
+
+
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_non_finite_alpha_is_a_value_error(alpha):
+    joint = random_exchangeable_joint(3, 9)
+    with pytest.raises(ValueError, match="alpha must be finite") as info:
+        lemma_consequence_check(joint, [1.0, 0.0, -1.0], [0.5, 1.0, 0.0], alpha)
+    assert info.type is ValueError
 
 
 # ---------------------------------------------------------------------------

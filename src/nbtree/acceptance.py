@@ -156,22 +156,32 @@ def criterion_walk_counts(seed: int = 0, threads: int | None = None) -> dict:
         ball = op.ball
         for k in range(1, 6):
             expected = (d - 1) ** k
-            hits = 0
-            checked = 0
-            draw = 0
-            while checked < 100:
-                e = int(rng.randint(seed + 17 * d + k, draw, ball.n_edges)[0])
-                draw += 1
-                if not forward_cone_interior(ball, e, k):
-                    continue
-                checked += 1
-                if walk_count(op, e, k) == expected:
-                    hits += 1
+            edges = _interior_draws(ball, k, seed + 17 * d + k, 100)
+            hits = sum(walk_count(op, e, k) == expected for e in edges)
             ok = hits == 100
             passed &= ok
             rows.append({"d": d, "k": k, "expected": expected,
                          "matches": hits, "ok": ok})
     return {"passed": passed, "rows": rows}
+
+
+#: stream positions the walk-count criterion draws per randint call
+_DRAW_BLOCK = 512
+
+
+def _interior_draws(ball: TreeBall, k: int, stream: int, count: int) -> list[int]:
+    """The first `count` edges of the randint stream whose k-cones are interior.
+
+    Draws _DRAW_BLOCK stream positions at a time; the kept edges are those
+    a one-at-a-time scan of the stream would keep, in draw order.
+    """
+    edges: list[int] = []
+    start = 0
+    while len(edges) < count:
+        draws = rng.randint(stream, np.arange(start, start + _DRAW_BLOCK), ball.n_edges)
+        edges += draws[forward_cone_interior(ball, draws, k)][:count - len(edges)].tolist()
+        start += _DRAW_BLOCK
+    return edges
 
 
 def _oracle_cases(seed: int):

@@ -38,7 +38,7 @@ from .factor_engine import (
     symmetrize_rule,
     vertex_ball_levels,
 )
-from .tree_core import TreeBall, cone
+from .tree_core import TreeBall, cone, forward_cone_interior
 
 #: largest number of configurations the exact route will enumerate
 ENUMERATION_CAP = 4_194_304
@@ -366,10 +366,6 @@ def h_sum(values: np.ndarray) -> np.ndarray:
     return values.sum(axis=0)
 
 
-def h_product(values: np.ndarray) -> np.ndarray:
-    return values.prod(axis=0)
-
-
 def h_parity(values: np.ndarray) -> np.ndarray:
     return values.sum(axis=0) % 2
 
@@ -660,11 +656,12 @@ def edge_homogeneity_check(ball: TreeBall, rule: EdgeRule, k: int, domain
                            ) -> HomogeneityResult:
     """Exact E[Y_e1 Y_e2] over all interior pairs e1 ->_k e2.
 
-    A source edge is tested when its k-step cone is complete inside the
-    ball and every subtree view involved is interior.  Invariance of the
-    underlying process makes the expectation identical across pairs; the
-    maximum pairwise deviation is returned.  Also verifies that each
-    tested source reaches exactly (d-1)^k targets.
+    A source edge is tested when its k-step cone lies inside the ball
+    (`forward_cone_interior`) and every subtree view involved is interior.
+    Invariance of the underlying process makes the expectation identical
+    across pairs; the maximum pairwise deviation is returned.  Also
+    verifies that every source with an interior cone reaches exactly
+    (d-1)^k targets, whose moments sum to (d-1)^k times the common value.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -679,13 +676,13 @@ def edge_homogeneity_check(ball: TreeBall, rule: EdgeRule, k: int, domain
     moments: list[float] = []
     n_sources = 0
     counts_ok = True
-    per_source_sums: list[tuple[int, float]] = []
-    for e1 in range(ball.n_edges):
+    per_source_sums: list[float] = []
+    interior = forward_cone_interior(ball, np.arange(ball.n_edges), k)
+    for e1 in np.flatnonzero(interior).tolist():
         if not subtree_ok(e1):
             continue
         frontier = cone(ball, e1, k)
-        if frontier.size != full:
-            continue
+        counts_ok &= frontier.size == full
         if not all(subtree_ok(int(e2)) for e2 in frontier):
             continue
         n_sources += 1
@@ -695,15 +692,13 @@ def edge_homogeneity_check(ball: TreeBall, rule: EdgeRule, k: int, domain
             sv, n_cfg = _site_values(ball, domain, sites)
             vals.append(compensated_sum(sv[0] * sv[1]) / float(n_cfg))
         moments.extend(vals)
-        per_source_sums.append((len(vals), math.fsum(vals)))
+        per_source_sums.append(math.fsum(vals))
 
     if not moments:
         raise ValueError("no interior pair at this k; enlarge the ball")
     common = moments[0]
     max_dev = max(moments) - min(moments)
-    for cnt, total in per_source_sums:
-        if cnt != full:
-            counts_ok = False
+    for total in per_source_sums:
         if abs(total - full * common) > 1e-9 * max(1.0, abs(common) * full):
             counts_ok = False
     return HomogeneityResult(

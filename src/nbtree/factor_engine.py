@@ -454,13 +454,6 @@ def edge_table_rule(depth: int, alphabet: int, seed: int) -> EdgeRule:
                     name=f"edge-table:D{depth}:s{seed}")
 
 
-def edge_geometric_rule(depth: int, rate: float) -> EdgeRule:
-    """Sum of rate^level * label over the subtree view; symmetric by construction."""
-    def f(lv: Levels) -> float:
-        return math.fsum(rate ** j * float(lv[j].sum()) for j in range(len(lv)))
-    return EdgeRule(depth, f, symmetric=True, name=f"edge-geom:D{depth}")
-
-
 BLOCK_RULE_FAMILIES = {
     "sum": lambda radius=1, **kw: sum_rule(int(radius)),
     "parity": lambda radius=1, **kw: parity_rule(int(radius)),

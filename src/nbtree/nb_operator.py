@@ -1,10 +1,12 @@
 """The non-backtracking operator on the directed edges of a tree ball.
 
 The operator maps a function f on directed edges to
-(Bf)(e) = sum of f over the predecessors e' -> e.  It is stored as a
-sparse 0/1 matrix in CSR form, assembled from the successor rule of
-``tree_core`` (the one place the relation e -> e' is computed), and the
-k-step cones behind the certificates follow the same rule through
+(Bf)(e) = sum of f over the predecessors e' -> e.  It is stored as one
+sparse 0/1 CSR matrix, B^T, whose rows are the successor lists of
+``tree_core`` (the one place the relation e -> e' is computed).  B is
+applied as that matrix's transpose view, which SciPy runs as a CSC
+product summing each (Bf)(e) in ascending predecessor order.  The k-step
+cones behind the certificates follow the same rule through
 ``tree_core.cone``.  Two independent certificates are computed for its
 k-th power:
 
@@ -30,7 +32,7 @@ import scipy.sparse as sp
 from . import bounds
 from ._exact import root_lt, root_value
 from .errors import NbtreeError
-from .tree_core import TreeBall, cone, successor_lists
+from .tree_core import TreeBall, cone, predecessors, successor_lists
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -41,22 +43,21 @@ CERT_GUARD = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class NbOperator:
-    """Sparse realization of the non-backtracking operator on a ball."""
+    """Sparse realization of the non-backtracking operator on a ball.
+
+    `succ` is B^T: row e lists the successors of e.  B itself is applied
+    as the transpose view ``succ.T``.
+    """
 
     ball: TreeBall
     m: int
-    _mat: sp.csr_matrix        # rows = target edge, cols = predecessor
-    _mat_t: sp.csr_matrix      # transpose, rows = source edge, cols = successor
+    succ: sp.csr_matrix
 
     def predecessors(self, e: int) -> np.ndarray:
-        return _row(self._mat, e)
+        return predecessors(self.ball, e)
 
     def successors(self, e: int) -> np.ndarray:
-        return _row(self._mat_t, e)
-
-
-def _row(mat: sp.csr_matrix, e: int) -> np.ndarray:
-    return mat.indices[int(mat.indptr[e]):int(mat.indptr[e + 1])]
+        return self.succ.indices[int(self.succ.indptr[e]):int(self.succ.indptr[e + 1])]
 
 
 @dataclass(frozen=True)
@@ -136,10 +137,8 @@ def build_operator(ball: TreeBall) -> NbOperator:
     succ, counts = successor_lists(ball, np.arange(m))
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    mat_t = sp.csr_matrix((np.ones(succ.size), succ, indptr), shape=(m, m))
-    mat = mat_t.T.tocsr()
-    mat.sort_indices()
-    return NbOperator(ball, m, mat, mat_t)
+    succ_mat = sp.csr_matrix((np.ones(succ.size), succ, indptr), shape=(m, m))
+    return NbOperator(ball, m, succ_mat)
 
 
 def apply(op: NbOperator, f: np.ndarray) -> np.ndarray:
@@ -147,7 +146,7 @@ def apply(op: NbOperator, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (op.m,):
         raise ValueError(f"vector length {f.shape} != edge count {op.m}")
-    return op._mat @ f
+    return op.succ.T @ f
 
 
 def apply_transpose(op: NbOperator, f: np.ndarray) -> np.ndarray:
@@ -155,7 +154,7 @@ def apply_transpose(op: NbOperator, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (op.m,):
         raise ValueError(f"vector length {f.shape} != edge count {op.m}")
-    return op._mat_t @ f
+    return op.succ @ f
 
 
 def walk_count(op: NbOperator, e0: int, k: int) -> int:
@@ -190,12 +189,13 @@ def operator_norm_pow(op: NbOperator, k: int, tol: float = DEFAULT_TOL,
     converged = False
     iterations = 0
     rho = 0.0
+    b = op.succ.T
     for iterations in range(1, max_iter + 1):
         w = v
         for _ in range(k):
-            w = op._mat @ w
+            w = b @ w
         for _ in range(k):
-            w = op._mat_t @ w
+            w = op.succ @ w
         rho = float(v @ w)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0 or rho <= 0.0:

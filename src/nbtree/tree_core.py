@@ -16,6 +16,11 @@ The non-backtracking successor rule e -> e' (head(e) = tail(e') and
 e' != reverse(e)) is computed in one place, `successor_lists`, vectorised
 over edge arrays.  Predecessors, k-step cones and the sparse operator of
 ``nb_operator`` are all derived from it.
+
+Vertex geometry likewise has one BFS and one path walk.  `distances_from`
+is a BFS from one vertex or a connected vertex set, and `hull_distance`
+reads it on the second hull.  `path_vertices` walks up to the lowest
+common ancestor; `vertex_distance` and `convex_hull` are read off it.
 """
 
 from __future__ import annotations
@@ -197,24 +202,8 @@ def build_ball(d: int, radius: int) -> TreeBall:
 
 
 def vertex_distance(ball: TreeBall, u: int, v: int) -> int:
-    """Length of the unique u-v path, via the lowest common ancestor."""
-    ball._check_vertex(u)
-    ball._check_vertex(v)
-    du, dv = int(ball.depth[u]), int(ball.depth[v])
-    dist = 0
-    while du > dv:
-        u = int(ball.parent[u])
-        du -= 1
-        dist += 1
-    while dv > du:
-        v = int(ball.parent[v])
-        dv -= 1
-        dist += 1
-    while u != v:
-        u = int(ball.parent[u])
-        v = int(ball.parent[v])
-        dist += 2
-    return dist
+    """Length of the unique u-v path."""
+    return len(path_vertices(ball, u, v)) - 1
 
 
 def path_vertices(ball: TreeBall, u: int, v: int) -> list[int]:
@@ -250,12 +239,19 @@ def _children_of_many(ball: TreeBall, vs: np.ndarray) -> np.ndarray:
     return starts + offsets
 
 
-def distances_from(ball: TreeBall, source: int) -> np.ndarray:
-    """BFS distances from `source` to every vertex, as an int64 array."""
-    ball._check_vertex(source)
+def distances_from(ball: TreeBall, source) -> np.ndarray:
+    """BFS distances from `source` to every vertex, as an int64 array.
+
+    `source` is one vertex or a connected vertex set; for a set, each
+    distance is to the nearest member.
+    """
+    frontier = np.atleast_1d(np.asarray(source, dtype=np.int64))
+    if frontier.size == 0:
+        raise ValueError("distances_from an empty set")
+    ball._check_vertex(int(frontier.min()))
+    ball._check_vertex(int(frontier.max()))
     dist = np.full(ball.n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
+    dist[frontier] = 0
     step = 0
     while frontier.size:
         step += 1
@@ -264,7 +260,8 @@ def distances_from(ball: TreeBall, source: int) -> np.ndarray:
         pars = pars[pars >= 0]
         nxt = np.concatenate((pars, kids))
         nxt = nxt[dist[nxt] < 0]
-        # distinct frontier vertices cannot share an unvisited neighbor in a tree
+        # a vertex with two neighbors on one BFS level would close a cycle
+        # through the connected source set, so no unvisited vertex repeats
         dist[nxt] = step
         frontier = nxt
     return dist
@@ -297,43 +294,13 @@ def hull_distance(ball: TreeBall, set1, set2) -> tuple[int, int, int]:
     """
     h1 = convex_hull(ball, set1)
     h2 = convex_hull(ball, set2)
-    mask2 = np.zeros(ball.n, dtype=bool)
-    mask2[h2] = True
-    common = h1[mask2[h1]]
-    if common.size:
-        w = int(common[0])
-        return 0, w, w
-
-    # multi-source BFS from hull 1, tracking the nearest source
-    origin = np.full(ball.n, -1, dtype=np.int64)
-    origin[h1] = h1
-    frontier = h1
-    k = 0
-    while frontier.size:
-        k += 1
-        kids = _children_of_many(ball, frontier)
-        kid_origin = np.repeat(origin[frontier], ball.child_count[frontier])
-        pars = ball.parent[frontier]
-        has_par = pars >= 0
-        cand = np.concatenate((pars[has_par], kids))
-        cand_origin = np.concatenate((origin[frontier][has_par], kid_origin))
-        new = origin[cand] < 0
-        cand, cand_origin = cand[new], cand_origin[new]
-        if cand.size:
-            # deterministic tie-break: keep the smallest origin per vertex
-            order = np.lexsort((cand_origin, cand))
-            cand, cand_origin = cand[order], cand_origin[order]
-            keep = np.ones(len(cand), dtype=bool)
-            keep[1:] = cand[1:] != cand[:-1]
-            cand, cand_origin = cand[keep], cand_origin[keep]
-        origin[cand] = cand_origin
-        hits = cand[mask2[cand]]
-        if hits.size:
-            v2 = int(hits.min())
-            v1 = int(origin[v2])
-            return k, v1, v2
-        frontier = cand
-    raise RuntimeError("hulls not connected within the ball")  # unreachable
+    dist = distances_from(ball, h1)[h2]
+    k = int(dist.min())
+    v2 = int(h2[np.argmin(dist)])  # the first minimum: h2 is sorted
+    # every path from v2 into the subtree hull(set1) enters it after k
+    # steps, at the one member closest to v2
+    v1 = path_vertices(ball, v2, int(h1[0]))[k]
+    return k, v1, v2
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +333,7 @@ def successor_lists(ball: TreeBall, edges) -> tuple[np.ndarray, np.ndarray]:
     successors are those minus reverse(e), which always leaves head(e):
     reverse(e) is toward(head) for an away e and away(tail) for a toward e.
     """
-    edges = np.atleast_1d(np.asarray(edges, dtype=np.int64))
-    if edges.size and not 0 <= edges.min() <= edges.max() < ball.n_edges:
-        raise ValueError(f"edge ids outside [0, {ball.n_edges})")
+    edges = _edge_array(ball, np.atleast_1d(edges))
     v = edges // 2 + 1
     away = edges % 2 == 0
     head = np.where(away, v, ball.parent[v])
@@ -415,14 +380,24 @@ def cone(ball: TreeBall, e, k: int, backward: bool = False) -> np.ndarray:
     return frontier ^ flip
 
 
-def forward_cone_interior(ball: TreeBall, e: int, k: int) -> bool:
+def forward_cone_interior(ball: TreeBall, e, k: int):
     """True when every k-step walk from e stays inside the ball.
 
     The deepest such walk descends at once: an away edge at height h
-    reaches depth h + k, a toward edge h + k - 1.
+    reaches depth h + k, a toward edge h + k - 1.  For one edge id the
+    answer is a Python bool; for an array of ids, a bool array.
     """
-    reach = ball.edge_height(e) + k - (0 if ball.is_away(e) else 1)
-    return reach <= ball.radius
+    edges = _edge_array(ball, e)
+    inside = ball.depth[edges // 2 + 1] + k - edges % 2 <= ball.radius
+    return bool(inside) if inside.ndim == 0 else inside
+
+
+def _edge_array(ball: TreeBall, edges) -> np.ndarray:
+    """`edges` as an int64 array, after checking every id is in range."""
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.size and not 0 <= edges.min() <= edges.max() < ball.n_edges:
+        raise ValueError(f"edge ids outside [0, {ball.n_edges})")
+    return edges
 
 
 def edge_between(ball: TreeBall, a: int, b: int) -> int:

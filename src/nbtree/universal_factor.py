@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng
 from .errors import LabelCollisionError, ReconstructionError
-from .factor_engine import LabelConfig, sample_iid
+from .factor_engine import LabelConfig, sample_iid, vertex_ball_levels
 from .tree_core import TreeBall, distances_from, path_vertices, vertex_distance
 
 
@@ -43,43 +43,36 @@ class VertexCode:
 
 def encode_vertex(config: LabelConfig, v: int, depth: int) -> VertexCode:
     """Encode the depth-D view around v; labels in the view must be distinct."""
-    ball = config.ball
-    ball._check_vertex(v)
     if not config.domain.kind in ("uniform", "centered_uniform"):
         raise ValueError(
             f"encoding needs continuous labels, got {config.domain.tag()}"
         )
-    if int(ball.depth[v]) + depth > ball.radius:
-        raise ValueError(
-            f"depth-{depth} view around vertex {v} exits the radius-{ball.radius} ball"
-        )
-    labels = config.labels
-
-    blocks: list[tuple[tuple[float, ...], ...]] = [((float(labels[v]),),)]
-    spheres: list[tuple[float, ...]] = [(float(labels[v]),)]
-    seen: set[float] = {float(labels[v])}
-    order = [(v, -1)]  # (vertex, neighbor it was reached from)
-    for _ in range(depth):
-        level_blocks: list[tuple[float, ...]] = []
-        nxt: list[tuple[int, int]] = []
-        level_labels: list[float] = []
-        for w, frm in order:
-            outward = [int(u) for u in ball.neighbors(w) if int(u) != frm]
-            outward.sort(key=lambda u: float(labels[u]))
-            block = tuple(float(labels[u]) for u in outward)
-            level_blocks.append(block)
-            level_labels.extend(block)
-            nxt.extend((u, w) for u in outward)
-        for x in level_labels:
-            if x in seen:
-                raise LabelCollisionError(
-                    f"duplicate label {x!r} in the depth-{depth} view around {v}"
-                )
-            seen.add(x)
+    view = [config.labels[ids].tolist() for ids in vertex_ball_levels(config.ball, v, depth)]
+    blocks: list[tuple[tuple[float, ...], ...]] = [((view[0][0],),)]
+    order = [0]  # positions in the current level, in code order
+    for j in range(1, depth + 1):
+        # each level lists every parent's children together, parents in
+        # level order; visit the parents in code order instead
+        level = view[j]
+        fan = len(level) // len(view[j - 1])
+        level_blocks = []
+        nxt: list[int] = []
+        for p in order:
+            kids = sorted(range(p * fan, (p + 1) * fan), key=level.__getitem__)
+            level_blocks.append(tuple(level[c] for c in kids))
+            nxt.extend(kids)
         blocks.append(tuple(level_blocks))
-        spheres.append(tuple(sorted(level_labels)))
         order = nxt
-    return VertexCode(v, depth, tuple(blocks), tuple(spheres))
+    in_code_order = [[x for block in lv for x in block] for lv in blocks]
+    seen: set[float] = set()
+    for x in (x for level in in_code_order for x in level):
+        if x in seen:
+            raise LabelCollisionError(
+                f"duplicate label {x!r} in the depth-{depth} view around {v}"
+            )
+        seen.add(x)
+    spheres = tuple(tuple(sorted(level)) for level in in_code_order)
+    return VertexCode(v, depth, tuple(blocks), spheres)
 
 
 def _sorted_intersection(a: tuple[float, ...], b: tuple[float, ...]) -> list[float]:

@@ -5,6 +5,7 @@ command twice in subprocesses with different thread counts and compares
 the emitted JSON byte for byte.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import time
 
 import pytest
 
-from nbtree import acceptance
+from nbtree import acceptance, rng
+from nbtree.tree_core import build_ball, forward_cone_interior
 
 # (id, name, function, runtime limit in seconds or None)
 CASES = [
@@ -48,6 +50,33 @@ def test_polarization_criterion_is_pinned():
     assert acceptance.criterion_polarization(seed=0) == {
         "passed": True, "worst_residual": 0.0, "scan_pairs": 729,
         "scan_alpha": 0.3088352029149968, "scan_ok": True}
+
+
+@functools.lru_cache(maxsize=None)
+def _scanned_interior_draws(d, k, stream, count):
+    """The walk-count criterion's former draw loop: one randint call per edge."""
+    ball = build_ball(d, 8)
+    edges = []
+    draw = 0
+    while len(edges) < count:
+        e = int(rng.randint(stream, draw, ball.n_edges)[0])
+        draw += 1
+        if forward_cone_interior(ball, e, k):
+            edges.append(e)
+    return edges
+
+
+@pytest.mark.parametrize("block", [512, 100, 7])
+def test_walk_count_edges_are_the_scanned_draws(monkeypatch, block):
+    monkeypatch.setattr(acceptance, "_DRAW_BLOCK", block)
+    for seed in (0, 41):
+        for d in (3, 4):
+            ball = build_ball(d, 8)
+            for k in range(1, 6):
+                stream = seed + 17 * d + k
+                want = _scanned_interior_draws(d, k, stream, 100)
+                assert acceptance._interior_draws(ball, k, stream, 100) == want
+                assert acceptance._interior_draws(ball, k, stream, 37) == want[:37]
 
 
 def test_criterion_12_report_determinism(tmp_path):

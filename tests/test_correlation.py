@@ -47,7 +47,7 @@ from nbtree.factor_engine import (
     symmetrize_rule,
 )
 from nbtree.nb_operator import build_operator, walk_count
-from nbtree.tree_core import build_ball, edge_between, path_vertices, vertices_at_distance
+from nbtree.tree_core import build_ball, cone, edge_between, path_vertices, vertices_at_distance
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +733,45 @@ def test_homogeneity_d3_depth1_k2():
         if ball.edge_height(e) <= 2 and not ball.is_away(e)
     )
     assert walk_count(op, interior_source, 2) == res.pairs_per_source
+
+
+@pytest.mark.parametrize("d,radius,k,depth", [
+    (3, 5, 2, 1),  # the report's edge-homogeneity criterion
+    (3, 4, 0, 1), (3, 4, 1, 1), (3, 6, 3, 1), (4, 4, 1, 1)])
+def test_homogeneity_sources_are_the_full_cones(d, radius, k, depth):
+    ball = build_ball(d, radius)
+    res = edge_homogeneity_check(ball, edge_sum_rule(depth), k, "alphabet:2")
+
+    def subtree_ok(e):
+        return int(ball.depth[ball.edge_tail(e)]) + depth <= ball.radius
+
+    full = (d - 1) ** k
+    sources = [e for e in range(ball.n_edges)
+               if subtree_ok(e) and cone(ball, e, k).size == full
+               and all(subtree_ok(int(x)) for x in cone(ball, e, k))]
+    assert res.n_sources == len(sources) > 0
+    assert res.n_pairs == full * len(sources)
+    assert res.source_counts_ok and res.max_deviation <= 1e-12
+
+
+def test_homogeneity_fails_when_a_source_cone_loses_an_edge(monkeypatch):
+    import nbtree.correlation as correlation
+
+    ball = build_ball(3, 5)
+    honest = correlation.cone
+    victim = 2 * (int(ball.level_start[2]) - 1) + 1  # toward edge at height 2
+
+    def lossy(ball_, e, k, backward=False):
+        out = honest(ball_, e, k, backward)
+        return out[:-1] if int(e) == victim else out
+
+    assert edge_homogeneity_check(ball, edge_sum_rule(1), 2, "rademacher").source_counts_ok
+    monkeypatch.setattr(correlation, "cone", lossy)
+    res = edge_homogeneity_check(ball, edge_sum_rule(1), 2, "rademacher")
+    # centred labels make every moment 0, so only the target count can fail
+    assert res.common_value == 0.0 and res.max_deviation == 0.0
+    assert not res.source_counts_ok
+    assert not edge_homogeneity_check(ball, edge_sum_rule(1), 2, "alphabet:2").source_counts_ok
 
 
 def test_homogeneity_requires_symmetric_rule():

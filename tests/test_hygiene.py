@@ -1,0 +1,69 @@
+"""Source hygiene of the package, read with the stdlib ``ast`` module.
+
+Every name a module imports is used in that module (``__init__`` re-exports
+are exempt), and every module-private top-level function is referenced
+somewhere in the package, so deleted code cannot leave dead helpers or
+stale imports behind.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nbtree"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(), filename=str(p))
+            for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Names read anywhere in `tree`: bare names and attribute names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _imported(tree: ast.AST) -> list[tuple[str, int]]:
+    """(bound name, line) of every import statement, __future__ excluded."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(a.asname or a.name, node.lineno) for a in node.names]
+    return out
+
+
+def test_package_is_found():
+    assert "tree_core.py" in _modules()
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue
+        used = _referenced(tree)
+        unused += [f"{name}:{line} {bound}" for bound, line in _imported(tree)
+                   if bound not in used]
+    assert unused == []
+
+
+def test_no_unreferenced_private_functions():
+    modules = _modules()
+    used = set().union(*map(_referenced, modules.values()))
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used |= {a.name for a in node.names}
+    dead = [f"{name}:{node.lineno} {node.name}"
+            for name, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in used]
+    assert dead == []

@@ -72,11 +72,61 @@ def test_operator_rows_match_successor_definition():
         tails = [ball.edge_tail(e) for e in range(op.m)]
         succ = [[f for f in range(op.m) if heads[e] == tails[f] and f != reverse_edge(e)]
                 for e in range(op.m)]
+        b = op.succ.T.tocsr()  # B, rows = target edge, cols = predecessor
+        b.sort_indices()
         for e in range(op.m):
             pred = [f for f in range(op.m) if e in succ[f]]
             assert successors(ball, e).tolist() == succ[e]
             assert op.successors(e).tolist() == succ[e]
             assert op.predecessors(e).tolist() == pred
+            assert _row(op.succ, e) == succ[e]
+            assert _row(b, e) == pred
+
+
+def _row(mat, e):
+    return mat.indices[mat.indptr[e]:mat.indptr[e + 1]].tolist()
+
+
+def _sorted_b(op):
+    """B as the former NbOperator stored it: a CSR copy of the transpose
+    with sorted column indices."""
+    mat = op.succ.T.tocsr()
+    mat.sort_indices()
+    return mat
+
+
+def test_apply_is_byte_equal_to_the_sorted_csr_of_b():
+    for d, radius in ((3, 1), (3, 9), (4, 5), (5, 4)):
+        op = _op(d, radius)
+        b = _sorted_b(op)
+        assert op.succ.T.format == "csc"
+        for seed in range(3):
+            f = rng.to_centered_uniform(rng.words(seed, np.arange(op.m))) * 1e3
+            g, h = f, f
+            for _ in range(4):  # also repeated application, as in power iteration
+                g, h = apply(op, g), b @ h
+                assert g.tobytes() == h.tobytes()
+
+
+def test_norm_estimate_matches_the_sorted_csr_power_iteration():
+    op = _op(3, 8)
+    b = _sorted_b(op)
+    for k in (1, 3):
+        rep = operator_norm_pow(op, k, max_iter=40)
+        v = np.full(op.m, 1.0 / math.sqrt(op.m))
+        rho_prev = None
+        for _ in range(rep.iterations):
+            w = v
+            for _ in range(k):
+                w = b @ w
+            for _ in range(k):
+                w = op.succ @ w
+            rho = float(v @ w)
+            if rho_prev is not None and abs(rho - rho_prev) / rho <= 1e-10:
+                break
+            rho_prev = rho
+            v = w / float(np.linalg.norm(w))
+        assert rep.estimate == math.sqrt(rho)
 
 
 # ---------------------------------------------------------------------------

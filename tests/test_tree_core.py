@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from nbtree.errors import CapExceededError
 from nbtree.tree_core import (
+    _children_of_many,
     build_ball,
     ball_size,
     cone,
     convex_hull,
+    distances_from,
     edge_between,
     edge_distance,
     forward_cone_interior,
@@ -295,6 +297,120 @@ def test_hull_distance_monotone_property(set1, set2, extra):
     assert k_grown <= k_base or not extra
 
 
+def _lca_distance(ball, u, v):
+    """The former vertex_distance: climb both ends to the common ancestor."""
+    du, dv = int(ball.depth[u]), int(ball.depth[v])
+    dist = 0
+    while du > dv:
+        u, du, dist = int(ball.parent[u]), du - 1, dist + 1
+    while dv > du:
+        v, dv, dist = int(ball.parent[v]), dv - 1, dist + 1
+    while u != v:
+        u, v, dist = int(ball.parent[u]), int(ball.parent[v]), dist + 2
+    return dist
+
+
+def _origin_bfs_hull_distance(ball, set1, set2):
+    """The former hull_distance: a BFS from hull 1 that carries each vertex's
+    nearest source, ties broken to the smallest source id."""
+    h1 = convex_hull(ball, set1)
+    h2 = convex_hull(ball, set2)
+    mask2 = np.zeros(ball.n, dtype=bool)
+    mask2[h2] = True
+    common = h1[mask2[h1]]
+    if common.size:
+        return 0, int(common[0]), int(common[0])
+    origin = np.full(ball.n, -1, dtype=np.int64)
+    origin[h1] = h1
+    frontier = h1
+    k = 0
+    while frontier.size:
+        k += 1
+        kids = _children_of_many(ball, frontier)
+        kid_origin = np.repeat(origin[frontier], ball.child_count[frontier])
+        pars = ball.parent[frontier]
+        has_par = pars >= 0
+        cand = np.concatenate((pars[has_par], kids))
+        cand_origin = np.concatenate((origin[frontier][has_par], kid_origin))
+        new = origin[cand] < 0
+        cand, cand_origin = cand[new], cand_origin[new]
+        if cand.size:
+            order = np.lexsort((cand_origin, cand))
+            cand, cand_origin = cand[order], cand_origin[order]
+            keep = np.ones(len(cand), dtype=bool)
+            keep[1:] = cand[1:] != cand[:-1]
+            cand, cand_origin = cand[keep], cand_origin[keep]
+        origin[cand] = cand_origin
+        hits = cand[mask2[cand]]
+        if hits.size:
+            v2 = int(hits.min())
+            return k, int(origin[v2]), v2
+        frontier = cand
+    raise AssertionError("hulls not connected within the ball")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(3, 5), (4, 3), (5, 3)]),
+       st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
+       st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+def test_hull_distance_matches_brute_force(shape, raw1, raw2):
+    ball = build_ball(*shape)
+    set1 = {x % ball.n for x in raw1}
+    set2 = {x % ball.n for x in raw2}
+    h1 = sorted(_hull_brute_force(ball, set1))
+    h2 = sorted(_hull_brute_force(ball, set2))
+    k = min(_lca_distance(ball, a, b) for a in h1 for b in h2)
+    v2 = min(b for b in h2 if any(_lca_distance(ball, a, b) == k for a in h1))
+    at_k = [a for a in h1 if _lca_distance(ball, a, v2) == k]
+    assert len(at_k) == 1  # the hulls are subtrees
+    got = hull_distance(ball, set1, set2)
+    assert got == (k, at_k[0], v2)
+    assert got == _origin_bfs_hull_distance(ball, set1, set2)
+
+
+def test_hull_distance_of_intersecting_hulls():
+    ball = build_ball(3, 5)
+    u, v = vertices_at_distance(ball, 6)
+    path = path_vertices(ball, u, v)
+    for i, w in enumerate(path):
+        # hull([u, v]) is the path; any set whose hull meets it is at distance 0
+        for set2 in ([w], [w, int(ball.child_start[w]) if ball.child_count[w] else w]):
+            got = hull_distance(ball, [u, v], set2)
+            assert got == _origin_bfs_hull_distance(ball, [u, v], set2)
+            assert got[0] == 0 and got[1] == got[2] == min(set(path) & set(
+                convex_hull(ball, set2).tolist()))
+    # two hulls crossing at one vertex: the witness is that vertex
+    a, b = int(ball.children(1)[0]), int(ball.children(2)[0])
+    c, e = int(ball.children(1)[1]), 3
+    assert hull_distance(ball, [a, b], [c, e]) == (0, 0, 0)
+
+
+def test_vertex_distance_matches_ancestor_climb():
+    for d, radius in ((3, 4), (4, 3), (5, 2)):
+        ball = build_ball(d, radius)
+        for u in range(ball.n):
+            for v in range(0, ball.n, 5):
+                assert vertex_distance(ball, u, v) == _lca_distance(ball, u, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(3, 5), (4, 4), (5, 3)]),
+       st.lists(st.integers(0, 10**6), min_size=1, max_size=5))
+def test_multi_source_distances_are_the_nearest_single_source(shape, raw):
+    ball = build_ball(*shape)
+    hull = convex_hull(ball, {x % ball.n for x in raw})
+    single = np.min([distances_from(ball, int(v)) for v in hull], axis=0)
+    assert np.array_equal(distances_from(ball, hull), single)
+    assert np.array_equal(distances_from(ball, hull[::-1].tolist()), single)
+
+
+def test_distances_from_rejects_bad_sources():
+    ball = build_ball(3, 2)
+    for bad in (-1, ball.n, [0, ball.n], []):
+        with pytest.raises(ValueError):
+            distances_from(ball, bad)
+
+
 def test_hull_empty_input_rejected():
     ball = build_ball(3, 2)
     with pytest.raises(ValueError):
@@ -376,11 +492,27 @@ def test_forward_cone_interior_matches_full_cone_size():
 
 def test_bfs_distances_match_parent_walk():
     # two independent routes: vectorized level BFS vs the ancestor walk
-    from nbtree.tree_core import distances_from
-
     for d, radius in ((3, 4), (4, 3)):
         ball = build_ball(d, radius)
         for u in (0, 1, int(ball.vertices_at_depth(radius)[0])):
             dist = distances_from(ball, u)
             for v in range(0, ball.n, 3):
                 assert int(dist[v]) == vertex_distance(ball, u, v)
+
+
+def test_forward_cone_interior_on_edge_arrays():
+    for d, radius in ((3, 5), (4, 3)):
+        ball = build_ball(d, radius)
+        every = np.arange(ball.n_edges)
+        for k in range(0, 5):
+            scalar = [forward_cone_interior(ball, e, k) for e in every.tolist()]
+            assert all(type(x) is bool for x in scalar)
+            got = forward_cone_interior(ball, every, k)
+            assert got.dtype == bool and got.tolist() == scalar
+            picks = every[::-7][:5]
+            assert forward_cone_interior(ball, picks, k).tolist() == [
+                scalar[e] for e in picks.tolist()]
+        assert forward_cone_interior(ball, np.empty(0, dtype=np.int64), 1).shape == (0,)
+        for bad in (-1, ball.n_edges, [0, ball.n_edges]):
+            with pytest.raises(ValueError):
+                forward_cone_interior(ball, bad, 1)

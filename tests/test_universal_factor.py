@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbtree import rng
 from nbtree.errors import LabelCollisionError, ReconstructionError
 from nbtree.factor_engine import LabelConfig, sample_iid
-from nbtree.tree_core import build_ball, path_vertices, vertex_distance
+from nbtree.tree_core import build_ball, distances_from, path_vertices, vertex_distance
 from nbtree.universal_factor import (
+    VertexCode,
     encode_vertex,
     reconstruct_path,
     roundtrip_check,
@@ -91,6 +94,85 @@ def test_discrete_labels_rejected():
     cfg = sample_iid(ball, "alphabet:2", 6)
     with pytest.raises(ValueError):
         encode_vertex(cfg, 0, 1)
+
+
+def _walk_encode_vertex(config, v, depth):
+    """The former encode_vertex: its own neighbour walk, collisions checked
+    level by level."""
+    ball = config.ball
+    labels = config.labels
+    blocks = [((float(labels[v]),),)]
+    spheres = [(float(labels[v]),)]
+    seen = {float(labels[v])}
+    order = [(v, -1)]
+    for _ in range(depth):
+        level_blocks, nxt, level_labels = [], [], []
+        for w, frm in order:
+            outward = [int(u) for u in ball.neighbors(w) if int(u) != frm]
+            outward.sort(key=lambda u: float(labels[u]))
+            block = tuple(float(labels[u]) for u in outward)
+            level_blocks.append(block)
+            level_labels.extend(block)
+            nxt.extend((u, w) for u in outward)
+        for x in level_labels:
+            if x in seen:
+                raise LabelCollisionError(
+                    f"duplicate label {x!r} in the depth-{depth} view around {v}"
+                )
+            seen.add(x)
+        blocks.append(tuple(level_blocks))
+        spheres.append(tuple(sorted(level_labels)))
+        order = nxt
+    return VertexCode(v, depth, tuple(blocks), tuple(spheres))
+
+
+def _code_or_error(encode, config, v, depth):
+    try:
+        return encode(config, v, depth)
+    except LabelCollisionError as exc:
+        return ("collision", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 4, 5]), st.integers(0, 3), st.integers(0, 10**6),
+       st.integers(0, 2**32), st.sampled_from(["uniform", "centered_uniform", "few"]),
+       st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=2))
+def test_encode_vertex_matches_the_neighbour_walk(d, depth, pick, seed, labels, copies):
+    ball = build_ball(d, depth + 1)
+    eligible = np.flatnonzero(ball.depth <= 1)
+    v = int(eligible[pick % len(eligible)])
+    cfg = sample_iid(ball, "centered_uniform" if labels == "centered_uniform" else "uniform",
+                     seed)
+    values = cfg.labels.copy()
+    if labels == "few":  # ties inside one block, signed zeros
+        values = np.array([-0.0, 0.0, 0.25, 0.5])[rng.randint(seed, np.arange(ball.n), 4)]
+    view = np.flatnonzero(distances_from(ball, v) <= depth)
+    for a, b in copies:  # collisions anywhere in the view
+        values[view[b % len(view)]] = values[view[a % len(view)]]
+    cfg = LabelConfig(ball, cfg.domain, values, None)
+    got = _code_or_error(encode_vertex, cfg, v, depth)
+    want = _code_or_error(_walk_encode_vertex, cfg, v, depth)
+    assert got == want
+    if isinstance(want, VertexCode):
+        for field in ("center", "depth", "blocks", "spheres"):
+            assert repr(getattr(got, field)) == repr(getattr(want, field))
+
+
+def test_collision_inside_the_view_names_the_first_duplicate():
+    ball = build_ball(3, 3)
+    cfg = sample_iid(ball, "uniform", 5)
+    labels = cfg.labels.copy()
+    v = 1
+    grandchildren = [int(u) for u in range(ball.n) if vertex_distance(ball, v, u) == 2]
+    labels[grandchildren[-1]] = labels[grandchildren[0]]
+    labels[0] = labels[int(ball.children(v)[0])]
+    bad = LabelConfig(ball, cfg.domain, labels, None)
+    with pytest.raises(LabelCollisionError) as got:
+        encode_vertex(bad, v, 2)
+    with pytest.raises(LabelCollisionError) as want:
+        _walk_encode_vertex(bad, v, 2)
+    assert str(got.value) == str(want.value)
+    assert repr(float(labels[0])) in str(got.value)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,84 @@ def _rel_close(a: float, b: float, rel: float = 1e-12) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# experiments: one builder each, shared by the report and the CLI
+# ---------------------------------------------------------------------------
+
+
+def corr_row(d, k, rule, mode, value, stderr, bound, n_samples, seed, degenerate=False) -> dict:
+    """One correlation row with its `verify_bound` verdict; the key order is the schema."""
+    verdict = verify_bound(value, bound, stderr, degenerate)
+    return {
+        "d": d, "k": k, "rule": rule, "mode": mode, "value": value,
+        "stderr": stderr, "bound": bound, "verdict": verdict.label,
+        "n_samples": n_samples, "seed": seed,
+    }
+
+
+def vertex_mc_row(d: int, k: int, profile: str, r: int, n_samples: int, seed: int,
+                  name: str, rate: float | None = None,
+                  threads: int | None = None) -> dict:
+    """Monte Carlo correlation of a radius-r "geometric" (rate^i, critical rate
+    by default) or "flat" linear rule at two vertices k apart."""
+    ball = _ball(d, (k + 1) // 2 + r)  # validates d before the profile divides by d - 1
+    rule = geometric_profile(d, r, rate) if profile == "geometric" else flat_profile(r)
+    u, v = vertices_at_distance(ball, k)
+    est = monte_carlo_corr(vertex_linear_sampler(ball, rule, u, v), n_samples, seed,
+                           threads=threads)
+    return corr_row(d, k, name, "mc", est.estimate, est.stderr,
+                    bounds.vertex_corr_bound(d, k), n_samples, seed, est.degenerate)
+
+
+def edge_pair(ball: TreeBall, k: int) -> tuple[int, int, int]:
+    """(e1, e2 same direction, e2 facing) at edge distance k >= 0, on one shallow path."""
+    a, b = vertices_at_distance(ball, k + 1)
+    path = path_vertices(ball, a, b)
+    return (edge_between(ball, path[0], path[1]),
+            edge_between(ball, path[k], path[k + 1]),
+            edge_between(ball, path[k + 1], path[k]))
+
+
+def edge_mc_row(d: int, k: int, depth: int, n_samples: int, seed: int,
+                rate: float | None = None, threads: int | None = None) -> dict:
+    """Monte Carlo correlation of depth-D geometric subtree sums behind two
+    same-direction edges at edge distance k; rate defaults to 1/sqrt(d-1)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    ball = _ball(d, (k + 2) // 2 + depth + 1)
+    e1, e2, _ = edge_pair(ball, k)
+    est = monte_carlo_corr(edge_linear_sampler(ball, depth, rate, e1, e2), n_samples,
+                           seed, threads=threads)
+    return corr_row(d, k, f"edge-geom:D{depth}", "mc", est.estimate, est.stderr,
+                    bounds.edge_corr_bound(d, k), n_samples, seed, est.degenerate)
+
+
+def vertex_exact_row(d: int, k: int, rule, domain) -> dict:
+    """Exact correlation of a block rule at two vertices k apart."""
+    if not rule.symmetric:
+        # the raw rule defines no equivariant process, so the decay bound
+        # covers only its average over the view automorphisms
+        rule = symmetrize_rule(rule, d)
+    ball = _ball(d, (k + 1) // 2 + rule.radius)
+    u, v = vertices_at_distance(ball, k)
+    res = exact_corr_discrete(ball, rule, domain, [u], [v])
+    return corr_row(d, k, rule.name, "exact", res.corr, 0.0,
+                    bounds.vertex_corr_bound(d, k), res.n_configs, 0)
+
+
+#: hull distance k -> directed edges (e1, e2) of the radius-4 ball whose
+#: depth-1 subtree views sit k apart: root->1 vs 1->root; 1->root vs 2->root
+SYMMETRIZATION_PAIRS = {1: (0, 1), 2: (1, 3)}
+
+
+def symmetrization_case(d: int, k: int, rule, alphabet: int):
+    """Orbit-average moment check of a subtree-view rule on the pair at
+    distance k, over a parity block factor of alphabet-valued labels."""
+    e1, e2 = SYMMETRIZATION_PAIRS[k]
+    return symmetrization_moment_check(_ball(d, 4), e1, e2, rule,
+                                       f"alphabet:{alphabet}", parity_rule(1))
+
+
+# ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
 
@@ -105,9 +183,8 @@ def criterion_norm_bound(seed: int = 0, threads: int | None = None) -> dict:
         for k in range(1, 7):
             rep = operator_norm_pow(op, k)
             estimates[k] = rep.estimate
-            ok = rep.converged and rep.estimate <= rep.bound
-            passed &= ok
-            rows.append(rep.to_json_dict() | {"ok": ok})
+            passed &= rep.passed
+            rows.append(rep.to_json_dict() | {"ok": rep.passed})
         target = 0.5 * math.log(d - 1)
         for k in range(3, 6):
             inc = math.log(estimates[k + 1] / estimates[k])
@@ -253,79 +330,52 @@ def criterion_bound_sweep(seed: int = 0, threads: int | None = None) -> dict:
     """Every built-in rule family obeys its bound: vertex, hull, and edge pairs."""
     rows = []
     n_mc = 50_000
-
-    def add(d, k, rule_name, mode, value, stderr, bound, n_samples, row_seed,
-            degenerate=False):
-        verdict = verify_bound(value, bound, stderr, degenerate)
-        rows.append({
-            "d": d, "k": k, "rule": rule_name, "mode": mode,
-            "value": value, "stderr": stderr, "bound": bound,
-            "verdict": verdict.label, "n_samples": n_samples, "seed": row_seed,
-        })
-
     for d in (3, 4):
         for k in range(1, 9):
             vb = bounds.vertex_corr_bound(d, k)
             hb = bounds.hull_corr_bound(d, k)
             eb = bounds.edge_corr_bound(d, k)
 
-            # vertex pairs, exact enumeration (alphabet 2); the order-sensitive
-            # pair rule enters only through its orbit average, since the raw
-            # rule does not define an equivariant process
-            ball = _ball(d, (k + 1) // 2 + 1)
-            u, v = vertices_at_distance(ball, k)
-            for rule in (sum_rule(1), parity_rule(1),
-                         symmetrize_rule(xor_pair_rule(), d)):
-                res = exact_corr_discrete(ball, rule, "alphabet:2", [u], [v])
-                add(d, k, rule.name, "exact", res.corr, 0.0, vb, res.n_configs, 0)
+            # vertex pairs, exact enumeration (alphabet 2)
+            for rule in (sum_rule(1), parity_rule(1), xor_pair_rule()):
+                rows.append(vertex_exact_row(d, k, rule, "alphabet:2"))
 
             # vertex pairs, exact linear oracle
             geo6 = geometric_profile(d, 6)
             res = linear_rule_covariance_exact(d, geo6.profile, k)
-            add(d, k, "linear-geom:r6", "exact", res.corr, 0.0, vb, 0, 0)
+            rows.append(corr_row(d, k, "linear-geom:r6", "exact", res.corr, 0.0, vb, 0, 0))
 
             # vertex pairs, Monte Carlo (rademacher)
-            ball4 = _ball(d, (k + 1) // 2 + 4)
-            u4, v4 = vertices_at_distance(ball4, k)
-            for rule_name, rule in (("linear-geom:r4", geometric_profile(d, 4)),
-                                    ("linear-flat:r2", flat_profile(2))):
-                row_seed = seed * 65537 + 101 * d + 13 * k + (7 if "flat" in rule_name else 0)
-                sampler = vertex_linear_sampler(ball4, rule, u4, v4)
-                est = monte_carlo_corr(sampler, n_mc, row_seed, threads=threads)
-                add(d, k, rule_name, "mc", est.estimate, est.stderr, vb, n_mc, row_seed,
-                    est.degenerate)
+            for name, profile, r, shift in (("linear-geom:r4", "geometric", 4, 0),
+                                            ("linear-flat:r2", "flat", 2, 7)):
+                row_seed = seed * 65537 + 101 * d + 13 * k + shift
+                rows.append(vertex_mc_row(d, k, profile, r, n_mc, row_seed, name,
+                                          threads=threads))
 
             # region pairs at hull distance k, exact
             ball_r = _ball(d, (k + 1) // 2 + 2)
             reg1, reg2 = _sweep_regions(ball_r, d, k)
             kk, _, _ = hull_distance(ball_r, reg1, reg2)
             if kk != k:
-                add(d, k, "region-setup", "exact", math.inf, 0.0, hb, 0, 0)
+                rows.append(corr_row(d, k, "region-setup", "exact", math.inf, 0.0, hb, 0, 0))
                 continue
             for rule, h1, h2, name in (
                 (sum_rule(1), h_sum, h_parity, "region-sum:r1"),
                 (parity_rule(1), h_sum, h_sum, "region-parity:r1"),
             ):
                 res = exact_corr_discrete(ball_r, rule, "alphabet:2", reg1, reg2, h1, h2)
-                add(d, k, name, "exact", res.corr, 0.0, hb, res.n_configs, 0)
+                rows.append(corr_row(d, k, name, "exact", res.corr, 0.0, hb, res.n_configs, 0))
 
             # edge pairs at edge distance k, exact and Monte Carlo
             ball_e = _ball(d, (k + 2) // 2 + 4)
-            a, b = vertices_at_distance(ball_e, k + 1)
-            path = path_vertices(ball_e, a, b)
-            e1 = edge_between(ball_e, path[0], path[1])
-            e2_same = edge_between(ball_e, path[k], path[k + 1])
-            e2_facing = edge_between(ball_e, path[k + 1], path[k])
+            e1, e2_same, e2_facing = edge_pair(ball_e, k)
             for rule in (edge_sum_rule(1), edge_tail_rule()):
                 for pair_name, e2 in (("same", e2_same), ("facing", e2_facing)):
                     res = exact_edge_corr(ball_e, rule, "alphabet:2", e1, e2)
-                    add(d, k, f"{rule.name}:{pair_name}", "exact", res.corr, 0.0,
-                        eb, res.n_configs, 0)
-            row_seed = seed * 65537 + 9001 * d + 17 * k
-            sampler = edge_linear_sampler(ball_e, 3, 1.0 / math.sqrt(d - 1), e1, e2_same)
-            est = monte_carlo_corr(sampler, n_mc, row_seed, threads=threads)
-            add(d, k, "edge-geom:D3", "mc", est.estimate, est.stderr, eb, n_mc, row_seed,
-                est.degenerate)
+                    rows.append(corr_row(d, k, f"{rule.name}:{pair_name}", "exact",
+                                         res.corr, 0.0, eb, res.n_configs, 0))
+            rows.append(edge_mc_row(d, k, 3, n_mc, seed * 65537 + 9001 * d + 17 * k,
+                                    threads=threads))
 
     failures = [r for r in rows if r["verdict"] != "PASS"]
     return {"passed": not failures, "n_rows": len(rows),
@@ -361,24 +411,20 @@ def criterion_symmetrization(seed: int = 0, threads: int | None = None) -> dict:
     factor of alphabet-2 labels; five order-sensitive view rules are
     averaged over child permutations.
     """
-    ball = _ball(3, 4)
-    process = parity_rule(1)
     view_rules = [edge_first_child_rule()] + [
         edge_table_rule(1, 2, seed + 211 + i) for i in range(4)
     ]
-    pairs = {1: (0, 1), 2: (1, 3)}  # k -> (edge ids): root->1 vs 1->root; 1->root vs 2->root
     rows = []
     passed = True
-    for k, (e1, e2) in pairs.items():
+    for k in SYMMETRIZATION_PAIRS:
         for rule in view_rules:
-            chk = symmetrization_moment_check(ball, e1, e2, rule, "alphabet:2", process)
-            ok = chk.passed
-            passed &= ok
+            chk = symmetrization_case(3, k, rule, 2)
+            passed &= chk.passed
             rows.append({"k": k, "rule": rule.name,
                          "mean_residual": max(chk.mean_residual_1, chk.mean_residual_2),
                          "cross_residual": chk.cross_moment_residual,
                          "second_moment_gap": chk.second_moment_gap_1,
-                         "ok": ok})
+                         "ok": chk.passed})
     return {"passed": passed, "rows": rows}
 
 
@@ -443,8 +489,7 @@ def criterion_universal(seed: int = 0, threads: int | None = None) -> dict:
             if sphere_overlap_count(ball, u, v, j) != 1:
                 sphere_ok = False
         pairs_checked += 1
-    ok = (r1.successes == 500 and r1.collisions == 0
-          and r2.successes == 200 and r2.collisions == 0 and sphere_ok)
+    ok = r1.passed and r2.passed and sphere_ok
     return {"passed": ok,
             "roundtrip_d3": r1.to_json_dict(), "roundtrip_d4": r2.to_json_dict(),
             "sphere_pairs_checked": pairs_checked, "sphere_ok": sphere_ok}

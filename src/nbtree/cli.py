@@ -1,5 +1,9 @@
 """Command-line front end: every verification workflow, reproducible by seed.
 
+Each subcommand parses its arguments, makes one library call and prints
+the result.  The correlation experiments call the builders in `acceptance`
+that the report runs, so they share its instances, rows and verdicts.
+
 Exit codes: 0 all verdicts pass, 1 some bound or identity verdict failed,
 2 usage or precondition error.  All floats print with 17 significant
 digits; identical (argv, seed, NBTREE_THREADS-independent) runs emit
@@ -10,38 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import asdict
 
 from . import acceptance, bounds
-from .correlation import (
-    edge_linear_sampler,
-    exact_corr_discrete,
-    monte_carlo_corr,
-    resolve_threads,
-    symmetrization_moment_check,
-    verify_bound,
-    vertex_linear_sampler,
-)
 from .errors import NbtreeError
-from .factor_engine import (
-    BLOCK_RULE_FAMILIES,
-    LinearRule,
-    edge_table_rule,
-    edge_first_child_rule,
-    geometric_profile,
-    parity_rule,
-    symmetrize_rule,
-)
+from .factor_engine import BLOCK_RULE_FAMILIES, edge_first_child_rule, edge_table_rule
 from .nb_operator import build_operator, certify_claims, operator_norm_pow, walk_count
-from .tree_core import (
-    build_ball,
-    edge_between,
-    forward_cone_interior,
-    hull_distance,
-    path_vertices,
-    vertices_at_distance,
-)
+from .tree_core import build_ball, forward_cone_interior, hull_distance
 from .universal_factor import roundtrip_check, roundtrip_min_radius
 
 
@@ -56,29 +36,16 @@ def _emit_json(doc, out) -> None:
     out.write("\n")
 
 
-def _emit_rows(rows: list[dict], header: list[str], fmt: str, out) -> None:
+def _emit_rows(rows: list[dict], fmt: str, out) -> None:
+    """Rows as CSV under their key order, or as JSON lines."""
     if fmt == "csv":
-        out.write(",".join(header) + "\n")
+        out.write(",".join(rows[0]) + "\n")
         for row in rows:
-            out.write(",".join(_fmt(row[h]) for h in header) + "\n")
+            out.write(",".join(_fmt(x) for x in row.values()) + "\n")
     else:
         for row in rows:
-            out.write(json.dumps({h: row[h] for h in header}))
+            out.write(json.dumps(row))
             out.write("\n")
-
-
-def _corr_row(d, k, rule, mode, value, stderr, bound, n_samples, seed,
-              degenerate=False):
-    verdict = verify_bound(value, bound, stderr, degenerate)
-    return {
-        "d": d, "k": k, "rule": rule, "mode": mode, "value": value,
-        "stderr": stderr, "bound": bound, "verdict": verdict.label,
-        "n_samples": n_samples, "seed": seed,
-    }, verdict.passed
-
-
-CORR_HEADER = ["d", "k", "rule", "mode", "value", "stderr", "bound",
-               "verdict", "n_samples", "seed"]
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +54,7 @@ CORR_HEADER = ["d", "k", "rule", "mode", "value", "stderr", "bound",
 
 
 def _cmd_bounds(args, out) -> int:
-    rows = [
-        {"d": r.d, "k": r.k, "vertex_bound": r.vertex_bound,
-         "hull_bound": r.hull_bound, "edge_bound": r.edge_bound,
-         "bnorm_bound": r.bnorm_bound}
-        for r in bounds.bound_table(args.d, args.k_max)
-    ]
-    _emit_rows(rows, ["d", "k", "vertex_bound", "hull_bound", "edge_bound",
-                      "bnorm_bound"], args.format, out)
+    _emit_rows([asdict(r) for r in bounds.bound_table(args.d, args.k_max)], args.format, out)
     return 0
 
 
@@ -112,7 +72,7 @@ def _cmd_nb_norm(args, out) -> int:
     op = build_operator(build_ball(args.d, args.radius))
     rep = operator_norm_pow(op, args.k, tol=args.tol, max_iter=args.max_iter)
     _emit_json(rep.to_json_dict(), out)
-    return 0 if (rep.converged and rep.estimate <= rep.bound) else 1
+    return 0 if rep.passed else 1
 
 
 def _cmd_nb_certify(args, out) -> int:
@@ -143,48 +103,19 @@ def _cmd_hull_distance(args, out) -> int:
     return 0
 
 
-def _linear_rule_from_args(args) -> LinearRule:
-    if args.profile == "geometric":
-        return geometric_profile(args.d, args.r, args.lam)
-    if args.profile == "flat":
-        return LinearRule(args.r, (1.0,) * (args.r + 1))
-    raise NbtreeError(f"unknown profile {args.profile!r}")
-
-
 def _cmd_simulate_vertex(args, out) -> int:
-    ball = build_ball(args.d, (args.k + 1) // 2 + args.r)  # validates d first
-    rule = _linear_rule_from_args(args)
-    u, v = vertices_at_distance(ball, args.k)
-    sampler = vertex_linear_sampler(ball, rule, u, v)
-    est = monte_carlo_corr(sampler, args.samples, args.seed,
-                           threads=resolve_threads(args.threads))
-    row, ok = _corr_row(args.d, args.k, f"linear-{args.profile}", "mc",
-                        est.estimate, est.stderr,
-                        bounds.vertex_corr_bound(args.d, args.k),
-                        args.samples, args.seed, est.degenerate)
-    _emit_rows([row], CORR_HEADER, args.format, out)
-    return 0 if ok else 1
+    row = acceptance.vertex_mc_row(args.d, args.k, args.profile, args.r, args.samples,
+                                   args.seed, f"linear-{args.profile}", rate=args.lam,
+                                   threads=args.threads)
+    _emit_rows([row], args.format, out)
+    return 0 if row["verdict"] == "PASS" else 1
 
 
 def _cmd_simulate_edge(args, out) -> int:
-    if args.k < 0:
-        raise ValueError("k must be >= 0")
-    depth = args.depth
-    ball = build_ball(args.d, (args.k + 2) // 2 + depth + 1)
-    a, b = vertices_at_distance(ball, args.k + 1)
-    path = path_vertices(ball, a, b)
-    e1 = edge_between(ball, path[0], path[1])
-    e2 = edge_between(ball, path[args.k], path[args.k + 1])
-    rate = args.lam if args.lam is not None else 1.0 / math.sqrt(args.d - 1)
-    sampler = edge_linear_sampler(ball, depth, rate, e1, e2)
-    est = monte_carlo_corr(sampler, args.samples, args.seed,
-                           threads=resolve_threads(args.threads))
-    row, ok = _corr_row(args.d, args.k, f"edge-geom:D{depth}", "mc",
-                        est.estimate, est.stderr,
-                        bounds.edge_corr_bound(args.d, args.k),
-                        args.samples, args.seed, est.degenerate)
-    _emit_rows([row], CORR_HEADER, args.format, out)
-    return 0 if ok else 1
+    row = acceptance.edge_mc_row(args.d, args.k, args.depth, args.samples, args.seed,
+                                 rate=args.lam, threads=args.threads)
+    _emit_rows([row], args.format, out)
+    return 0 if row["verdict"] == "PASS" else 1
 
 
 def _cmd_exact_corr(args, out) -> int:
@@ -192,30 +123,16 @@ def _cmd_exact_corr(args, out) -> int:
         raise NbtreeError(f"unknown rule family {args.rule!r}; "
                           f"choose from {sorted(BLOCK_RULE_FAMILIES)}")
     rule = BLOCK_RULE_FAMILIES[args.rule](radius=args.r, theta=args.theta)
-    if not rule.symmetric:
-        # the decay bound only covers order-invariant rules; average the
-        # rule over its view automorphisms before testing it
-        rule = symmetrize_rule(rule, args.d)
-    ball = build_ball(args.d, (args.k + 1) // 2 + rule.radius)
-    u, v = vertices_at_distance(ball, args.k)
     domain = "rademacher" if args.rule == "majority" else f"alphabet:{args.alphabet}"
-    res = exact_corr_discrete(ball, rule, domain, [u], [v])
-    row, ok = _corr_row(args.d, args.k, rule.name, "exact", res.corr, 0.0,
-                        bounds.vertex_corr_bound(args.d, args.k),
-                        res.n_configs, 0)
-    _emit_rows([row], CORR_HEADER, args.format, out)
-    return 0 if ok else 1
+    row = acceptance.vertex_exact_row(args.d, args.k, rule, domain)
+    _emit_rows([row], args.format, out)
+    return 0 if row["verdict"] == "PASS" else 1
 
 
 def _cmd_symmetrize_check(args, out) -> int:
-    ball = build_ball(args.d, 4)
-    process = parity_rule(1)
     rule = (edge_first_child_rule() if args.rule == "first-child"
             else edge_table_rule(1, args.alphabet, args.seed))
-    pairs = {1: (0, 1), 2: (1, 3)}
-    e1, e2 = pairs[args.k]
-    chk = symmetrization_moment_check(ball, e1, e2, rule,
-                                      f"alphabet:{args.alphabet}", process)
+    chk = acceptance.symmetrization_case(args.d, args.k, rule, args.alphabet)
     doc = {
         "d": args.d, "k": args.k, "rule": rule.name,
         "mean_residual_1": chk.mean_residual_1,
@@ -232,7 +149,7 @@ def _cmd_universal_check(args, out) -> int:
     radius = max(args.radius or 0, roundtrip_min_radius(args.depth))
     res = roundtrip_check(build_ball(args.d, radius), args.depth, args.trials, args.seed)
     _emit_json(res.to_json_dict(), out)
-    return 0 if (res.successes == res.trials and res.collisions == 0) else 1
+    return 0 if res.passed else 1
 
 
 def _cmd_report(args, out) -> int:
@@ -343,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("symmetrize-check",
                        help="orbit-average moment identities on a subtree pair")
     common(p)
-    p.add_argument("--k", type=int, choices=(1, 2), default=2)
+    p.add_argument("--k", type=int, choices=sorted(acceptance.SYMMETRIZATION_PAIRS), default=2)
     p.add_argument("--rule", choices=("first-child", "table"), default="table")
     p.add_argument("--alphabet", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)

@@ -33,6 +33,7 @@ from .factor_engine import (
     EdgeRule,
     LinearRule,
     Levels,
+    geometric_profile,
     parse_domain,
     subtree_levels,
     symmetrize_rule,
@@ -49,6 +50,11 @@ TABLE_CAP = 262_144
 _Z95 = 1.959963984540054
 
 _SUM_CHUNK = 65536
+
+#: samples per Monte Carlo chunk; chunk moments are reduced in index order
+MC_CHUNK = 4096
+
+_NOT_FINITE = "Monte Carlo moments are not finite: a sample is, or a moment overflows"
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -95,28 +101,32 @@ class CorrEstimate:
 
 def monte_carlo_corr(pair_sampler: Callable[[int, np.ndarray], tuple],
                      n_samples: int, seed: int,
-                     chunk_size: int = 4096,
                      threads: int | None = None) -> CorrEstimate:
     """Pearson correlation of pairs drawn by a deterministic sampler.
 
     pair_sampler(seed, indices) must return two float arrays, one pair
     per index, as a pure function of (seed, index).  Sampling is chunked
-    at a fixed size and chunk moments are reduced in index order, so the
-    estimate depends only on (seed, n_samples, chunk_size).
+    at the fixed size MC_CHUNK and chunk moments are reduced in index
+    order, so the estimate depends only on (seed, n_samples).  Raises
+    ValueError when a sample or a moment is not finite.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    starts = list(range(0, n_samples, chunk_size))
+    starts = list(range(0, n_samples, MC_CHUNK))
 
     def chunk_moments(lo: int) -> tuple[float, float, float, float, float]:
-        idx = np.arange(lo, min(lo + chunk_size, n_samples), dtype=np.int64)
+        idx = np.arange(lo, min(lo + MC_CHUNK, n_samples), dtype=np.int64)
         a, b = pair_sampler(seed, idx)
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if a.shape != idx.shape or b.shape != idx.shape:
             raise ValueError("pair_sampler must return one (a, b) pair per index")
-        return (float(a.sum()), float(b.sum()), float((a * a).sum()),
-                float((b * b).sum()), float((a * b).sum()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            moments = (float(a.sum()), float(b.sum()), float((a * a).sum()),
+                       float((b * b).sum()), float((a * b).sum()))
+        if not all(map(math.isfinite, moments)):
+            raise ValueError(_NOT_FINITE)
+        return moments
 
     n_workers = resolve_threads(threads)
     if n_workers > 1 and len(starts) > 1:
@@ -125,7 +135,10 @@ def monte_carlo_corr(pair_sampler: Callable[[int, np.ndarray], tuple],
     else:
         per_chunk = [chunk_moments(lo) for lo in starts]
 
-    sa, sb, saa, sbb, sab = (math.fsum(col) for col in zip(*per_chunk))
+    try:
+        sa, sb, saa, sbb, sab = (math.fsum(col) for col in zip(*per_chunk))
+    except OverflowError:
+        raise ValueError(_NOT_FINITE) from None
     n = float(n_samples)
     var_a = saa / n - (sa / n) ** 2
     var_b = sbb / n - (sb / n) ** 2
@@ -134,7 +147,10 @@ def monte_carlo_corr(pair_sampler: Callable[[int, np.ndarray], tuple],
     if var_a <= 0.0 or var_b <= 0.0:
         return CorrEstimate(0.0, n_samples, 0.0, 0.0, 0.0, seed, degenerate=True)
 
-    r = cov / math.sqrt(var_a * var_b)
+    var_ab = var_a * var_b
+    if not math.isfinite(var_ab):
+        raise ValueError(_NOT_FINITE)
+    r = cov / math.sqrt(var_ab)
     r = max(-1.0, min(1.0, r))
     se_z = 1.0 / math.sqrt(n - 3.0)
     r_clip = max(-1.0 + 1e-15, min(1.0 - 1e-15, r))
@@ -187,10 +203,11 @@ def vertex_linear_sampler(ball: TreeBall, rule: LinearRule, u: int, v: int):
     return linear_pair_sampler(ball, ids_a, ca, ids_b, cb)
 
 
-def edge_linear_sampler(ball: TreeBall, depth: int, rate: float, e1: int, e2: int):
+def edge_linear_sampler(ball: TreeBall, depth: int, rate: float | None, e1: int, e2: int):
+    """Sampler of rate^j-weighted subtree sums behind e1 and e2 (critical rate if None)."""
     l1 = subtree_levels(ball, e1, depth)
     l2 = subtree_levels(ball, e2, depth)
-    weights = [rate ** j for j in range(depth + 1)]
+    weights = geometric_profile(ball.d, depth, rate).profile
     ids_a, ca = linear_site_coefficients(ball, l1, weights)
     ids_b, cb = linear_site_coefficients(ball, l2, weights)
     return linear_pair_sampler(ball, ids_a, ca, ids_b, cb)
@@ -256,22 +273,15 @@ def composite_edge_site(ball: TreeBall, e: int, view_rule: EdgeRule,
     if process_rule is None:
         return rule_site(ball, view_rule, e)
 
-    view_vertices = np.concatenate(view_levels)
     view_sizes = [len(lv) for lv in view_levels]
-    per_vertex_levels = [vertex_ball_levels(ball, int(w), process_rule.radius)
-                         for w in view_vertices]
-    local_ids = np.unique(np.concatenate(
-        [np.concatenate(lvls) for lvls in per_vertex_levels]))
-    index_of = {int(v): i for i, v in enumerate(local_ids)}
-    maps = []
-    for lvls in per_vertex_levels:
-        maps.append(([np.array([index_of[int(v)] for v in lv], dtype=np.int64)
-                      for lv in lvls]))
-    g = process_rule.func
+    g_sites = [rule_site(ball, process_rule, w) for w in np.concatenate(view_levels).tolist()]
+    local_ids = np.unique(np.concatenate([s.local_ids for s in g_sites]))
+    # column of each g-site's labels in the composite's sorted support
+    g_cols = [(s.func, np.searchsorted(local_ids, s.local_ids)) for s in g_sites]
     f = view_rule.func
 
     def func(flat: np.ndarray) -> float:
-        xs = np.array([g(tuple(flat[pos] for pos in m)) for m in maps])
+        xs = np.array([g(flat[cols]) for g, cols in g_cols])
         return float(f(_split(xs, view_sizes)))
 
     return Site(local_ids, func)

@@ -203,6 +203,8 @@ class LinearRule:
     def __post_init__(self):
         if len(self.profile) != self.radius + 1:
             raise ValueError("profile needs one coefficient per distance 0..r")
+        if not all(map(math.isfinite, self.profile)):
+            raise ValueError("profile coefficients must be finite")
 
 
 @dataclass(frozen=True)
@@ -406,7 +408,11 @@ def geometric_profile(d: int, radius: int, rate: float | None = None) -> LinearR
     """Coefficients rate^i; rate defaults to 1/sqrt(d-1), the critical decay."""
     if rate is None:
         rate = 1.0 / math.sqrt(d - 1.0)
-    return LinearRule(radius, tuple(rate ** i for i in range(radius + 1)))
+    try:
+        profile = tuple(rate ** i for i in range(radius + 1))
+    except OverflowError:
+        raise ValueError(f"geometric profile rate {rate} overflows at radius {radius}") from None
+    return LinearRule(radius, profile)
 
 
 def flat_profile(radius: int) -> LinearRule:

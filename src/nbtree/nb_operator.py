@@ -73,6 +73,11 @@ class NormReport:
     residual: float
     converged: bool
 
+    @property
+    def passed(self) -> bool:
+        """Converged, and the estimate does not exceed the closed-form bound."""
+        return self.converged and self.estimate <= self.bound
+
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
@@ -177,8 +182,12 @@ def operator_norm_pow(op: NbOperator, k: int, tol: float = DEFAULT_TOL,
     """
     if k < 1:
         raise ValueError("power k must be >= 1")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
+    if not math.isfinite(tol):
+        raise ValueError("tolerance must be finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     bound = bounds.bnorm_bound(op.ball.d, k)
     if op.m == 0:
         return NormReport(op.ball.d, op.ball.radius, k, 0.0, bound, 0, 0.0, True)

@@ -133,6 +133,11 @@ class RoundtripResult:
     successes: int
     collisions: int
 
+    @property
+    def passed(self) -> bool:
+        """Every trial reconstructed its path exactly, with no label collision."""
+        return self.successes == self.trials and self.collisions == 0
+
     def to_json_dict(self) -> dict:
         return {"trials": self.trials, "successes": self.successes,
                 "collisions": self.collisions}
@@ -152,6 +157,8 @@ def roundtrip_check(ball: TreeBall, depth: int, trials: int, seed: int
     label collision (counted separately).  The contract for continuous
     labels is successes == trials with zero collisions.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     min_radius = roundtrip_min_radius(depth)
     if ball.radius < min_radius:
         raise ValueError(

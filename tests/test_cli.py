@@ -200,10 +200,10 @@ def _constant_pair_sampler(*_args):
 def test_degenerate_monte_carlo_rows_fail(capsys, monkeypatch):
     # a zero-variance observable gives correlation 0 with stderr 0, which
     # trivially meets any bound; such a row must FAIL and exit 1
-    from nbtree import cli
+    from nbtree import acceptance
 
-    monkeypatch.setattr(cli, "vertex_linear_sampler", _constant_pair_sampler)
-    monkeypatch.setattr(cli, "edge_linear_sampler", _constant_pair_sampler)
+    monkeypatch.setattr(acceptance, "vertex_linear_sampler", _constant_pair_sampler)
+    monkeypatch.setattr(acceptance, "edge_linear_sampler", _constant_pair_sampler)
     for argv in (["simulate-vertex", "--d", "3", "--k", "2", "--samples", "1000"],
                  ["simulate-edge", "--d", "3", "--k", "1", "--depth", "1",
                   "--samples", "1000"]):
@@ -247,6 +247,16 @@ FUZZ_BASE = {
 }
 
 
+#: float settings per subcommand (after the arguments that make them matter),
+#: set to non-finite and overflowing values by the fuzz test below
+FUZZ_FLOATS = {
+    "simulate-vertex": [["--lambda"]],
+    "simulate-edge": [["--lambda"]],
+    "nb-norm": [["--tol"]],
+    "exact-corr": [["--theta"], ["--rule", "threshold", "--theta"]],
+}
+
+
 def _fuzz_cases(command):
     base = FUZZ_BASE[command]
     cases = [base]
@@ -257,6 +267,10 @@ def _fuzz_cases(command):
         if flag.startswith("--"):
             for value in ("0", "-1", "1", "2", "x", ""):
                 cases.append(base[:i + 1] + [value] + base[i + 2:])
+    for value in ("nan", "inf", "-inf", "1e200"):
+        for *prefix, flag in FUZZ_FLOATS.get(command, []):
+            # --flag=value, so that -inf is not read as an option
+            cases.append(base + prefix + [f"{flag}={value}"])
     return cases
 
 
@@ -267,6 +281,68 @@ def test_bad_and_edge_arguments_never_traceback(command, capsys):
         err = capsys.readouterr().err
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-edge", "--d", "3", "--k", "1", "--samples", "1000", "--lambda=nan"],
+    ["simulate-edge", "--d", "3", "--k", "1", "--samples", "1000", "--lambda=inf"],
+    ["simulate-edge", "--d", "3", "--k", "1", "--depth", "1", "--lambda=1e200"],
+    ["simulate-vertex", "--d", "3", "--k", "1", "--r", "1", "--lambda=1e200"],
+    ["simulate-vertex", "--d", "3", "--k", "1", "--r", "1", "--lambda=1e100"],
+    ["simulate-vertex", "--d", "3", "--k", "1", "--samples", "1000", "--lambda=-inf"],
+    ["nb-norm", "--d", "3", "--radius", "3", "--tol=nan"],
+    ["nb-norm", "--d", "3", "--radius", "3", "--tol=inf"],
+    ["nb-norm", "--d", "3", "--radius", "3", "--max-iter", "0"],
+    ["universal-check", "--d", "3", "--depth", "1", "--trials", "-1"],
+])
+def test_non_finite_and_out_of_range_settings_exit_two(argv, capsys):
+    # each used to print a verdict (some PASS), or to die with a traceback
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2, argv
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
+def test_usage_error_messages_are_kept(capsys):
+    # the degree is checked before the geometric profile divides by d - 1
+    for argv in (["simulate-vertex", "--d", "1"], ["simulate-edge", "--d", "1"],
+                 ["exact-corr", "--d", "1"], ["symmetrize-check", "--d", "1", "--k", "1"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "error: degree must be an integer >= 3, got 1\n"
+    assert main(["simulate-edge", "--d", "3", "--k", "-1"]) == 2
+    assert capsys.readouterr().err == "error: k must be >= 0\n"
+
+
+def _sweep_row(rows, d, k, rule):
+    (row,) = [r for r in rows if (r["d"], r["k"], r["rule"]) == (d, k, rule)]
+    return row
+
+
+@pytest.fixture(scope="module")
+def sweep_rows():
+    from nbtree import acceptance
+
+    return acceptance.criterion_bound_sweep(0, threads=1)["rows"]
+
+
+@pytest.mark.parametrize("d,k", [(3, 1), (3, 5), (4, 1), (4, 5)])
+def test_cli_rows_are_the_bound_sweep_rows(capsys, sweep_rows, d, k):
+    # the subcommands and criterion 6 run the same builders: same instance,
+    # same seed, same row
+    edge_seed, vertex_seed = 9001 * d + 17 * k, 101 * d + 13 * k
+    code, out = run_cli(capsys, "simulate-edge", "--d", str(d), "--k", str(k),
+                        "--samples", "50000", "--seed", str(edge_seed))
+    assert json.loads(out) == _sweep_row(sweep_rows, d, k, "edge-geom:D3")
+    for rule, name in (("xor-pair", "sym(xor-pair)"), ("parity", "parity:r1")):
+        code, out = run_cli(capsys, "exact-corr", "--d", str(d), "--k", str(k),
+                            "--rule", rule, "--r", "1")
+        assert json.loads(out) == _sweep_row(sweep_rows, d, k, name)
+    code, out = run_cli(capsys, "simulate-vertex", "--d", str(d), "--k", str(k),
+                        "--r", "4", "--samples", "50000", "--seed", str(vertex_seed))
+    row, swept = json.loads(out), _sweep_row(sweep_rows, d, k, "linear-geom:r4")
+    for key in ("value", "stderr", "bound", "verdict"):
+        assert row[key] == swept[key], key
 
 
 def test_report_argument_errors_exit_two(capsys):

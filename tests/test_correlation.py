@@ -139,6 +139,20 @@ def test_degenerate_estimate_fails_its_verdict():
     assert not verdict.passed and verdict.label == "FAIL"
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 1e200, 1e152, 1e100])
+def test_mc_non_finite_moments_raise(scale, threads):
+    # nan and inf samples, squares that overflow in a chunk (1e200), chunk
+    # moments whose total overflows (1e152), and variances whose product
+    # overflows (1e100) must not turn into an estimate
+    def sampler(seed, idx):
+        z = rng.to_centered_uniform(rng.words(seed, idx))
+        return z * scale, z * scale
+
+    with pytest.raises(ValueError, match="not finite"):
+        monte_carlo_corr(sampler, 100_000, 3, threads=threads)
+
+
 def test_mc_minimum_samples():
     with pytest.raises(ValueError):
         monte_carlo_corr(_identical_sampler, 99, 0)

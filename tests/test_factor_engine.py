@@ -1,6 +1,7 @@
 """Rules over labeled balls: evaluation, locality, the covariance oracle,
 orbit averaging, and the config file format."""
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -162,6 +163,13 @@ def test_linear_rule_zero_profile():
 def test_profile_length_checked():
     with pytest.raises(ValueError):
         LinearRule(2, (1.0, 0.5))
+
+
+@pytest.mark.parametrize("rate,radius", [(math.nan, 1), (math.inf, 1), (-math.inf, 2),
+                                         (1e200, 2), (1e200, 3)])
+def test_non_finite_profile_rejected(rate, radius):
+    with pytest.raises(ValueError):
+        geometric_profile(3, radius, rate)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .factor_engine import (
     symmetrize_rule,
     xor_pair_rule,
 )
-from .nb_operator import build_operator, certify_claims, cone_weight_sums, operator_norm_pow, walk_count
+from .nb_operator import certify_claims, cone_weight_sums, operator_norm_pow, walk_count
 from .tree_core import (
     TreeBall,
     build_ball,
@@ -50,13 +50,11 @@ from .tree_core import (
     forward_cone_interior,
     hull_distance,
     path_vertices,
-    vertex_distance,
     vertices_at_distance,
 )
 from .universal_factor import roundtrip_check, sphere_overlap_count
 
 _BALLS: dict[tuple[int, int], TreeBall] = {}
-_OPS: dict[tuple[int, int], object] = {}
 
 
 def _ball(d: int, radius: int) -> TreeBall:
@@ -64,13 +62,6 @@ def _ball(d: int, radius: int) -> TreeBall:
     if key not in _BALLS:
         _BALLS[key] = build_ball(d, radius)
     return _BALLS[key]
-
-
-def _operator(d: int, radius: int):
-    key = (d, radius)
-    if key not in _OPS:
-        _OPS[key] = build_operator(_ball(d, radius))
-    return _OPS[key]
 
 
 def _rel_close(a: float, b: float, rel: float = 1e-12) -> bool:
@@ -139,7 +130,7 @@ def vertex_exact_row(d: int, k: int, rule, domain) -> dict:
     u, v = vertices_at_distance(ball, k)
     res = exact_corr_discrete(ball, rule, domain, [u], [v])
     return corr_row(d, k, rule.name, "exact", res.corr, 0.0,
-                    bounds.vertex_corr_bound(d, k), res.n_configs, 0)
+                    bounds.vertex_corr_bound(d, k), res.n_configs, 0, res.degenerate)
 
 
 #: hull distance k -> directed edges (e1, e2) of the radius-4 ball whose
@@ -178,10 +169,10 @@ def criterion_norm_bound(seed: int = 0, threads: int | None = None) -> dict:
     rows = []
     passed = True
     for d in (3, 4):
-        op = _operator(d, 8)
+        ball = _ball(d, 8)
         estimates = {}
         for k in range(1, 7):
-            rep = operator_norm_pow(op, k)
+            rep = operator_norm_pow(ball, k)
             estimates[k] = rep.estimate
             passed &= rep.passed
             rows.append(rep.to_json_dict() | {"ok": rep.passed})
@@ -229,12 +220,11 @@ def criterion_walk_counts(seed: int = 0, threads: int | None = None) -> dict:
     rows = []
     passed = True
     for d in (3, 4):
-        op = _operator(d, 8)
-        ball = op.ball
+        ball = _ball(d, 8)
         for k in range(1, 6):
             expected = (d - 1) ** k
             edges = _interior_draws(ball, k, seed + 17 * d + k, 100)
-            hits = sum(walk_count(op, e, k) == expected for e in edges)
+            hits = sum(walk_count(ball, e, k) == expected for e in edges)
             ok = hits == 100
             passed &= ok
             rows.append({"d": d, "k": k, "expected": expected,
@@ -364,7 +354,8 @@ def criterion_bound_sweep(seed: int = 0, threads: int | None = None) -> dict:
                 (parity_rule(1), h_sum, h_sum, "region-parity:r1"),
             ):
                 res = exact_corr_discrete(ball_r, rule, "alphabet:2", reg1, reg2, h1, h2)
-                rows.append(corr_row(d, k, name, "exact", res.corr, 0.0, hb, res.n_configs, 0))
+                rows.append(corr_row(d, k, name, "exact", res.corr, 0.0, hb, res.n_configs, 0,
+                                     res.degenerate))
 
             # edge pairs at edge distance k, exact and Monte Carlo
             ball_e = _ball(d, (k + 2) // 2 + 4)
@@ -373,7 +364,7 @@ def criterion_bound_sweep(seed: int = 0, threads: int | None = None) -> dict:
                 for pair_name, e2 in (("same", e2_same), ("facing", e2_facing)):
                     res = exact_edge_corr(ball_e, rule, "alphabet:2", e1, e2)
                     rows.append(corr_row(d, k, f"{rule.name}:{pair_name}", "exact",
-                                         res.corr, 0.0, eb, res.n_configs, 0))
+                                         res.corr, 0.0, eb, res.n_configs, 0, res.degenerate))
             rows.append(edge_mc_row(d, k, 3, n_mc, seed * 65537 + 9001 * d + 17 * k,
                                     threads=threads))
 
@@ -484,10 +475,8 @@ def criterion_universal(seed: int = 0, threads: int | None = None) -> dict:
     for t in range(50):
         u = int(rng.randint(seed + 90, 2 * t, ball.n)[0])
         v = int(rng.randint(seed + 90, 2 * t + 1, ball.n)[0])
-        n = vertex_distance(ball, u, v)
-        for j in range(1, n):
-            if sphere_overlap_count(ball, u, v, j) != 1:
-                sphere_ok = False
+        counts = sphere_overlap_count(ball, u, v)
+        sphere_ok &= bool(np.all(counts[1:-1] == 1))
         pairs_checked += 1
     ok = r1.passed and r2.passed and sphere_ok
     return {"passed": ok,

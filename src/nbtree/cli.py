@@ -20,7 +20,7 @@ from dataclasses import asdict
 from . import acceptance, bounds
 from .errors import NbtreeError
 from .factor_engine import BLOCK_RULE_FAMILIES, edge_first_child_rule, edge_table_rule
-from .nb_operator import build_operator, certify_claims, operator_norm_pow, walk_count
+from .nb_operator import certify_claims, operator_norm_pow, walk_count
 from .tree_core import build_ball, forward_cone_interior, hull_distance
 from .universal_factor import roundtrip_check, roundtrip_min_radius
 
@@ -69,8 +69,8 @@ def _cmd_ball_info(args, out) -> int:
 
 
 def _cmd_nb_norm(args, out) -> int:
-    op = build_operator(build_ball(args.d, args.radius))
-    rep = operator_norm_pow(op, args.k, tol=args.tol, max_iter=args.max_iter)
+    rep = operator_norm_pow(build_ball(args.d, args.radius), args.k, tol=args.tol,
+                            max_iter=args.max_iter)
     _emit_json(rep.to_json_dict(), out)
     return 0 if rep.passed else 1
 
@@ -83,8 +83,7 @@ def _cmd_nb_certify(args, out) -> int:
 
 def _cmd_walk_count(args, out) -> int:
     ball = build_ball(args.d, args.radius)
-    op = build_operator(ball)
-    count = walk_count(op, args.edge, args.k)
+    count = walk_count(ball, args.edge, args.k)
     interior = forward_cone_interior(ball, args.edge, args.k)
     expected = (args.d - 1) ** args.k
     _emit_json({"d": args.d, "radius": args.radius, "edge": args.edge,

@@ -350,6 +350,12 @@ class ExactCorrResult:
     corr: float
     n_configs: int
 
+    @property
+    def degenerate(self) -> bool:
+        """An observable is constant, so `corr` is 0 by convention, not by
+        evidence; a verdict on it must fail."""
+        return not (self.var1 > 0 and self.var2 > 0)
+
 
 def _corr_from_values(h1v: np.ndarray, h2v: np.ndarray, n_cfg: int) -> ExactCorrResult:
     n = float(n_cfg)
@@ -745,8 +751,8 @@ def verify_bound(value: float, bound: float, stderr: float = 0.0,
                  degenerate: bool = False) -> Verdict:
     """Check an exact value (stderr 0) or an estimate (3 sigma slack) against a bound.
 
-    A degenerate Monte Carlo estimate (an observable with no sample
-    variance) carries no evidence about the correlation, so it fails.
+    A degenerate value (an observable with no variance, exact or sampled)
+    carries no evidence about the correlation, so it fails.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")

@@ -1,19 +1,41 @@
 """The non-backtracking operator on the directed edges of a tree ball.
 
 The operator maps a function f on directed edges to
-(Bf)(e) = sum of f over the predecessors e' -> e.  It is stored as one
-sparse 0/1 CSR matrix, B^T, whose rows are the successor lists of
-``tree_core`` (the one place the relation e -> e' is computed).  B is
-applied as that matrix's transpose view, which SciPy runs as a CSC
-product summing each (Bf)(e) in ascending predecessor order.  The k-step
-cones behind the certificates follow the same rule through
-``tree_core.cone``.  Two independent certificates are computed for its
-k-th power:
+(Bf)(e) = sum of f over the predecessors e' -> e.  Its public sparse form,
+`NbOperator`, is one 0/1 CSR matrix, B^T, whose rows are the successor
+lists of ``tree_core`` (the one place the relation e -> e' is computed).
+`apply` runs B as that matrix's transpose view, which SciPy evaluates as a
+CSC product summing each (Bf)(e) in ascending predecessor order;
+`apply_transpose` runs the CSR product, summing over the successor list.
+The k-step cones behind the certificates follow the same rule through
+``tree_core.cone``.  Two independent certificates are computed for the
+k-th power of B:
 
 * a power-iteration estimate of ||B^k|| on the finite ball, which the
   infinite-tree bound (k+1)*(d-1)^((k+1)/2) must dominate, and
 * exact height-weighted walk sums over k-step cones, whose maxima over
   interior edges must stay strictly below the same bound.
+
+The power iteration never builds the matrix.  The root-fixing
+automorphisms of the ball act transitively on each (orientation, height)
+class of directed edges, and the iteration starts from the all-ones
+vector, which is constant on every class; B and B^T commute with those
+automorphisms, so every iterate is class-constant too.  It is held as 2R
+class values, away[h] and toward[h] for h = 1..R.  On such a vector the
+sparse products compute
+
+    (Bf)(away at h)   = 0.0 + away[h-1] + toward[h] + ... + toward[h]
+    (Bf)(toward at h) = 0.0 + toward[h+1] + ... + toward[h+1]
+
+with d-2 sibling terms toward[h] (d-1, and no away[h-1], at h = 1), d-1
+child terms toward[h+1] (none at h = R), and B^T the same sums with away
+and toward exchanged.  `_b_classes` adds the terms one at a time in that
+order, never as a count times a value (t+t+t and 3*t can round
+differently), so each class value is bit for bit the entry SciPy
+computes on every edge of its class.  Only the two reductions of each
+iteration, v @ w and ||w||, run on full edge vectors: BLAS blocks those
+sums by the vector length, so a shorter weighted sum would round
+differently.
 
 Inside a tree a non-backtracking walk can never revisit an undirected
 edge, so the k-step cone of any edge is duplicate-free and cone sums are
@@ -162,15 +184,59 @@ def apply_transpose(op: NbOperator, f: np.ndarray) -> np.ndarray:
     return op.succ @ f
 
 
-def walk_count(op: NbOperator, e0: int, k: int) -> int:
+def walk_count(ball: TreeBall, e0: int, k: int) -> int:
     """Number of edges reachable from e0 by a k-step non-backtracking walk."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    op.ball._check_edge(e0)
-    return int(cone(op.ball, e0, k).size)
+    ball._check_edge(e0)
+    return int(cone(ball, e0, k).size)
 
 
-def operator_norm_pow(op: NbOperator, k: int, tol: float = DEFAULT_TOL,
+def _b_classes(d: int, away: list, toward: list) -> tuple[list, list]:
+    """B on a class-constant vector held as its class values.
+
+    away[h] and toward[h] are the values at height h = 1..R (index 0 is
+    unused).  Each sum adds its terms one at a time, in the order the CSC
+    product of `apply` adds them; see the module docstring.  Reversing
+    every edge maps the away class at h to the toward class at h and turns
+    B into B^T with the same order of terms, so B^T is this function on
+    the swapped classes.
+    """
+    radius = len(away) - 1
+    new_away = [0.0] * (radius + 1)
+    new_toward = [0.0] * (radius + 1)
+    for h in range(1, radius + 1):
+        s = 0.0
+        if h > 1:
+            s += away[h - 1]
+        x = toward[h]
+        for _ in range(d - 1 if h == 1 else d - 2):
+            s += x
+        new_away[h] = s
+        s = 0.0
+        if h < radius:
+            x = toward[h + 1]
+            for _ in range(d - 1):
+                s += x
+        new_toward[h] = s
+    return new_away, new_toward
+
+
+def _expand_classes(ball: TreeBall, away: list, toward: list, out: np.ndarray) -> None:
+    """Write the class values onto every edge of `out`.
+
+    The edges at height h hold the ids [2(ls[h]-1), 2(ls[h+1]-1)), away
+    (even) and toward (odd) interleaved.  Viewed as complex128, each
+    (away, toward) pair is one element, so every height is one contiguous
+    fill; the two doubles are stored unchanged.
+    """
+    pairs = out.view(np.complex128)
+    ls = ball.level_start.tolist()
+    for h in range(1, ball.radius + 1):
+        pairs[ls[h] - 1:ls[h + 1] - 1] = complex(away[h], toward[h])
+
+
+def operator_norm_pow(ball: TreeBall, k: int, tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> NormReport:
     """Estimate ||B^k|| by power iteration on v -> (B^T)^k B^k v.
 
@@ -179,6 +245,13 @@ def operator_norm_pow(op: NbOperator, k: int, tol: float = DEFAULT_TOL,
     The Rayleigh quotient increases toward ||B^k||^2 on the ball, which
     the infinite-tree bound dominates; an estimate above the bound is a
     defect, reported through the returned estimate and bound.
+
+    The iterates are class-constant, so B and B^T run on the 2R class
+    values (`_b_classes`), bit for bit equal to the sparse products on
+    every edge.  The two reductions, v @ w and ||w||, stay on the full
+    edge vectors: BLAS sums them in blocks whose order depends on the
+    length, so the class values are expanded into two buffers for them
+    and each iteration's digits are those of the sparse iteration.
     """
     if k < 1:
         raise ValueError("power k must be >= 1")
@@ -188,25 +261,29 @@ def operator_norm_pow(op: NbOperator, k: int, tol: float = DEFAULT_TOL,
         raise ValueError("tolerance must be finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    bound = bounds.bnorm_bound(op.ball.d, k)
-    if op.m == 0:
-        return NormReport(op.ball.d, op.ball.radius, k, 0.0, bound, 0, 0.0, True)
+    d, m = ball.d, ball.n_edges
+    bound = bounds.bnorm_bound(d, k)
+    if m == 0:
+        return NormReport(d, ball.radius, k, 0.0, bound, 0, 0.0, True)
 
-    v = np.full(op.m, 1.0 / math.sqrt(op.m))
+    v_full = np.empty(m)
+    w_full = np.empty(m)
+    v_away = v_toward = [1.0 / math.sqrt(m)] * (ball.radius + 1)
     rho_prev = None
     residual = math.inf
     converged = False
     iterations = 0
     rho = 0.0
-    b = op.succ.T
     for iterations in range(1, max_iter + 1):
-        w = v
+        w_away, w_toward = v_away, v_toward
         for _ in range(k):
-            w = b @ w
+            w_away, w_toward = _b_classes(d, w_away, w_toward)
         for _ in range(k):
-            w = op.succ @ w
-        rho = float(v @ w)
-        norm_w = float(np.linalg.norm(w))
+            w_toward, w_away = _b_classes(d, w_toward, w_away)
+        _expand_classes(ball, v_away, v_toward, v_full)
+        _expand_classes(ball, w_away, w_toward, w_full)
+        rho = float(v_full @ w_full)
+        norm_w = float(np.linalg.norm(w_full))
         if norm_w == 0.0 or rho <= 0.0:
             rho = max(rho, 0.0)
             residual = 0.0
@@ -218,11 +295,11 @@ def operator_norm_pow(op: NbOperator, k: int, tol: float = DEFAULT_TOL,
                 converged = True
                 break
         rho_prev = rho
-        v = w / norm_w
+        v_away = [x / norm_w for x in w_away]
+        v_toward = [x / norm_w for x in w_toward]
 
     estimate = math.sqrt(max(rho, 0.0))
-    return NormReport(op.ball.d, op.ball.radius, k, estimate, bound,
-                      iterations, residual, converged)
+    return NormReport(d, ball.radius, k, estimate, bound, iterations, residual, converged)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from . import rng
 from .errors import LabelCollisionError, ReconstructionError
 from .factor_engine import LabelConfig, sample_iid, vertex_ball_levels
-from .tree_core import TreeBall, distances_from, path_vertices, vertex_distance
+from .tree_core import TreeBall, distances_from, path_vertices
 
 
 @dataclass(frozen=True)
@@ -115,16 +115,16 @@ def reconstruct_path(code_u: VertexCode, code_v: VertexCode, n: int) -> list[flo
     return labels
 
 
-def sphere_overlap_count(ball: TreeBall, u: int, v: int, j: int) -> int:
-    """|sphere_j(u) ∩ sphere_{n-j}(v)| as vertex sets, n = dist(u, v).
+def sphere_overlap_count(ball: TreeBall, u: int, v: int) -> np.ndarray:
+    """|sphere_j(u) ∩ sphere_{n-j}(v)| as vertex sets for j = 0..n, n = dist(u, v).
 
     Label-free structural counterpart of the unique-common-label step;
-    equals 1 for every 0 < j < n.
+    every entry is 1.  One BFS from each end serves every j.
     """
-    n = vertex_distance(ball, u, v)
     du = distances_from(ball, u)
     dv = distances_from(ball, v)
-    return int(np.count_nonzero((du == j) & (dv == n - j)))
+    n = int(du[v])
+    return np.bincount(du[du + dv == n], minlength=n + 1)
 
 
 @dataclass(frozen=True)

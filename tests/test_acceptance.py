@@ -1,11 +1,12 @@
 """Acceptance gate: every criterion at its stated tolerance and runtime.
 
 Each test prints one PASS/FAIL line.  Criterion 12 runs the report
-command twice in subprocesses with different thread counts and compares
-the emitted JSON byte for byte.
+command twice in subprocesses with different thread counts, compares
+the emitted JSON byte for byte and checks it against the recorded digest.
 """
 
 import functools
+import hashlib
 import os
 import subprocess
 import sys
@@ -79,6 +80,12 @@ def test_walk_count_edges_are_the_scanned_draws(monkeypatch, block):
                 assert acceptance._interior_draws(ball, k, stream, 37) == want[:37]
 
 
+#: sha256 of ``nbtree report --seed 0``.  The report's bytes are its
+#: contract: a change that means to alter them updates this constant and
+#: records the new digest in CHANGES.md.
+REPORT_SEED0_SHA256 = "453d28eb9099034e055cab87e8a7e5b90278c9711d4133235151f8a78d989924"
+
+
 def test_criterion_12_report_determinism(tmp_path):
     outputs = []
     for threads in ("1", "8"):
@@ -92,3 +99,4 @@ def test_criterion_12_report_determinism(tmp_path):
     print(f"criterion 12 report-determinism: {'PASS' if identical else 'FAIL'}")
     assert identical
     assert b'"all_passed": true' in outputs[0]
+    assert hashlib.sha256(outputs[0]).hexdigest() == REPORT_SEED0_SHA256

@@ -224,6 +224,65 @@ def test_degenerate_monte_carlo_rows_fail_the_bound_sweep(monkeypatch):
     assert all(r["verdict"] == "FAIL" for r in mc_rows)
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf", "1e200"])
+def test_degenerate_exact_rows_fail(capsys, theta):
+    # no neighbourhood sum reaches such a threshold, so the rule is constant
+    # and its correlation is 0 by convention; that meets any bound, so the
+    # row must FAIL and exit 1, as a degenerate Monte Carlo row does
+    code, out = run_cli(capsys, "exact-corr", "--d", "3", "--k", "1", "--rule", "threshold",
+                        f"--theta={theta}", "--format", "json")
+    doc = json.loads(out)
+    assert code == 1 and doc["verdict"] == "FAIL"
+    assert doc["value"] == 0.0 and doc["stderr"] == 0.0
+
+
+def test_degenerate_exact_rows_fail_the_bound_sweep(monkeypatch):
+    from nbtree import acceptance
+    from nbtree.correlation import CorrEstimate, ExactCorrResult
+
+    def constant(*args, **kwargs):
+        return ExactCorrResult(0.0, 0.0, 1.0, 0.0, 1)
+
+    def sampled(sampler, n_samples, seed, threads=None):
+        return CorrEstimate(0.0, n_samples, 0.01, -0.02, 0.02, seed)
+
+    monkeypatch.setattr(acceptance, "exact_corr_discrete", constant)
+    monkeypatch.setattr(acceptance, "exact_edge_corr", constant)
+    monkeypatch.setattr(acceptance, "monte_carlo_corr", sampled)
+    res = acceptance.criterion_bound_sweep(0, threads=1)
+    enumerated = [r for r in res["rows"]
+                  if r["mode"] == "exact" and r["rule"] != "linear-geom:r6"]
+    assert not res["passed"] and res["n_fail"] == len(enumerated) == 144
+    assert all(r["verdict"] == "FAIL" for r in enumerated)
+
+
+def test_norm_and_walk_count_build_no_sparse_operator(capsys, monkeypatch):
+    # the power iteration runs on (orientation, height) class values and
+    # walk counts on cones: neither subcommand, nor criteria 2 and 4,
+    # builds the sparse matrix
+    from nbtree import acceptance, nb_operator
+
+    def refuse(ball):
+        raise AssertionError("the sparse operator was built")
+
+    build = nb_operator.build_operator
+    for name, mod in list(sys.modules.items()):
+        if ((name == "nbtree" or name.startswith("nbtree."))
+                and getattr(mod, "build_operator", None) is build):
+            monkeypatch.setattr(mod, "build_operator", refuse)
+    code, out = run_cli(capsys, "nb-norm", "--d", "3", "--radius", "17", "--k", "6")
+    assert code == 0
+    assert json.loads(out) == {  # the digits of the sparse power iteration
+        "d": 3, "radius": 17, "k": 6, "estimate": 31.467645841222165,
+        "bound": 79.19595949289331, "residual": 3.9581155948848265e-11,
+        "iterations": 16, "converged": True}
+    code, out = run_cli(capsys, "walk-count", "--d", "3", "--radius", "12", "--k", "6",
+                        "--edge", "0")
+    assert code == 0 and json.loads(out)["count"] == 64
+    assert acceptance.criterion_norm_bound(0)["passed"]
+    assert acceptance.criterion_walk_counts(0)["passed"]
+
+
 def test_removed_flags_are_usage_errors(capsys):
     assert main(["bounds", "--d", "3", "--k-max", "2", "--threads", "2"]) == 2
     assert main(["nb-norm", "--d", "3", "--radius", "3", "--format", "csv"]) == 2

@@ -46,7 +46,7 @@ from nbtree.factor_engine import (
     sum_rule,
     symmetrize_rule,
 )
-from nbtree.nb_operator import build_operator, walk_count
+from nbtree.nb_operator import walk_count
 from nbtree.tree_core import build_ball, cone, edge_between, path_vertices, vertices_at_distance
 
 
@@ -741,12 +741,11 @@ def test_homogeneity_d3_depth1_k2():
     assert res.pairs_per_source == 4
     assert res.source_counts_ok
     # cross-module: the per-source pair count is the walk count
-    op = build_operator(ball)
     interior_source = next(
         e for e in range(ball.n_edges)
         if ball.edge_height(e) <= 2 and not ball.is_away(e)
     )
-    assert walk_count(op, interior_source, 2) == res.pairs_per_source
+    assert walk_count(ball, interior_source, 2) == res.pairs_per_source
 
 
 @pytest.mark.parametrize("d,radius,k,depth", [

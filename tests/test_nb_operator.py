@@ -8,6 +8,9 @@ import pytest
 from nbtree import rng
 from nbtree.bounds import bnorm_bound, half_power
 from nbtree.nb_operator import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    NormReport,
     apply,
     apply_transpose,
     build_operator,
@@ -108,25 +111,55 @@ def test_apply_is_byte_equal_to_the_sorted_csr_of_b():
                 assert g.tobytes() == h.tobytes()
 
 
-def test_norm_estimate_matches_the_sorted_csr_power_iteration():
-    op = _op(3, 8)
+def _csr_norm_pow(op, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """Power iteration on the sparse matrices, B as the sorted CSR of the
+    transpose and B^T as the successor CSR: the reference loop whose every
+    NormReport field operator_norm_pow must reproduce."""
     b = _sorted_b(op)
-    for k in (1, 3):
-        rep = operator_norm_pow(op, k, max_iter=40)
-        v = np.full(op.m, 1.0 / math.sqrt(op.m))
-        rho_prev = None
-        for _ in range(rep.iterations):
-            w = v
-            for _ in range(k):
-                w = b @ w
-            for _ in range(k):
-                w = op.succ @ w
-            rho = float(v @ w)
-            if rho_prev is not None and abs(rho - rho_prev) / rho <= 1e-10:
+    v = np.full(op.m, 1.0 / math.sqrt(op.m))
+    rho, rho_prev, residual, converged = 0.0, None, math.inf, False
+    for iterations in range(1, max_iter + 1):
+        w = v
+        for _ in range(k):
+            w = b @ w
+        for _ in range(k):
+            w = op.succ @ w
+        rho = float(v @ w)
+        norm_w = float(np.linalg.norm(w))
+        if norm_w == 0.0 or rho <= 0.0:
+            rho, residual, converged = max(rho, 0.0), 0.0, True
+            break
+        if rho_prev is not None:
+            residual = abs(rho - rho_prev) / rho
+            if residual <= tol:
+                converged = True
                 break
-            rho_prev = rho
-            v = w / float(np.linalg.norm(w))
-        assert rep.estimate == math.sqrt(rho)
+        rho_prev = rho
+        v = w / norm_w
+    return NormReport(op.ball.d, op.ball.radius, k, math.sqrt(max(rho, 0.0)),
+                      bnorm_bound(op.ball.d, k), iterations, residual, converged)
+
+
+#: (d, largest radius) of the class-iteration grid
+NORM_GRID = ((3, 9), (4, 6), (5, 5), (6, 4))
+
+
+def test_norm_estimate_matches_the_sorted_csr_power_iteration():
+    # the class-value iteration is the sparse one bit for bit: converged,
+    # at a tighter tolerance, and stopped before convergence
+    cases = 0
+    for d, max_radius in NORM_GRID:
+        for radius in range(1, max_radius + 1):
+            op = _op(d, radius)
+            for k in range(1, 8):
+                for tol, max_iter in ((DEFAULT_TOL, DEFAULT_MAX_ITER),
+                                      (1e-12, DEFAULT_MAX_ITER), (1e-16, 3)):
+                    got = operator_norm_pow(op.ball, k, tol, max_iter)
+                    want = _csr_norm_pow(op, k, tol, max_iter)
+                    assert got == want, (d, radius, k, tol, max_iter)
+                    assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+                    cases += 1
+    assert cases == 24 * 7 * 3
 
 
 # ---------------------------------------------------------------------------
@@ -194,27 +227,25 @@ def test_length_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
+# ---------------------------------------------------------------------------
 # walk counts
 # ---------------------------------------------------------------------------
 
 
 def test_walk_count_zero_steps():
-    op = _op(3, 2)
-    assert walk_count(op, 0, 0) == 1
+    assert walk_count(build_ball(3, 2), 0, 0) == 1
 
 
 def test_walk_count_interior_powers():
-    op3 = _op(3, 6)
-    assert walk_count(op3, 0, 3) == 8  # away edge from the root, 2^3
-    op4 = _op(4, 4)
-    assert walk_count(op4, 0, 2) == 9  # 3^2
+    assert walk_count(build_ball(3, 6), 0, 3) == 8  # away edge from the root, 2^3
+    assert walk_count(build_ball(4, 4), 0, 2) == 9  # 3^2
 
 
 def test_walk_count_dies_at_boundary():
-    op = _op(3, 2)
+    ball = build_ball(3, 2)
     e = 0  # away from root, height 1: cone exits at k = 2
-    assert walk_count(op, e, 1) == 2
-    assert walk_count(op, e, 2) == 0
+    assert walk_count(ball, e, 1) == 2
+    assert walk_count(ball, e, 2) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +254,16 @@ def test_walk_count_dies_at_boundary():
 
 
 def test_norm_estimates_below_bounds():
-    op = _op(3, 8)
-    r1 = operator_norm_pow(op, 1)
+    ball = build_ball(3, 8)
+    r1 = operator_norm_pow(ball, 1)
     assert r1.converged and r1.estimate <= 4.0
-    r4 = operator_norm_pow(op, 4)
+    r4 = operator_norm_pow(ball, 4)
     assert r4.converged and r4.estimate <= 5 * half_power(3, 5)
     assert r4.residual <= 1e-10
 
 
 def test_norm_report_fields_and_bound_value():
-    op = _op(4, 6)
-    rep = operator_norm_pow(op, 2)
+    rep = operator_norm_pow(build_ball(4, 6), 2)
     assert rep.d == 4 and rep.radius == 6 and rep.k == 2
     assert rep.bound == bnorm_bound(4, 2)
     doc = rep.to_json_dict()
@@ -244,7 +274,7 @@ def test_norm_report_fields_and_bound_value():
 def test_norm_estimate_dominates_random_rayleigh_vectors():
     op = _op(3, 7)
     for k in (1, 3):
-        rep = operator_norm_pow(op, k, tol=1e-10)
+        rep = operator_norm_pow(op.ball, k, tol=1e-10)
         for trial in range(20):
             f = rng.to_centered_uniform(rng.words(7000 + trial, np.arange(op.m)))
             w = f
@@ -257,22 +287,20 @@ def test_norm_estimate_dominates_random_rayleigh_vectors():
 def test_norm_estimate_monotone_in_radius():
     prev = 0.0
     for radius in (4, 5, 6, 7, 8):
-        rep = operator_norm_pow(_op(3, radius), 2)
+        rep = operator_norm_pow(build_ball(3, radius), 2)
         assert rep.estimate >= prev - 1e-8
         prev = rep.estimate
 
 
 def test_norm_nonconvergence_flagged():
-    op = _op(3, 6)
-    rep = operator_norm_pow(op, 2, tol=1e-16, max_iter=3)
+    rep = operator_norm_pow(build_ball(3, 6), 2, tol=1e-16, max_iter=3)
     assert not rep.converged
     assert rep.iterations == 3
 
 
 def test_norm_invalid_k():
-    op = _op(3, 4)
     with pytest.raises(ValueError):
-        operator_norm_pow(op, 0)
+        operator_norm_pow(build_ball(3, 4), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +407,7 @@ def test_power_iteration_matches_dense_svd():
         dense = _dense_matrix(op)
         for k in (1, 2, 3):
             sigma = float(np.linalg.norm(np.linalg.matrix_power(dense, k), ord=2))
-            rep = operator_norm_pow(op, k, tol=1e-12)
+            rep = operator_norm_pow(op.ball, k, tol=1e-12)
             assert rep.estimate == pytest.approx(sigma, rel=1e-8)
 
 
@@ -409,4 +437,4 @@ def test_walk_counts_match_dense_matrix_power():
         bk = np.linalg.matrix_power(dense, k)
         assert np.max(bk) <= 1.0  # walks in a tree are unique
         for e in range(0, op.m, 7):
-            assert walk_count(op, e, k) == int(bk[:, e].sum())
+            assert walk_count(op.ball, e, k) == int(bk[:, e].sum())

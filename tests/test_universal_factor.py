@@ -269,8 +269,10 @@ def test_sphere_overlap_is_one_along_paths():
         u = int(rng.randint(60, 2 * seed, ball.n)[0])
         v = int(rng.randint(60, 2 * seed + 1, ball.n)[0])
         n = vertex_distance(ball, u, v)
-        for j in range(1, n):
-            assert sphere_overlap_count(ball, u, v, j) == 1
+        du, dv = distances_from(ball, u), distances_from(ball, v)
+        per_j = [int(np.count_nonzero((du == j) & (dv == n - j))) for j in range(n + 1)]
+        counts = sphere_overlap_count(ball, u, v)
+        assert counts.tolist() == per_j == [1] * (n + 1)
 
 
 def test_roundtrip_zero_trials():

@@ -7,6 +7,9 @@ lists of ``tree_core`` (the one place the relation e -> e' is computed).
 `apply` runs B as that matrix's transpose view, which SciPy evaluates as a
 CSC product summing each (Bf)(e) in ascending predecessor order;
 `apply_transpose` runs the CSR product, summing over the successor list.
+`build_operator` is the one place that builds the matrix, so it imports
+`scipy.sparse` itself, on its first call; nothing else in the package
+needs SciPy, and no CLI subcommand or report criterion loads it.
 The k-step cones behind the certificates follow the same rule through
 ``tree_core.cone``.  Two independent certificates are computed for the
 k-th power of B:
@@ -49,7 +52,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import bounds
 from ._exact import root_lt, root_value
@@ -73,7 +75,7 @@ class NbOperator:
 
     ball: TreeBall
     m: int
-    succ: sp.csr_matrix
+    succ: scipy.sparse.csr_matrix
 
     def predecessors(self, e: int) -> np.ndarray:
         return predecessors(self.ball, e)
@@ -160,6 +162,8 @@ class CertificateReport:
 
 def build_operator(ball: TreeBall) -> NbOperator:
     """Assemble the successor lists of every directed edge into CSR form."""
+    import scipy.sparse as sp  # here, not at module load: no CLI path needs it
+
     m = ball.n_edges
     succ, counts = successor_lists(ball, np.arange(m))
     indptr = np.zeros(m + 1, dtype=np.int64)
@@ -184,8 +188,16 @@ def apply_transpose(op: NbOperator, f: np.ndarray) -> np.ndarray:
     return op.succ @ f
 
 
+def _require_ball(ball, caller: str) -> None:
+    """Reject anything but a TreeBall, an NbOperator included, up front."""
+    if not isinstance(ball, TreeBall):
+        raise TypeError(f"{caller} takes a TreeBall (an NbOperator's is op.ball), "
+                        f"got {type(ball).__name__}")
+
+
 def walk_count(ball: TreeBall, e0: int, k: int) -> int:
     """Number of edges reachable from e0 by a k-step non-backtracking walk."""
+    _require_ball(ball, "walk_count")
     if k < 0:
         raise ValueError("k must be >= 0")
     ball._check_edge(e0)
@@ -253,6 +265,7 @@ def operator_norm_pow(ball: TreeBall, k: int, tol: float = DEFAULT_TOL,
     length, so the class values are expanded into two buffers for them
     and each iteration's digits are those of the sparse iteration.
     """
+    _require_ball(ball, "operator_norm_pow")
     if k < 1:
         raise ValueError("power k must be >= 1")
     if not tol > 0:
@@ -330,6 +343,7 @@ def cone_weight_sums(ball: TreeBall, e: int, k: int) -> WeightSums:
     A cone is interior exactly when it has the full (d-1)^k walks; cones
     clipped by the ball boundary are flagged so callers can exclude them.
     """
+    _require_ball(ball, "cone_weight_sums")
     if k < 1:
         raise ValueError("k must be >= 1")
     q = ball.d - 1
@@ -371,6 +385,7 @@ def certify_claims(ball: TreeBall, k: int) -> CertificateReport:
     respect a relative guard band of CERT_GUARD.  The report is strict only
     when both hold; a non-strict report indicates a defect.
     """
+    _require_ball(ball, "certify_claims")
     if k < 1:
         raise ValueError("k must be >= 1")
     if ball.radius < k + 2:

@@ -167,10 +167,11 @@ def roundtrip_check(ball: TreeBall, depth: int, trials: int, seed: int
         )
     config = sample_iid(ball, "uniform", seed)
     eligible = np.flatnonzero(ball.depth <= ball.radius - depth)
+    bases = rng.words(seed ^ 0x5EED, np.arange(trials)).tolist()
     successes = 0
     collisions = 0
-    for t in range(trials):
-        u, v, n = _draw_pair(ball, eligible, depth, seed, t)
+    for base in bases:
+        u, v, n = _draw_pair(ball, eligible, depth, base)
         try:
             code_u = encode_vertex(config, u, depth)
             code_v = encode_vertex(config, v, depth)
@@ -187,13 +188,18 @@ def roundtrip_check(ball: TreeBall, depth: int, trials: int, seed: int
 
 
 def _draw_pair(ball: TreeBall, eligible: np.ndarray, depth: int,
-               seed: int, trial: int) -> tuple[int, int, int]:
-    """Deterministic interior pair at distance 1..D+1 for one trial."""
-    base = np.uint64(rng.words(seed ^ 0x5EED, np.array([trial]))[0])
+               base: int) -> tuple[int, int, int]:
+    """Deterministic interior pair at distance 1..D+1 for one trial.
+
+    `base` is the trial's word of the stream keyed by seed ^ 0x5EED.  Each
+    attempt reads one block of its own stream: position 0 picks u, 1 the
+    distance n, and 2 + step the neighbour taken at that step, each mapped
+    to its own alphabet size.
+    """
     for attempt in range(256):
-        sub = int(base) + attempt * 1_000_003
-        u = int(eligible[int(rng.randint(sub, 0, len(eligible))[0])])
-        n = 1 + int(rng.randint(sub, 1, depth + 1)[0])
+        w = rng.words(base + attempt * 1_000_003, np.arange(depth + 3))
+        u = int(eligible[int(rng.to_alphabet(w[0], len(eligible)))])
+        n = 1 + int(rng.to_alphabet(w[1], depth + 1))
         v = u
         prev = -1
         ok = True
@@ -202,7 +208,7 @@ def _draw_pair(ball: TreeBall, eligible: np.ndarray, depth: int,
             if not nbrs:
                 ok = False
                 break
-            prev, v = v, nbrs[int(rng.randint(sub, 2 + step, len(nbrs))[0])]
+            prev, v = v, nbrs[int(rng.to_alphabet(w[2 + step], len(nbrs)))]
         if ok and int(ball.depth[v]) + depth <= ball.radius:
             return u, v, n
     raise RuntimeError("could not draw an interior pair; ball too small")

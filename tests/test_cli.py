@@ -408,3 +408,59 @@ def test_report_argument_errors_exit_two(capsys):
     for argv in (["--bogus"], ["--seed", "x"], ["--threads", "x"], ["--format", "csv"]):
         assert main(["report"] + argv) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+#: runs each argv given as JSON in argv[1] with every scipy import refused,
+#: and prints each exit code and stdout sha256 and the scipy modules loaded
+_WITHOUT_SCIPY = """
+import contextlib, hashlib, io, json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+from nbtree.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+print(json.dumps({"runs": runs,
+                  "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
+"""
+
+#: builds the sparse operator in an interpreter that has not loaded scipy
+_SPARSE_ON_FIRST_USE = """
+import json, sys
+import numpy as np
+from nbtree import apply, apply_transpose, build_ball, build_operator
+before = "scipy.sparse" in sys.modules
+op = build_operator(build_ball(3, 3))
+ones = np.ones(op.m)
+print(json.dumps({
+    "before": before, "after": "scipy.sparse" in sys.modules,
+    "apply": apply(op, ones).tolist() == [op.predecessors(e).size for e in range(op.m)],
+    "apply_transpose":
+        apply_transpose(op, ones).tolist() == [op.successors(e).size for e in range(op.m)]}))
+"""
+
+
+def test_every_subcommand_runs_without_scipy():
+    # only build_operator needs scipy, and no subcommand calls it; the
+    # report keeps its bytes with every scipy import refused
+    from test_acceptance import REPORT_SEED0_SHA256
+    argvs = [[command] + argv for command, argv in sorted(FUZZ_BASE.items())]
+    argvs.append(["report", "--seed", "0"])
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)],
+                          capture_output=True, text=True, check=True)
+    doc = json.loads(proc.stdout)
+    assert [code for code, _ in doc["runs"]] == [0] * len(argvs)
+    assert doc["runs"][-1][1] == REPORT_SEED0_SHA256
+    assert doc["scipy"] == []
+    proc = subprocess.run([sys.executable, "-c", _SPARSE_ON_FIRST_USE],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {
+        "before": False, "after": True, "apply": True, "apply_transpose": True}

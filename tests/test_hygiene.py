@@ -3,7 +3,8 @@
 Every name a module imports is used in that module (``__init__`` re-exports
 are exempt), and every module-private top-level function is referenced
 somewhere in the package, so deleted code cannot leave dead helpers or
-stale imports behind.
+stale imports behind.  SciPy is imported only inside functions, so importing
+the package, and every CLI subcommand, runs without loading it.
 """
 
 import ast
@@ -39,6 +40,17 @@ def _imported(tree: ast.AST) -> list[tuple[str, int]]:
     return out
 
 
+def _import_time_nodes(tree: ast.Module):
+    """Nodes that run when the module is imported: all but function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
 def test_package_is_found():
     assert "tree_core.py" in _modules()
 
@@ -67,3 +79,18 @@ def test_no_unreferenced_private_functions():
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in used]
     assert dead == []
+
+
+def test_scipy_is_not_imported_at_module_scope():
+    found = []
+    for name, tree in _modules().items():
+        for node in _import_time_nodes(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {m}" for m in modules
+                      if m.split(".")[0] == "scipy"]
+    assert found == []

@@ -303,6 +303,15 @@ def test_norm_invalid_k():
         operator_norm_pow(build_ball(3, 4), 0)
 
 
+@pytest.mark.parametrize("fn, args", [(operator_norm_pow, (2,)), (walk_count, (0, 2)),
+                                      (cone_weight_sums, (0, 2)), (certify_claims, (2,))])
+def test_operator_in_place_of_ball_is_a_type_error(fn, args):
+    # these take the ball; an NbOperator used to fail deep inside with an
+    # AttributeError on .d, .radius or ._check_edge
+    with pytest.raises(TypeError, match=rf"{fn.__name__} takes a TreeBall .*, got NbOperator"):
+        fn(_op(3, 4), *args)
+
+
 # ---------------------------------------------------------------------------
 # cone-sum certificates
 # ---------------------------------------------------------------------------

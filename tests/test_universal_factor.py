@@ -11,9 +11,11 @@ from nbtree.factor_engine import LabelConfig, sample_iid
 from nbtree.tree_core import build_ball, distances_from, path_vertices, vertex_distance
 from nbtree.universal_factor import (
     VertexCode,
+    _draw_pair,
     encode_vertex,
     reconstruct_path,
     roundtrip_check,
+    roundtrip_min_radius,
     sphere_overlap_count,
 )
 
@@ -286,6 +288,43 @@ def test_roundtrip_full_success():
     assert (res3.successes, res3.collisions) == (120, 0)
     res4 = roundtrip_check(build_ball(4, 5), 2, 80, 6)
     assert (res4.successes, res4.collisions) == (80, 0)
+
+
+def _per_position_draw_pair(ball, eligible, depth, seed, trial):
+    """Reference draw: one single-position randint per stream position."""
+    base = np.uint64(rng.words(seed ^ 0x5EED, np.array([trial]))[0])
+    for attempt in range(256):
+        sub = int(base) + attempt * 1_000_003
+        u = int(eligible[int(rng.randint(sub, 0, len(eligible))[0])])
+        n = 1 + int(rng.randint(sub, 1, depth + 1)[0])
+        v = u
+        prev = -1
+        ok = True
+        for step in range(n):
+            nbrs = [int(x) for x in ball.neighbors(v) if int(x) != prev]
+            if not nbrs:
+                ok = False
+                break
+            prev, v = v, nbrs[int(rng.randint(sub, 2 + step, len(nbrs))[0])]
+        if ok and int(ball.depth[v]) + depth <= ball.radius:
+            return u, v, n
+    raise RuntimeError("could not draw an interior pair; ball too small")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([3, 4, 5]), st.integers(1, 3), st.integers(0, 3),
+       st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+       st.integers(1, 12))
+def test_block_draws_are_the_per_position_draws(d, depth, slack, seed, trials):
+    # radius depth + 1 leaves only the root and its neighbours eligible, so
+    # most attempts end outside the interior and retry
+    radius = min(depth + 1 + slack, roundtrip_min_radius(depth))
+    ball = build_ball(d, radius)
+    eligible = np.flatnonzero(ball.depth <= ball.radius - depth)
+    bases = rng.words(seed ^ 0x5EED, np.arange(trials)).tolist()
+    for t, base in enumerate(bases):
+        assert (_draw_pair(ball, eligible, depth, base)
+                == _per_position_draw_pair(ball, eligible, depth, seed, t))
 
 
 def test_roundtrip_radius_precondition():

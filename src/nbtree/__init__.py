@@ -2,8 +2,10 @@
 
 The package builds finite truncations of the d-regular tree, realizes the
 non-backtracking operator on their directed edges, evaluates the family
-of closed-form decay bounds, and checks those bounds against exact and
-Monte Carlo correlations of concrete local processes.
+of closed-form decay bounds, and checks those bounds against correlations
+of concrete local processes along two routes: exact enumeration of every
+labeling of a finite label domain, and Monte Carlo sampling of linear
+rules over Rademacher labels.
 """
 
 from .bounds import (
@@ -37,14 +39,9 @@ from .errors import (
 from .factor_engine import (
     BlockRule,
     EdgeRule,
-    LabelConfig,
     LabelDomain,
     LinearRule,
-    edge_process_value,
-    evaluate_block_rule,
-    evaluate_linear_rule,
     linear_rule_covariance_exact,
-    sample_iid,
     symmetrize_rule,
 )
 from .nb_operator import (

@@ -15,18 +15,17 @@ import numpy as np
 from . import bounds, rng
 from .correlation import (
     edge_homogeneity_check,
-    edge_linear_sampler,
     exact_corr_discrete,
     exact_edge_corr,
     h_parity,
     h_sum,
     lemma_consequence_check,
+    linear_pair_sampler,
     monte_carlo_corr,
     polarization_check,
     random_exchangeable_joint,
     symmetrization_moment_check,
     verify_bound,
-    vertex_linear_sampler,
 )
 from .factor_engine import (
     LinearRule,
@@ -38,8 +37,10 @@ from .factor_engine import (
     geometric_profile,
     linear_rule_covariance_exact,
     parity_rule,
+    subtree_levels,
     sum_rule,
     symmetrize_rule,
+    vertex_ball_levels,
     xor_pair_rule,
 )
 from .nb_operator import certify_claims, cone_weight_sums, operator_norm_pow, walk_count
@@ -91,8 +92,9 @@ def vertex_mc_row(d: int, k: int, profile: str, r: int, n_samples: int, seed: in
     ball = _ball(d, (k + 1) // 2 + r)  # validates d before the profile divides by d - 1
     rule = geometric_profile(d, r, rate) if profile == "geometric" else flat_profile(r)
     u, v = vertices_at_distance(ball, k)
-    est = monte_carlo_corr(vertex_linear_sampler(ball, rule, u, v), n_samples, seed,
-                           threads=threads)
+    sampler = linear_pair_sampler(vertex_ball_levels(ball, u, r), vertex_ball_levels(ball, v, r),
+                                  rule.profile)
+    est = monte_carlo_corr(sampler, n_samples, seed, threads=threads)
     return corr_row(d, k, name, "mc", est.estimate, est.stderr,
                     bounds.vertex_corr_bound(d, k), n_samples, seed, est.degenerate)
 
@@ -114,8 +116,9 @@ def edge_mc_row(d: int, k: int, depth: int, n_samples: int, seed: int,
         raise ValueError("k must be >= 0")
     ball = _ball(d, (k + 2) // 2 + depth + 1)
     e1, e2, _ = edge_pair(ball, k)
-    est = monte_carlo_corr(edge_linear_sampler(ball, depth, rate, e1, e2), n_samples,
-                           seed, threads=threads)
+    levels_1, levels_2 = subtree_levels(ball, e1, depth), subtree_levels(ball, e2, depth)
+    sampler = linear_pair_sampler(levels_1, levels_2, geometric_profile(d, depth, rate).profile)
+    est = monte_carlo_corr(sampler, n_samples, seed, threads=threads)
     return corr_row(d, k, f"edge-geom:D{depth}", "mc", est.estimate, est.stderr,
                     bounds.edge_corr_bound(d, k), n_samples, seed, est.degenerate)
 
@@ -290,7 +293,8 @@ def criterion_oracle_agreement(seed: int = 0, threads: int | None = None) -> dic
     oracle = linear_rule_covariance_exact(3, profile, k)
     ball = _ball(3, 2 + 1)
     u, v = vertices_at_distance(ball, k)
-    sampler = vertex_linear_sampler(ball, LinearRule(2, profile), u, v)
+    sampler = linear_pair_sampler(vertex_ball_levels(ball, u, 2), vertex_ball_levels(ball, v, 2),
+                                  profile)
     covered = 0
     for s in range(20):
         est = monte_carlo_corr(sampler, 100_000, seed * 7919 + 31 + s, threads=threads)

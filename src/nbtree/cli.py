@@ -122,7 +122,8 @@ def _cmd_exact_corr(args, out) -> int:
         raise NbtreeError(f"unknown rule family {args.rule!r}; "
                           f"choose from {sorted(BLOCK_RULE_FAMILIES)}")
     rule = BLOCK_RULE_FAMILIES[args.rule](radius=args.r, theta=args.theta)
-    domain = "rademacher" if args.rule == "majority" else f"alphabet:{args.alphabet}"
+    domain = (f"alphabet:{args.alphabet}" if args.alphabet is not None
+              else rule.domain or "alphabet:2")
     row = acceptance.vertex_exact_row(args.d, args.k, rule, domain)
     _emit_rows([row], args.format, out)
     return 0 if row["verdict"] == "PASS" else 1
@@ -253,7 +254,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", type=str, default="sum")
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--theta", type=float, default=2.0)
-    p.add_argument("--alphabet", type=int, default=2)
+    p.add_argument("--alphabet", type=int, default=None,
+                   help="labels uniform on {0..A-1} (default: the rule's own domain, "
+                        "else A=2)")
     p.set_defaults(fn=_cmd_exact_corr)
 
     p = sub.add_parser("symmetrize-check",

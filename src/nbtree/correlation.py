@@ -33,7 +33,6 @@ from .factor_engine import (
     EdgeRule,
     LinearRule,
     Levels,
-    geometric_profile,
     parse_domain,
     subtree_levels,
     symmetrize_rule,
@@ -162,28 +161,25 @@ def monte_carlo_corr(pair_sampler: Callable[[int, np.ndarray], tuple],
     return CorrEstimate(r, n_samples, stderr, ci_low, ci_high, seed)
 
 
-def linear_site_coefficients(ball: TreeBall, levels, weights) -> tuple[np.ndarray, np.ndarray]:
-    """(vertex ids, coefficient per id) for sum_j weights[j] * labels(level j)."""
-    ids = np.concatenate(levels)
-    coeff = np.concatenate([np.full(len(lv), float(w)) for lv, w in zip(levels, weights)])
-    return ids, coeff
+def linear_pair_sampler(levels_a: Levels, levels_b: Levels, weights):
+    """Sampler of (sum_j weights[j] * level-j labels) over two views, i.i.d. Rademacher.
 
-
-def linear_pair_sampler(ball: TreeBall, ids_a, coeff_a, ids_b, coeff_b):
-    """Sampler of (sum coeff_a * Z, sum coeff_b * Z) over i.i.d. Rademacher labels.
-
-    One fresh labeling per sample index; label (index, vertex) is a pure
-    function of (seed, index, vertex), so chunking cannot change labels.
-    The two sums are bit-stable only because each chunk is a single `@`.
+    levels_a and levels_b are views as `vertex_ball_levels` and
+    `subtree_levels` return them.  One fresh labeling per sample index;
+    label (index, vertex) is a pure function of (seed, index, vertex), so
+    chunking cannot change labels.  The two sums are bit-stable only
+    because each chunk is a single `@`.
     """
-    support = np.unique(np.concatenate([ids_a, ids_b]))
-    vec_a = np.zeros(len(support))
-    vec_b = np.zeros(len(support))
-    pos = {int(v): i for i, v in enumerate(support)}
-    for v, c in zip(ids_a.tolist(), coeff_a.tolist()):
-        vec_a[pos[v]] += c
-    for v, c in zip(ids_b.tolist(), coeff_b.tolist()):
-        vec_b[pos[v]] += c
+    support = np.unique(np.concatenate(levels_a + levels_b))
+
+    def coefficients(levels: Levels) -> np.ndarray:
+        vec = np.zeros(len(support))
+        for lv, w in zip(levels, weights):
+            np.add.at(vec, np.searchsorted(support, lv), float(w))
+        return vec
+
+    vec_a = coefficients(levels_a)
+    vec_b = coefficients(levels_b)
 
     def sampler(seed: int, idx: np.ndarray):
         labels = rng.rademacher2(seed, idx, support)
@@ -193,24 +189,6 @@ def linear_pair_sampler(ball: TreeBall, ids_a, coeff_a, ids_b, coeff_b):
         return labels @ vec_a, labels @ vec_b
 
     return sampler
-
-
-def vertex_linear_sampler(ball: TreeBall, rule: LinearRule, u: int, v: int):
-    lu = vertex_ball_levels(ball, u, rule.radius)
-    lv = vertex_ball_levels(ball, v, rule.radius)
-    ids_a, ca = linear_site_coefficients(ball, lu, rule.profile)
-    ids_b, cb = linear_site_coefficients(ball, lv, rule.profile)
-    return linear_pair_sampler(ball, ids_a, ca, ids_b, cb)
-
-
-def edge_linear_sampler(ball: TreeBall, depth: int, rate: float | None, e1: int, e2: int):
-    """Sampler of rate^j-weighted subtree sums behind e1 and e2 (critical rate if None)."""
-    l1 = subtree_levels(ball, e1, depth)
-    l2 = subtree_levels(ball, e2, depth)
-    weights = geometric_profile(ball.d, depth, rate).profile
-    ids_a, ca = linear_site_coefficients(ball, l1, weights)
-    ids_b, cb = linear_site_coefficients(ball, l2, weights)
-    return linear_pair_sampler(ball, ids_a, ca, ids_b, cb)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +276,7 @@ def _site_values(ball: TreeBall, domain, sites: Sequence[Site]
     as an (A,)*|support| array, a site's row varies only along the axes of
     the positions it reads.  The local ids of a site must be distinct.
     """
-    domain = parse_domain(domain)
-    if not domain.is_discrete:
-        raise ValueError(f"exact enumeration needs a discrete domain, got {domain.tag()}")
-    values = domain.values()
+    values = parse_domain(domain).values()
     a_size = len(values)
 
     support = np.unique(np.concatenate([s.local_ids for s in sites]))

@@ -1,13 +1,16 @@
-"""Local rules over labeled tree balls: sampling, evaluation, symmetrization.
+"""Local rules over tree balls: label domains, local views, symmetrization.
 
-Labels are attached to vertices by a counter-based generator, so a config
-is a pure function of (seed, vertex id).  Rules see their input as a
-*rooted local view*: a tuple of per-level label arrays in canonical
-(breadth-first id) order.  Two view shapes occur:
+A rule sees its input as a *rooted local view*: a tuple of per-level
+label arrays in canonical (breadth-first id) order.  Two view shapes
+occur:
 
 * vertex view: level 1 has d entries (all neighbors), deeper levels
   branch by d-1;
 * subtree view behind a directed edge: level 1 already branches by d-1.
+
+The views hold vertex ids; the exact route (`correlation.rule_site`)
+enumerates the labels of a finite label domain on them, and the Monte
+Carlo route (`correlation.linear_pair_sampler`) weights them by level.
 
 Symmetrization averages a rule over all recursive child permutations of
 its view, which preserves means and cross-moments while contracting
@@ -17,7 +20,6 @@ variance.  The averaging is exact, so it is capped at depth 2 and d <= 4.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, replace
 from itertools import permutations, product
 from typing import Callable
@@ -35,24 +37,22 @@ Levels = tuple[np.ndarray, ...]
 
 
 # ---------------------------------------------------------------------------
-# label domains and configs
+# label domains
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class LabelDomain:
-    """Distribution of one i.i.d. vertex label.
-
-    kind is one of "uniform" ([0,1) continuous), "centered_uniform"
-    ([-sqrt(3), sqrt(3)], mean 0 variance 1), "rademacher" (+-1), or
-    "alphabet" (uniform on {0..alphabet_size-1}).
+    """Finite distribution of one i.i.d. vertex label, which the exact route
+    enumerates: "rademacher" (+-1) or "alphabet" (uniform on
+    {0..alphabet_size-1}).
     """
 
     kind: str
     alphabet_size: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "centered_uniform", "rademacher", "alphabet"):
+        if self.kind not in ("rademacher", "alphabet"):
             raise ValueError(f"unknown label domain kind {self.kind!r}")
         if self.kind == "alphabet":
             if self.alphabet_size is None or self.alphabet_size < 2:
@@ -60,30 +60,15 @@ class LabelDomain:
         elif self.alphabet_size is not None:
             raise ValueError(f"{self.kind} domain takes no alphabet size")
 
-    @property
-    def is_discrete(self) -> bool:
-        return self.kind in ("rademacher", "alphabet")
-
-    @property
-    def is_centered(self) -> bool:
-        return self.kind in ("rademacher", "centered_uniform")
-
     def values(self) -> np.ndarray:
-        """Enumerable value set for discrete domains."""
+        """The label values, each equally likely."""
         if self.kind == "rademacher":
             return np.array([-1.0, 1.0])
-        if self.kind == "alphabet":
-            return np.arange(self.alphabet_size, dtype=np.float64)
-        raise ValueError(f"{self.kind} domain is not enumerable")
-
-    def tag(self) -> str:
-        if self.kind == "alphabet":
-            return f"alphabet:{self.alphabet_size}"
-        return self.kind
+        return np.arange(self.alphabet_size, dtype=np.float64)
 
 
 def parse_domain(tag) -> LabelDomain:
-    """Accept a LabelDomain or a string tag like "uniform" / "alphabet:2"."""
+    """Accept a LabelDomain or a string tag like "rademacher" / "alphabet:2"."""
     if isinstance(tag, LabelDomain):
         return tag
     if not isinstance(tag, str):
@@ -91,32 +76,6 @@ def parse_domain(tag) -> LabelDomain:
     if tag.startswith("alphabet:"):
         return LabelDomain("alphabet", int(tag.split(":", 1)[1]))
     return LabelDomain(tag)
-
-
-@dataclass(frozen=True, eq=False)
-class LabelConfig:
-    """One labeling of a ball; labels[v] is the label of vertex v."""
-
-    ball: TreeBall
-    domain: LabelDomain
-    labels: np.ndarray
-    seed: int | None = None
-
-
-def sample_iid(ball: TreeBall, domain, seed: int) -> LabelConfig:
-    """Draw i.i.d. labels; vertex v's label depends only on (seed, v)."""
-    domain = parse_domain(domain)
-    w = rng.words(seed, np.arange(ball.n))
-    if domain.kind == "uniform":
-        labels = rng.to_unit(w)
-    elif domain.kind == "centered_uniform":
-        labels = rng.to_centered_uniform(w)
-    elif domain.kind == "rademacher":
-        labels = rng.to_rademacher(w)
-    else:
-        labels = rng.to_alphabet(w, domain.alphabet_size).astype(np.float64)
-    labels.setflags(write=False)
-    return LabelConfig(ball, domain, labels, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +132,6 @@ def subtree_levels(ball: TreeBall, e: int, depth: int) -> Levels:
     return tuple(_grow_levels(ball, u, w, depth))
 
 
-def level_labels(config: LabelConfig, levels: Levels) -> Levels:
-    return tuple(config.labels[ids] for ids in levels)
-
-
 # ---------------------------------------------------------------------------
 # rule descriptors
 # ---------------------------------------------------------------------------
@@ -215,44 +170,6 @@ class EdgeRule:
     func: Callable[[Levels], float]
     symmetric: bool = False
     name: str = ""
-
-
-def evaluate_block_rule(rule: BlockRule, config: LabelConfig, v: int) -> float:
-    """Evaluate a block rule at vertex v; requires the r-view to be interior."""
-    if rule.domain is not None and parse_domain(rule.domain) != config.domain:
-        raise ValueError(
-            f"rule {rule.name!r} expects domain {rule.domain}, config has "
-            f"{config.domain.tag()}"
-        )
-    levels = vertex_ball_levels(config.ball, v, rule.radius)
-    return float(rule.func(level_labels(config, levels)))
-
-
-def evaluate_linear_rule(rule: LinearRule, config: LabelConfig, v: int) -> float:
-    """Evaluate a linear rule at v; the label domain must be centered."""
-    if not config.domain.is_centered:
-        raise ValueError(
-            f"linear rules need a centered domain, got {config.domain.tag()}"
-        )
-    levels = vertex_ball_levels(config.ball, v, rule.radius)
-    labs = level_labels(config, levels)
-    return math.fsum(a * float(lv.sum()) for a, lv in zip(rule.profile, labs))
-
-
-def edge_process_value(rule: EdgeRule, config: LabelConfig, e: int,
-                       require_symmetric: bool = False) -> float:
-    """Value of the edge process at e: the rule applied to the subtree view.
-
-    With require_symmetric=True an asymmetric rule is rejected, since its
-    value would depend on the canonical order rather than the subtree.
-    """
-    if require_symmetric and not rule.symmetric:
-        raise ValueError(
-            f"edge rule {rule.name!r} is not flagged symmetric; its value is "
-            f"not well defined on the unordered subtree"
-        )
-    levels = subtree_levels(config.ball, e, rule.depth)
-    return float(rule.func(level_labels(config, levels)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,44 +384,3 @@ BLOCK_RULE_FAMILIES = {
     "majority": lambda radius=1, **kw: majority_rule(int(radius)),
     "xor-pair": lambda **kw: xor_pair_rule(),
 }
-
-
-# ---------------------------------------------------------------------------
-# config file round-trip
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"NBCF"
-_KIND_CODES = {"uniform": 0, "centered_uniform": 1, "rademacher": 2, "alphabet": 3}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
-_HEADER = struct.Struct("<4sBBHHH4x")  # magic, version, kind, alphabet, d, R
-
-
-def save_config(config: LabelConfig, path) -> None:
-    """Write a config as a 16-byte header plus the raw float64 label vector."""
-    header = _HEADER.pack(
-        _MAGIC, 1, _KIND_CODES[config.domain.kind],
-        config.domain.alphabet_size or 0, config.ball.d, config.ball.radius,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(config.labels, dtype=np.float64).tobytes())
-
-
-def load_config(path, ball: TreeBall | None = None) -> LabelConfig:
-    """Read a config written by save_config; rebuilds the ball if not given."""
-    with open(path, "rb") as fh:
-        magic, version, kind, alpha, d, radius = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != _MAGIC or version != 1:
-            raise ValueError(f"not a config file: {path}")
-        if ball is None:
-            ball = build_ball(d, radius)
-        elif (ball.d, ball.radius) != (d, radius):
-            raise ValueError(
-                f"file is for d={d}, R={radius}, got ball d={ball.d}, R={ball.radius}"
-            )
-        labels = np.frombuffer(fh.read(8 * ball.n), dtype=np.float64).copy()
-    if len(labels) != ball.n:
-        raise ValueError(f"truncated config file: {path}")
-    labels.setflags(write=False)
-    domain = LabelDomain(_KIND_NAMES[kind], alpha if kind == 3 else None)
-    return LabelConfig(ball, domain, labels, None)

@@ -1,5 +1,6 @@
 """Per-vertex encoding of a labeled ball, and path reconstruction from codes.
 
+A labeling is a plain array, labels[v] the label of vertex v of the ball.
 A vertex code stores, level by level, the sorted label blocks of the
 rooted view around the vertex: own label, the sorted labels of all d
 neighbors, then per neighbor (taken in sorted order) the sorted labels of
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import rng
 from .errors import LabelCollisionError, ReconstructionError
-from .factor_engine import LabelConfig, sample_iid, vertex_ball_levels
+from .factor_engine import vertex_ball_levels
 from .tree_core import TreeBall, distances_from, path_vertices
 
 
@@ -41,13 +42,10 @@ class VertexCode:
     spheres: tuple[tuple[float, ...], ...]
 
 
-def encode_vertex(config: LabelConfig, v: int, depth: int) -> VertexCode:
-    """Encode the depth-D view around v; labels in the view must be distinct."""
-    if not config.domain.kind in ("uniform", "centered_uniform"):
-        raise ValueError(
-            f"encoding needs continuous labels, got {config.domain.tag()}"
-        )
-    view = [config.labels[ids].tolist() for ids in vertex_ball_levels(config.ball, v, depth)]
+def encode_vertex(ball: TreeBall, labels: np.ndarray, v: int, depth: int) -> VertexCode:
+    """Encode the depth-D view around v; labels[w] is vertex w's label, and
+    the labels in the view must be distinct."""
+    view = [labels[ids].tolist() for ids in vertex_ball_levels(ball, v, depth)]
     blocks: list[tuple[tuple[float, ...], ...]] = [((view[0][0],),)]
     order = [0]  # positions in the current level, in code order
     for j in range(1, depth + 1):
@@ -154,8 +152,10 @@ def roundtrip_check(ball: TreeBall, depth: int, trials: int, seed: int
 
     Pairs are drawn at distances 1..D+1 with both views interior.  Every
     trial either succeeds exactly, fails (counted, not raised), or hits a
-    label collision (counted separately).  The contract for continuous
-    labels is successes == trials with zero collisions.
+    label collision (counted separately).  Vertex v's label is the uniform
+    [0, 1) double of word v of the `seed` stream, so labels repeat with
+    negligible probability and the contract is successes == trials with
+    zero collisions.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -165,7 +165,7 @@ def roundtrip_check(ball: TreeBall, depth: int, trials: int, seed: int
             f"radius {ball.radius} too small for depth {depth}: need >= {min_radius} "
             f"so random interior pairs exist at every distance up to {depth + 1}"
         )
-    config = sample_iid(ball, "uniform", seed)
+    labels = rng.to_unit(rng.words(seed, np.arange(ball.n)))
     eligible = np.flatnonzero(ball.depth <= ball.radius - depth)
     bases = rng.words(seed ^ 0x5EED, np.arange(trials)).tolist()
     successes = 0
@@ -173,15 +173,15 @@ def roundtrip_check(ball: TreeBall, depth: int, trials: int, seed: int
     for base in bases:
         u, v, n = _draw_pair(ball, eligible, depth, base)
         try:
-            code_u = encode_vertex(config, u, depth)
-            code_v = encode_vertex(config, v, depth)
+            code_u = encode_vertex(ball, labels, u, depth)
+            code_v = encode_vertex(ball, labels, v, depth)
             got = reconstruct_path(code_u, code_v, n)
         except LabelCollisionError:
             collisions += 1
             continue
         except ReconstructionError:
             continue
-        truth = [float(config.labels[w]) for w in path_vertices(ball, u, v)[1:-1]]
+        truth = [float(labels[w]) for w in path_vertices(ball, u, v)[1:-1]]
         if got == truth:
             successes += 1
     return RoundtripResult(trials, successes, collisions)

@@ -119,6 +119,40 @@ def test_exact_corr_symmetrizes_order_sensitive_rules(capsys):
     assert row.split(",")[7] == "PASS"
 
 
+#: label domain of each rule family's exact row without --alphabet: the one
+#: the family declares (Rademacher for majority), else two letters
+FAMILY_DOMAINS = {"sum": "alphabet:2", "parity": "alphabet:2", "threshold": "alphabet:2",
+                  "majority": "rademacher", "xor-pair": "alphabet:2"}
+
+
+@pytest.mark.parametrize("rule", sorted(FAMILY_DOMAINS))
+def test_exact_corr_runs_each_family_on_its_domain(capsys, rule):
+    from nbtree import acceptance
+    from nbtree.factor_engine import BLOCK_RULE_FAMILIES
+
+    for d, k, r in ((3, 1, 1), (4, 2, 1), (3, 3, 2)):
+        code, out = run_cli(capsys, "exact-corr", "--d", str(d), "--k", str(k),
+                            "--rule", rule, "--r", str(r))
+        family = BLOCK_RULE_FAMILIES[rule](radius=r, theta=2.0)
+        assert json.loads(out) == acceptance.vertex_exact_row(d, k, family,
+                                                              FAMILY_DOMAINS[rule])
+
+
+def test_exact_corr_alphabet_overrides_the_family_domain(capsys):
+    from nbtree.factor_engine import vertex_ball_levels
+    from nbtree.tree_core import build_ball, vertices_at_distance
+
+    ball = build_ball(3, 2)
+    u, v = vertices_at_distance(ball, 1)
+    support = np.unique(np.concatenate(vertex_ball_levels(ball, u, 1)
+                                       + vertex_ball_levels(ball, v, 1)))
+    code, out = run_cli(capsys, "exact-corr", "--d", "3", "--k", "1", "--rule", "majority",
+                        "--alphabet", "3")
+    assert code in (0, 1)
+    assert json.loads(out)["n_samples"] == 3 ** len(support) == 729
+    assert main(["exact-corr", "--d", "3", "--rule", "majority", "--alphabet", "0"]) == 2
+
+
 def test_simulate_edge_command(capsys):
     code, out = run_cli(capsys, "simulate-edge", "--d", "3", "--k", "3",
                         "--samples", "5000", "--seed", "3", "--format", "csv")
@@ -202,8 +236,7 @@ def test_degenerate_monte_carlo_rows_fail(capsys, monkeypatch):
     # trivially meets any bound; such a row must FAIL and exit 1
     from nbtree import acceptance
 
-    monkeypatch.setattr(acceptance, "vertex_linear_sampler", _constant_pair_sampler)
-    monkeypatch.setattr(acceptance, "edge_linear_sampler", _constant_pair_sampler)
+    monkeypatch.setattr(acceptance, "linear_pair_sampler", _constant_pair_sampler)
     for argv in (["simulate-vertex", "--d", "3", "--k", "2", "--samples", "1000"],
                  ["simulate-edge", "--d", "3", "--k", "1", "--depth", "1",
                   "--samples", "1000"]):
@@ -216,8 +249,7 @@ def test_degenerate_monte_carlo_rows_fail(capsys, monkeypatch):
 def test_degenerate_monte_carlo_rows_fail_the_bound_sweep(monkeypatch):
     from nbtree import acceptance
 
-    monkeypatch.setattr(acceptance, "vertex_linear_sampler", _constant_pair_sampler)
-    monkeypatch.setattr(acceptance, "edge_linear_sampler", _constant_pair_sampler)
+    monkeypatch.setattr(acceptance, "linear_pair_sampler", _constant_pair_sampler)
     res = acceptance.criterion_bound_sweep(0, threads=1)
     mc_rows = [r for r in res["rows"] if r["mode"] == "mc"]
     assert not res["passed"] and res["n_fail"] == len(mc_rows) == 48

@@ -32,8 +32,8 @@ from nbtree.correlation import (
     rule_site,
     symmetrization_moment_check,
     verify_bound,
-    vertex_linear_sampler,
 )
+from nbtree.acceptance import edge_pair
 from nbtree.errors import CapExceededError, NonExchangeableError
 from nbtree.factor_engine import (
     LinearRule,
@@ -43,8 +43,10 @@ from nbtree.factor_engine import (
     linear_rule_covariance_exact,
     parity_rule,
     parse_domain,
+    subtree_levels,
     sum_rule,
     symmetrize_rule,
+    vertex_ball_levels,
 )
 from nbtree.nb_operator import walk_count
 from nbtree.tree_core import build_ball, cone, edge_between, path_vertices, vertices_at_distance
@@ -88,7 +90,8 @@ def test_mc_matches_exact_oracle():
     oracle = linear_rule_covariance_exact(d, rule.profile, k)
     ball = build_ball(d, 6 + (k + 1) // 2)
     u, v = vertices_at_distance(ball, k)
-    sampler = vertex_linear_sampler(ball, rule, u, v)
+    sampler = linear_pair_sampler(vertex_ball_levels(ball, u, 6), vertex_ball_levels(ball, v, 6),
+                                  rule.profile)
     est = monte_carlo_corr(sampler, 10_000, 42)
     assert abs(est.estimate - oracle.corr) <= 3 * est.stderr
 
@@ -111,26 +114,86 @@ def test_mc_degenerate_variance_flag():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_linear_sampler_estimate_matches_words2_reference(n_samples, threads):
     # the label kernel must reproduce to_rademacher(words2(...)) @ vec exactly,
-    # including a last chunk whose row count is not a multiple of 4
-    ball = build_ball(3, 5)
-    ids_a, ids_b = np.arange(0, 40), np.arange(20, 90)
-    ca = 0.5 + rng.to_unit(rng.words(1, ids_a))
-    cb = rng.to_unit(rng.words(2, ids_b)) - 0.25
-    support = np.arange(0, 90)
-    vec_a, vec_b = np.zeros(90), np.zeros(90)
-    vec_a[ids_a], vec_b[ids_b] = ca, cb
+    # including a last chunk whose row count is not a multiple of 4; two
+    # overlapping radius-3 views at d=4 span 89 support columns
+    ball = build_ball(4, 4)
+    u, v = vertices_at_distance(ball, 2)
+    levels_a, levels_b = vertex_ball_levels(ball, u, 3), vertex_ball_levels(ball, v, 3)
+    weights = rng.to_unit(rng.words(1, np.arange(4))) - 0.25
+    support = np.unique(np.concatenate(levels_a + levels_b))
+    vec_a, vec_b = np.zeros(len(support)), np.zeros(len(support))
+    for vec, levels in ((vec_a, levels_a), (vec_b, levels_b)):
+        for lv, w in zip(levels, weights):
+            vec[np.searchsorted(support, lv)] = w
 
     def reference(seed, idx):
         labels = rng.to_rademacher(rng.words2(seed, idx, support))
         return labels @ vec_a, labels @ vec_b
 
-    sampler = linear_pair_sampler(ball, ids_a, ca, ids_b, cb)
+    sampler = linear_pair_sampler(levels_a, levels_b, weights)
     for idx in (np.arange(4096), np.arange(16_384, n_samples)):
         for x, ref in zip(sampler(77, idx), reference(77, idx)):
             assert x.tobytes() == ref.tobytes()
     got = monte_carlo_corr(sampler, n_samples, 77, threads=threads)
     assert got == monte_carlo_corr(reference, n_samples, 77, threads=threads)
     assert not got.degenerate and got.estimate > 0.1
+
+
+def _coefficient_sampler(levels_a, levels_b, weights):
+    """The former sampler chain: per-vertex (id, coefficient) lists for each
+    view, scattered into the union support one coefficient at a time."""
+    def site_coefficients(levels):
+        ids = np.concatenate(levels)
+        coeff = np.concatenate([np.full(len(lv), float(w)) for lv, w in zip(levels, weights)])
+        return ids, coeff
+
+    ids_a, coeff_a = site_coefficients(levels_a)
+    ids_b, coeff_b = site_coefficients(levels_b)
+    support = np.unique(np.concatenate([ids_a, ids_b]))
+    vec_a = np.zeros(len(support))
+    vec_b = np.zeros(len(support))
+    pos = {int(v): i for i, v in enumerate(support)}
+    for v, c in zip(ids_a.tolist(), coeff_a.tolist()):
+        vec_a[pos[v]] += c
+    for v, c in zip(ids_b.tolist(), coeff_b.tolist()):
+        vec_b[pos[v]] += c
+
+    def sampler(seed, idx):
+        labels = rng.rademacher2(seed, idx, support)
+        return labels @ vec_a, labels @ vec_b
+
+    return sampler
+
+
+def _pair_views(shape, d, r, k, facing):
+    """Two radius-r vertex views k apart, or two depth-r subtree views behind
+    edges at edge distance k, on the balls the Monte Carlo rows use."""
+    if shape == "vertex":
+        ball = build_ball(d, (k + 1) // 2 + r)
+        u, v = vertices_at_distance(ball, k)
+        return vertex_ball_levels(ball, u, r), vertex_ball_levels(ball, v, r)
+    ball = build_ball(d, (k + 2) // 2 + r + 1)
+    e1, e2_same, e2_facing = edge_pair(ball, k)
+    e2 = e2_facing if facing else e2_same
+    return subtree_levels(ball, e1, r), subtree_levels(ball, e2, r)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["vertex", "edge"]), st.sampled_from([3, 4]), st.integers(0, 3),
+       st.integers(0, 5), st.booleans(),
+       st.one_of(st.none(), st.floats(-2.0, 2.0, allow_nan=False)),
+       st.sampled_from([0, 1, 2 ** 63, -977]), st.integers(0, 10 ** 6), st.integers(1, 600))
+@example("vertex", 3, 2, 0, False, None, 0, 0, 4096)  # k = 0: one support for both
+@example("edge", 4, 3, 0, True, None, 7, 0, 300)      # the two sides of one edge
+@example("vertex", 4, 3, 2, False, -0.0, 2 ** 63, 16_384, 600)
+def test_level_sampler_is_the_coefficient_sampler(shape, d, r, k, facing, rate, seed, lo, n):
+    levels_a, levels_b = _pair_views(shape, d, r, k, facing)
+    weights = geometric_profile(d, r, rate).profile
+    idx = np.arange(lo, lo + n, dtype=np.int64)
+    got = linear_pair_sampler(levels_a, levels_b, weights)(seed, idx)
+    want = _coefficient_sampler(levels_a, levels_b, weights)(seed, idx)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y) and x.tobytes() == y.tobytes()
 
 
 def test_degenerate_estimate_fails_its_verdict():

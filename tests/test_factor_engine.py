@@ -1,5 +1,9 @@
 """Rules over labeled balls: evaluation, locality, the covariance oracle,
-orbit averaging, and the config file format."""
+and orbit averaging.
+
+A rule is evaluated the way the exact route evaluates it: through its
+`rule_site`, on a plain label array with labels[v] the label of vertex v.
+"""
 
 import math
 from itertools import permutations
@@ -8,26 +12,18 @@ import numpy as np
 import pytest
 
 from nbtree import rng
+from nbtree.correlation import rule_site
 from nbtree.errors import CapExceededError, InteriorityError
 from nbtree.factor_engine import (
-    LabelConfig,
     LabelDomain,
     LinearRule,
     delta_profile,
-    edge_first_child_rule,
-    edge_process_value,
     edge_sum_rule,
     edge_tail_rule,
-    evaluate_block_rule,
-    evaluate_linear_rule,
     geometric_profile,
-    level_labels,
     linear_rule_covariance_exact,
-    load_config,
     orbit_size,
     parse_domain,
-    sample_iid,
-    save_config,
     subtree_levels,
     sum_rule,
     symmetrize_rule,
@@ -38,10 +34,26 @@ from nbtree.factor_engine import (
 from nbtree.tree_core import build_ball, vertex_distance, vertices_at_distance
 
 
-def _with_label(config, v, value):
-    labels = config.labels.copy()
+def _labels(ball, seed, domain="uniform"):
+    """One i.i.d. label per vertex of the ball, drawn from the `seed` stream."""
+    w = rng.words(seed, np.arange(ball.n))
+    if domain == "uniform":
+        return rng.to_unit(w)
+    if domain == "rademacher":
+        return rng.to_rademacher(w)
+    return rng.to_alphabet(w, 2).astype(np.float64)
+
+
+def _value(ball, rule, at, labels):
+    """The rule's value at vertex or edge `at`, as the exact route computes it."""
+    site = rule_site(ball, rule, at)
+    return site.func(labels[site.local_ids])
+
+
+def _with_label(labels, v, value):
+    labels = labels.copy()
     labels[v] = value
-    return LabelConfig(config.ball, config.domain, labels, None)
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -50,13 +62,12 @@ def _with_label(config, v, value):
 
 
 def test_parse_domain():
-    assert parse_domain("uniform").kind == "uniform"
+    assert parse_domain("rademacher").kind == "rademacher"
     assert parse_domain("alphabet:3").alphabet_size == 3
     assert parse_domain(LabelDomain("rademacher")).kind == "rademacher"
-    with pytest.raises(ValueError):
-        parse_domain("alphabet:1")
-    with pytest.raises(ValueError):
-        parse_domain("weird")
+    for bad in ("alphabet:1", "weird", "uniform", "centered_uniform"):
+        with pytest.raises(ValueError):
+            parse_domain(bad)
 
 
 def test_vertex_view_shape():
@@ -98,41 +109,32 @@ def test_subtree_view_shapes_and_interiority():
 
 def test_pointwise_rule_is_identity():
     ball = build_ball(3, 3)
-    cfg = sample_iid(ball, "uniform", 5)
+    labels = _labels(ball, 5)
     rule = sum_rule(0)
     for v in (0, 1, 7):
-        assert evaluate_block_rule(rule, cfg, v) == cfg.labels[v]
+        assert _value(ball, rule, v, labels) == labels[v]
 
 
 def test_radius1_sum_rule_matches_neighbors():
     ball = build_ball(3, 3)
-    cfg = sample_iid(ball, "uniform", 6)
+    labels = _labels(ball, 6)
     rule = sum_rule(1)
     v = 1
-    expected = cfg.labels[v] + sum(cfg.labels[u] for u in ball.neighbors(v))
-    assert evaluate_block_rule(rule, cfg, v) == pytest.approx(expected, rel=1e-15)
+    expected = labels[v] + sum(labels[u] for u in ball.neighbors(v))
+    assert _value(ball, rule, v, labels) == pytest.approx(expected, rel=1e-15)
 
 
 def test_block_rule_locality():
     ball = build_ball(3, 4)
-    cfg = sample_iid(ball, "uniform", 9)
+    labels = _labels(ball, 9)
     rule = sum_rule(1)
     v = 1
-    base = evaluate_block_rule(rule, cfg, v)
+    base = _value(ball, rule, v, labels)
     far = [u for u in range(ball.n) if vertex_distance(ball, u, v) == 2]
     for trial in range(100):
         u = far[trial % len(far)]
-        modified = _with_label(cfg, u, float(trial) + 2.0)
-        assert evaluate_block_rule(rule, modified, v) == base
-
-
-def test_rule_domain_mismatch_rejected():
-    ball = build_ball(3, 3)
-    cfg = sample_iid(ball, "uniform", 1)
-    from nbtree.factor_engine import parity_rule
-
-    with pytest.raises(ValueError):
-        evaluate_block_rule(parity_rule(1), cfg, 1)
+        modified = _with_label(labels, u, float(trial) + 2.0)
+        assert _value(ball, rule, v, modified) == base
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +144,15 @@ def test_rule_domain_mismatch_rejected():
 
 def test_linear_rule_delta_profile():
     ball = build_ball(3, 3)
-    cfg = sample_iid(ball, "rademacher", 3)
-    assert evaluate_linear_rule(delta_profile(), cfg, 2) == cfg.labels[2]
-
-
-def test_linear_rule_rejects_uncentered_domain():
-    ball = build_ball(3, 3)
-    cfg = sample_iid(ball, "uniform", 3)
-    with pytest.raises(ValueError):
-        evaluate_linear_rule(delta_profile(), cfg, 0)
+    labels = _labels(ball, 3, "rademacher")
+    assert _value(ball, delta_profile(), 2, labels) == labels[2]
 
 
 def test_linear_rule_zero_profile():
     ball = build_ball(3, 3)
-    cfg = sample_iid(ball, "rademacher", 4)
+    labels = _labels(ball, 4, "rademacher")
     rule = LinearRule(1, (0.0, 0.0))
-    assert evaluate_linear_rule(rule, cfg, 1) == 0.0
+    assert _value(ball, rule, 1, labels) == 0.0
 
 
 def test_profile_length_checked():
@@ -244,11 +239,11 @@ def test_orbit_sizes():
 
 def test_symmetric_rule_is_fixed_point():
     ball = build_ball(3, 3)
-    cfg = sample_iid(ball, "alphabet:2", 11)
+    labels = _labels(ball, 11, "alphabet:2")
     rule = sum_rule(1)
     sym = symmetrize_rule(rule, 3)
     for v in (0, 1, 3):
-        assert evaluate_block_rule(sym, cfg, v) == evaluate_block_rule(rule, cfg, v)
+        assert _value(ball, sym, v, labels) == _value(ball, rule, v, labels)
 
 
 def test_constant_rule_unchanged():
@@ -257,8 +252,7 @@ def test_constant_rule_unchanged():
     const = BlockRule(1, lambda lv: 7.5, symmetric=False, name="const")
     sym = symmetrize_rule(const, 3)
     ball = build_ball(3, 3)
-    cfg = sample_iid(ball, "uniform", 2)
-    assert evaluate_block_rule(sym, cfg, 1) == 7.5
+    assert _value(ball, sym, 1, _labels(ball, 2)) == 7.5
 
 
 def test_xor_pair_average_is_mean_over_neighbors():
@@ -268,12 +262,12 @@ def test_xor_pair_average_is_mean_over_neighbors():
     rule = xor_pair_rule()
     sym = symmetrize_rule(rule, 3)
     for seed in range(20):
-        cfg = sample_iid(ball, "alphabet:2", seed)
+        labels = _labels(ball, seed, "alphabet:2")
         v = 1
-        root = int(cfg.labels[v])
-        nbrs = [int(cfg.labels[u]) for u in ball.neighbors(v)]
+        root = int(labels[v])
+        nbrs = [int(labels[u]) for u in ball.neighbors(v)]
         expected = sum(root ^ b for b in nbrs) / 3.0
-        assert evaluate_block_rule(sym, cfg, v) == pytest.approx(expected, rel=1e-14)
+        assert _value(ball, sym, v, labels) == pytest.approx(expected, rel=1e-14)
 
 
 def test_orbit_average_by_direct_enumeration_depth2():
@@ -281,9 +275,9 @@ def test_orbit_average_by_direct_enumeration_depth2():
     ball = build_ball(3, 4)
     rule = table_block_rule(2, 3, 2, seed=5)
     sym = symmetrize_rule(rule, 3)
-    cfg = sample_iid(ball, "alphabet:2", 13)
+    labels = _labels(ball, 13, "alphabet:2")
     v = 1
-    levels = level_labels(cfg, vertex_ball_levels(ball, v, 2))
+    levels = tuple(labels[ids] for ids in vertex_ball_levels(ball, v, 2))
     l0, l1, l2 = levels
     total = 0.0
     count = 0
@@ -299,7 +293,7 @@ def test_orbit_average_by_direct_enumeration_depth2():
                     total += rule.func((l0, new_l1, new_l2))
                     count += 1
     assert count == orbit_size(2, 3, 3)
-    assert evaluate_block_rule(sym, cfg, v) == pytest.approx(total / count, rel=1e-12)
+    assert _value(ball, sym, v, labels) == pytest.approx(total / count, rel=1e-12)
 
 
 def test_symmetrize_caps():
@@ -320,17 +314,17 @@ def test_symmetrize_caps():
 
 def test_edge_tail_rule_reads_tail_label():
     ball = build_ball(3, 3)
-    cfg = sample_iid(ball, "uniform", 21)
+    labels = _labels(ball, 21)
     e = 3  # toward edge of vertex 2
-    assert edge_process_value(edge_tail_rule(), cfg, e) == cfg.labels[ball.edge_tail(e)]
+    assert _value(ball, edge_tail_rule(), e, labels) == labels[ball.edge_tail(e)]
 
 
 def test_symmetric_edge_rule_invariant_under_child_order():
     ball = build_ball(3, 4)
-    cfg = sample_iid(ball, "uniform", 22)
+    labels = _labels(ball, 22)
     rule = edge_sum_rule(1)
     e = 2 * (1 - 1) + 1  # toward edge of vertex 1
-    levels = level_labels(cfg, subtree_levels(ball, e, 1))
+    levels = tuple(labels[ids] for ids in subtree_levels(ball, e, 1))
     base = rule.func(levels)
     for trial in range(20):
         perm = rng.randint(50 + trial, np.arange(2), 2)
@@ -339,47 +333,14 @@ def test_symmetric_edge_rule_invariant_under_child_order():
         assert rule.func(permuted) == base
 
 
-def test_asymmetric_edge_rule_rejected_when_symmetry_required():
-    ball = build_ball(3, 3)
-    cfg = sample_iid(ball, "uniform", 23)
-    with pytest.raises(ValueError):
-        edge_process_value(edge_first_child_rule(), cfg, 1, require_symmetric=True)
-
-
 def test_edge_rule_locality():
     ball = build_ball(3, 4)
-    cfg = sample_iid(ball, "uniform", 24)
+    labels = _labels(ball, 24)
     rule = edge_sum_rule(1)
     e = 2 * (1 - 1) + 1  # subtree behind vertex 1
     inside = set(np.concatenate(subtree_levels(ball, e, 1)).tolist())
-    base = edge_process_value(rule, cfg, e)
+    base = _value(ball, rule, e, labels)
     for u in range(ball.n):
         if u in inside:
             continue
-        assert edge_process_value(rule, _with_label(cfg, u, 99.0), e) == base
-
-
-# ---------------------------------------------------------------------------
-# config files
-# ---------------------------------------------------------------------------
-
-
-def test_config_roundtrip(tmp_path):
-    ball = build_ball(3, 3)
-    cfg = sample_iid(ball, "alphabet:3", 17)
-    path = tmp_path / "labels.nbcf"
-    save_config(cfg, path)
-    back = load_config(path)
-    assert back.ball.d == 3 and back.ball.radius == 3
-    assert back.domain == cfg.domain
-    assert np.array_equal(back.labels, cfg.labels)
-    assert path.stat().st_size == 16 + 8 * ball.n
-
-
-def test_config_rejects_wrong_ball(tmp_path):
-    ball = build_ball(3, 3)
-    cfg = sample_iid(ball, "uniform", 1)
-    path = tmp_path / "labels.nbcf"
-    save_config(cfg, path)
-    with pytest.raises(ValueError):
-        load_config(path, ball=build_ball(3, 4))
+        assert _value(ball, rule, e, _with_label(labels, u, 99.0)) == base

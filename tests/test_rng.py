@@ -1,4 +1,4 @@
-"""Counter-based generator: determinism, domains, and marginal frequencies."""
+"""Counter-based generator: determinism, label maps, and marginal frequencies."""
 
 import hashlib
 
@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbtree import rng
-from nbtree.factor_engine import sample_iid
 from nbtree.tree_core import build_ball
 
 
@@ -53,13 +52,18 @@ def test_rademacher_and_centered_uniform():
     assert abs(float((cu * cu).mean()) - 1.0) < 0.03
 
 
+def _vertex_words(ball, seed):
+    return rng.words(seed, np.arange(ball.n))
+
+
 def test_config_determinism_and_domains():
     ball = build_ball(3, 5)
-    c1 = sample_iid(ball, "alphabet:2", 7)
-    c2 = sample_iid(ball, "alphabet:2", 7)
-    assert np.array_equal(c1.labels, c2.labels)
-    rad = sample_iid(ball, "rademacher", 7)
-    assert set(np.unique(rad.labels).tolist()) == {-1.0, 1.0}
+    c1 = rng.to_alphabet(_vertex_words(ball, 7), 2)
+    c2 = rng.to_alphabet(_vertex_words(ball, 7), 2)
+    assert np.array_equal(c1, c2)
+    assert set(np.unique(c1).tolist()) == {0, 1}
+    rad = rng.to_rademacher(_vertex_words(ball, 7))
+    assert set(np.unique(rad).tolist()) == {-1.0, 1.0}
 
 
 def test_alphabet_frequency_concentration():
@@ -68,8 +72,8 @@ def test_alphabet_frequency_concentration():
     ball = build_ball(3, 15)
     assert ball.n == 98302
     for seed in range(5):
-        cfg = sample_iid(ball, "alphabet:2", seed)
-        freq = float(np.mean(cfg.labels == 0.0))
+        labels = rng.to_alphabet(_vertex_words(ball, seed), 2)
+        freq = float(np.mean(labels == 0))
         assert 0.497 <= freq <= 0.503
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from nbtree import rng
 from nbtree.errors import LabelCollisionError, ReconstructionError
-from nbtree.factor_engine import LabelConfig, sample_iid
 from nbtree.tree_core import build_ball, distances_from, path_vertices, vertex_distance
 from nbtree.universal_factor import (
     VertexCode,
@@ -20,10 +19,14 @@ from nbtree.universal_factor import (
 )
 
 
-def _swap_subtrees(config, a, b):
+def _uniform_labels(ball, seed):
+    """One uniform [0, 1) label per vertex, drawn from the `seed` stream."""
+    return rng.to_unit(rng.words(seed, np.arange(ball.n)))
+
+
+def _swap_subtrees(ball, labels, a, b):
     """Exchange the labels of the subtrees rooted at siblings a and b."""
-    ball = config.ball
-    labels = config.labels.copy()
+    labels = labels.copy()
 
     def collect(root):
         out = [root]
@@ -40,22 +43,21 @@ def _swap_subtrees(config, a, b):
     assert len(ta) == len(tb)
     for x, y in zip(ta, tb):
         labels[x], labels[y] = labels[y], labels[x]
-    return LabelConfig(ball, config.domain, labels, None)
+    return labels
 
 
 def test_depth_zero_code_is_own_label():
     ball = build_ball(3, 2)
-    cfg = sample_iid(ball, "uniform", 1)
-    code = encode_vertex(cfg, 0, 0)
-    assert code.blocks == (((float(cfg.labels[0]),),),)
-    assert code.spheres == ((float(cfg.labels[0]),),)
+    labels = _uniform_labels(ball, 1)
+    code = encode_vertex(ball, labels, 0, 0)
+    assert code.blocks == (((float(labels[0]),),),)
+    assert code.spheres == ((float(labels[0]),),)
 
 
 def test_block_sizes_follow_level_pattern():
     d = 3
     ball = build_ball(d, 4)
-    cfg = sample_iid(ball, "uniform", 2)
-    code = encode_vertex(cfg, 0, 3)
+    code = encode_vertex(ball, _uniform_labels(ball, 2), 0, 3)
     level_sizes = [sum(len(b) for b in level) for level in code.blocks]
     assert level_sizes == [1, d, d * (d - 1), d * (d - 1) ** 2]
     assert len(code.blocks[1]) == 1 and len(code.blocks[1][0]) == d
@@ -64,73 +66,70 @@ def test_block_sizes_follow_level_pattern():
 
 def test_spheres_match_ground_truth_multisets():
     ball = build_ball(3, 4)
-    cfg = sample_iid(ball, "uniform", 3)
+    labels = _uniform_labels(ball, 3)
     v = 1
-    code = encode_vertex(cfg, v, 3)
+    code = encode_vertex(ball, labels, v, 3)
     for j in range(4):
-        truth = sorted(float(cfg.labels[u]) for u in range(ball.n)
+        truth = sorted(float(labels[u]) for u in range(ball.n)
                        if vertex_distance(ball, u, v) == j)
         assert list(code.spheres[j]) == truth
 
 
 def test_code_invariant_under_sibling_swap():
     ball = build_ball(3, 4)
-    cfg = sample_iid(ball, "uniform", 4)
+    labels = _uniform_labels(ball, 4)
     c1, c2 = (int(c) for c in ball.children(1))
-    swapped = _swap_subtrees(cfg, c1, c2)
-    assert encode_vertex(cfg, 1, 3) == encode_vertex(swapped, 1, 3)
+    swapped = _swap_subtrees(ball, labels, c1, c2)
+    assert encode_vertex(ball, labels, 1, 3) == encode_vertex(ball, swapped, 1, 3)
 
 
 def test_collision_raises():
     ball = build_ball(3, 2)
-    cfg = sample_iid(ball, "uniform", 5)
-    labels = cfg.labels.copy()
+    labels = _uniform_labels(ball, 5)
     labels[2] = labels[1]
-    bad = LabelConfig(ball, cfg.domain, labels, None)
     with pytest.raises(LabelCollisionError):
-        encode_vertex(bad, 0, 1)
+        encode_vertex(ball, labels, 0, 1)
 
 
-def test_discrete_labels_rejected():
+def test_discrete_labels_collide():
+    # four labels from {0, 1} in a radius-1 view must repeat one
     ball = build_ball(3, 2)
-    cfg = sample_iid(ball, "alphabet:2", 6)
-    with pytest.raises(ValueError):
-        encode_vertex(cfg, 0, 1)
+    labels = rng.to_alphabet(rng.words(6, np.arange(ball.n)), 2).astype(np.float64)
+    with pytest.raises(LabelCollisionError):
+        encode_vertex(ball, labels, 0, 1)
 
 
-def _walk_encode_vertex(config, v, depth):
+def _walk_encode_vertex(ball, labels, v, depth):
     """The former encode_vertex: its own neighbour walk, collisions checked
     level by level."""
-    ball = config.ball
-    labels = config.labels
     blocks = [((float(labels[v]),),)]
     spheres = [(float(labels[v]),)]
     seen = {float(labels[v])}
     order = [(v, -1)]
     for _ in range(depth):
-        level_blocks, nxt, level_labels = [], [], []
+        level_blocks, nxt, sphere_labels = [], [], []
         for w, frm in order:
             outward = [int(u) for u in ball.neighbors(w) if int(u) != frm]
             outward.sort(key=lambda u: float(labels[u]))
             block = tuple(float(labels[u]) for u in outward)
             level_blocks.append(block)
-            level_labels.extend(block)
+            sphere_labels.extend(block)
             nxt.extend((u, w) for u in outward)
-        for x in level_labels:
+        for x in sphere_labels:
             if x in seen:
                 raise LabelCollisionError(
                     f"duplicate label {x!r} in the depth-{depth} view around {v}"
                 )
             seen.add(x)
         blocks.append(tuple(level_blocks))
-        spheres.append(tuple(sorted(level_labels)))
+        spheres.append(tuple(sorted(sphere_labels)))
         order = nxt
     return VertexCode(v, depth, tuple(blocks), tuple(spheres))
 
 
-def _code_or_error(encode, config, v, depth):
+def _code_or_error(encode, ball, labels, v, depth):
     try:
-        return encode(config, v, depth)
+        return encode(ball, labels, v, depth)
     except LabelCollisionError as exc:
         return ("collision", str(exc))
 
@@ -143,17 +142,16 @@ def test_encode_vertex_matches_the_neighbour_walk(d, depth, pick, seed, labels, 
     ball = build_ball(d, depth + 1)
     eligible = np.flatnonzero(ball.depth <= 1)
     v = int(eligible[pick % len(eligible)])
-    cfg = sample_iid(ball, "centered_uniform" if labels == "centered_uniform" else "uniform",
-                     seed)
-    values = cfg.labels.copy()
+    words = rng.words(seed, np.arange(ball.n))
+    values = (rng.to_centered_uniform(words) if labels == "centered_uniform"
+              else rng.to_unit(words))
     if labels == "few":  # ties inside one block, signed zeros
         values = np.array([-0.0, 0.0, 0.25, 0.5])[rng.randint(seed, np.arange(ball.n), 4)]
     view = np.flatnonzero(distances_from(ball, v) <= depth)
     for a, b in copies:  # collisions anywhere in the view
         values[view[b % len(view)]] = values[view[a % len(view)]]
-    cfg = LabelConfig(ball, cfg.domain, values, None)
-    got = _code_or_error(encode_vertex, cfg, v, depth)
-    want = _code_or_error(_walk_encode_vertex, cfg, v, depth)
+    got = _code_or_error(encode_vertex, ball, values, v, depth)
+    want = _code_or_error(_walk_encode_vertex, ball, values, v, depth)
     assert got == want
     if isinstance(want, VertexCode):
         for field in ("center", "depth", "blocks", "spheres"):
@@ -162,17 +160,15 @@ def test_encode_vertex_matches_the_neighbour_walk(d, depth, pick, seed, labels, 
 
 def test_collision_inside_the_view_names_the_first_duplicate():
     ball = build_ball(3, 3)
-    cfg = sample_iid(ball, "uniform", 5)
-    labels = cfg.labels.copy()
+    labels = _uniform_labels(ball, 5)
     v = 1
     grandchildren = [int(u) for u in range(ball.n) if vertex_distance(ball, v, u) == 2]
     labels[grandchildren[-1]] = labels[grandchildren[0]]
     labels[0] = labels[int(ball.children(v)[0])]
-    bad = LabelConfig(ball, cfg.domain, labels, None)
     with pytest.raises(LabelCollisionError) as got:
-        encode_vertex(bad, v, 2)
+        encode_vertex(ball, labels, v, 2)
     with pytest.raises(LabelCollisionError) as want:
-        _walk_encode_vertex(bad, v, 2)
+        _walk_encode_vertex(ball, labels, v, 2)
     assert str(got.value) == str(want.value)
     assert repr(float(labels[0])) in str(got.value)
 
@@ -184,35 +180,34 @@ def test_collision_inside_the_view_names_the_first_duplicate():
 
 def test_adjacent_vertices_reconstruct_empty_path():
     ball = build_ball(3, 3)
-    cfg = sample_iid(ball, "uniform", 7)
-    code_u = encode_vertex(cfg, 0, 1)
-    code_v = encode_vertex(cfg, 1, 1)
+    labels = _uniform_labels(ball, 7)
+    code_u = encode_vertex(ball, labels, 0, 1)
+    code_v = encode_vertex(ball, labels, 1, 1)
     assert reconstruct_path(code_u, code_v, 1) == []
 
 
 def test_distance_two_reconstructs_midpoint():
     ball = build_ball(3, 3)
-    cfg = sample_iid(ball, "uniform", 8)
+    labels = _uniform_labels(ball, 8)
     c1, c2 = (int(c) for c in ball.children(0)[:2])
-    code_u = encode_vertex(cfg, c1, 1)
-    code_v = encode_vertex(cfg, c2, 1)
-    assert reconstruct_path(code_u, code_v, 2) == [float(cfg.labels[0])]
+    code_u = encode_vertex(ball, labels, c1, 1)
+    code_v = encode_vertex(ball, labels, c2, 1)
+    assert reconstruct_path(code_u, code_v, 2) == [float(labels[0])]
 
 
 def test_wrong_distance_detected():
     ball = build_ball(3, 4)
-    cfg = sample_iid(ball, "uniform", 9)
+    labels = _uniform_labels(ball, 9)
     c1, c2 = (int(c) for c in ball.children(0)[:2])
-    code_u = encode_vertex(cfg, c1, 2)
-    code_v = encode_vertex(cfg, c2, 2)
+    code_u = encode_vertex(ball, labels, c1, 2)
+    code_v = encode_vertex(ball, labels, c2, 2)
     with pytest.raises(ReconstructionError):
         reconstruct_path(code_u, code_v, 3)  # true distance is 2
 
 
 def test_depth_preconditions():
     ball = build_ball(3, 3)
-    cfg = sample_iid(ball, "uniform", 10)
-    code = encode_vertex(cfg, 0, 1)
+    code = encode_vertex(ball, _uniform_labels(ball, 10), 0, 1)
     with pytest.raises(ValueError):
         reconstruct_path(code, code, 3)
 
@@ -220,7 +215,7 @@ def test_depth_preconditions():
 def test_random_distance4_pairs_reconstruct_exactly():
     # 1000 random pairs at distance exactly 4 with depth-4 codes
     ball = build_ball(3, 7)
-    cfg = sample_iid(ball, "uniform", 11)
+    labels = _uniform_labels(ball, 11)
     eligible = np.flatnonzero(ball.depth <= 3)
     successes = 0
     trials = 0
@@ -236,10 +231,10 @@ def test_random_distance4_pairs_reconstruct_exactly():
         if ball.depth[v] > 3:
             continue
         trials += 1
-        code_u = encode_vertex(cfg, u, 4)
-        code_v = encode_vertex(cfg, v, 4)
+        code_u = encode_vertex(ball, labels, u, 4)
+        code_v = encode_vertex(ball, labels, v, 4)
         got = reconstruct_path(code_u, code_v, 4)
-        truth = [float(cfg.labels[w]) for w in path_vertices(ball, u, v)[1:-1]]
+        truth = [float(labels[w]) for w in path_vertices(ball, u, v)[1:-1]]
         if got == truth:
             successes += 1
     assert successes == 1000
@@ -249,14 +244,15 @@ def test_label_map_equivariance():
     # applying a strictly increasing map commutes with encoding and
     # reconstruction (labels are in [0, 1), so squaring is increasing)
     ball = build_ball(3, 5)
-    cfg = sample_iid(ball, "uniform", 12)
-    mapped = LabelConfig(ball, cfg.domain, cfg.labels ** 2, None)
+    labels = _uniform_labels(ball, 12)
+    mapped = labels ** 2
     u, v = 1, 2
     n = vertex_distance(ball, u, v)
-    code_u, code_m = encode_vertex(cfg, u, 3), encode_vertex(mapped, u, 3)
+    code_u, code_m = encode_vertex(ball, labels, u, 3), encode_vertex(ball, mapped, u, 3)
     assert code_m.spheres == tuple(tuple(x * x for x in s) for s in code_u.spheres)
-    got = reconstruct_path(encode_vertex(cfg, u, 3), encode_vertex(cfg, v, 3), n)
-    got_m = reconstruct_path(encode_vertex(mapped, u, 3), encode_vertex(mapped, v, 3), n)
+    got = reconstruct_path(encode_vertex(ball, labels, u, 3), encode_vertex(ball, labels, v, 3), n)
+    got_m = reconstruct_path(encode_vertex(ball, mapped, u, 3),
+                             encode_vertex(ball, mapped, v, 3), n)
     assert got_m == [x * x for x in got]
 
 

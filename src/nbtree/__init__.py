@@ -39,7 +39,6 @@ from .errors import (
 from .factor_engine import (
     BlockRule,
     EdgeRule,
-    LabelDomain,
     LinearRule,
     linear_rule_covariance_exact,
     symmetrize_rule,

@@ -229,7 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, k=1)
     rows(p)
     threads(p)
-    p.add_argument("--rule", choices=("linear",), default="linear")
     p.add_argument("--profile", choices=("geometric", "flat"), default="geometric")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="geometric decay rate (default 1/sqrt(d-1))")

@@ -3,8 +3,10 @@
 Two independent computation routes coexist deliberately:
 
 * an exact route that enumerates every labeling of the (small) union of
-  rule supports, with per-site value tables so the enumeration itself is
-  vectorized, and
+  rule supports: every observable is built from the value tables of
+  `rule_site` sites, one per rule placement, reduced over their rows (a
+  view of process values runs its rule once per distinct value tuple;
+  `sum_rule(0)` makes the raw labels such a process), and
 * a Monte Carlo route with counter-based sampling, fixed-size chunks and
   a fixed reduction order, so estimates are byte-stable under any thread
   count.
@@ -33,7 +35,7 @@ from .factor_engine import (
     EdgeRule,
     LinearRule,
     Levels,
-    parse_domain,
+    domain_values,
     subtree_levels,
     symmetrize_rule,
     vertex_ball_levels,
@@ -239,32 +241,6 @@ def rule_site(ball: TreeBall, rule, at) -> Site:
     return Site(flat_ids, func)
 
 
-def composite_edge_site(ball: TreeBall, e: int, view_rule: EdgeRule,
-                        process_rule: BlockRule | None) -> Site:
-    """Site for a subtree-view rule applied to a (possibly factored) process.
-
-    With a process rule g, the observable is view_rule evaluated on the
-    g-values of the subtree vertices, so the site's label support is the
-    union of the g-supports.
-    """
-    view_levels = subtree_levels(ball, e, view_rule.depth)
-    if process_rule is None:
-        return rule_site(ball, view_rule, e)
-
-    view_sizes = [len(lv) for lv in view_levels]
-    g_sites = [rule_site(ball, process_rule, w) for w in np.concatenate(view_levels).tolist()]
-    local_ids = np.unique(np.concatenate([s.local_ids for s in g_sites]))
-    # column of each g-site's labels in the composite's sorted support
-    g_cols = [(s.func, np.searchsorted(local_ids, s.local_ids)) for s in g_sites]
-    f = view_rule.func
-
-    def func(flat: np.ndarray) -> float:
-        xs = np.array([g(flat[cols]) for g, cols in g_cols])
-        return float(f(_split(xs, view_sizes)))
-
-    return Site(local_ids, func)
-
-
 def _site_values(ball: TreeBall, domain, sites: Sequence[Site]
                  ) -> tuple[np.ndarray, int]:
     """Values of every site under every labeling of the union support.
@@ -276,7 +252,7 @@ def _site_values(ball: TreeBall, domain, sites: Sequence[Site]
     as an (A,)*|support| array, a site's row varies only along the axes of
     the positions it reads.  The local ids of a site must be distinct.
     """
-    values = parse_domain(domain).values()
+    values = domain_values(domain)
     a_size = len(values)
 
     support = np.unique(np.concatenate([s.local_ids for s in sites]))
@@ -417,27 +393,47 @@ class SymmetrizationCheck:
                 and self.variance_gap_1 >= -1e-12)
 
 
+def _view_values(g: np.ndarray, sizes: Sequence[int], funcs) -> list[np.ndarray]:
+    """Each view func on the process values of every configuration.
+
+    Row i of g holds the process value at view vertex i for every
+    configuration.  Columns are numbered by their distinct tuples, one row
+    at a time with codes kept below the column count, so each func runs
+    once per distinct tuple and its results are gathered back.
+    """
+    codes = np.zeros(g.shape[1], dtype=np.int64)
+    for row in g:
+        vals, digit = np.unique(row, return_inverse=True)
+        _, first, codes = np.unique(codes * len(vals) + digit,
+                                    return_index=True, return_inverse=True)
+    cols = g[:, first].T
+    return [np.array([float(f(_split(c, sizes))) for c in cols])[codes] for f in funcs]
+
+
 def symmetrization_moment_check(ball: TreeBall, e1: int, e2: int,
-                                view_rule: EdgeRule, domain,
-                                process_rule: BlockRule | None = None
+                                view_rule: EdgeRule, domain, process_rule: BlockRule
                                 ) -> SymmetrizationCheck:
     """Compare a subtree-view rule f with its orbit average on an edge pair.
 
-    The pair (view at e1, view at e2) must be exchangeable and invariant
-    under independent view automorphisms, which holds whenever the two
-    subtrees are disjoint and the underlying process is equivariant (the
-    raw i.i.d. labels or a block factor of them).
+    The observable at e is f of the process values g(w), g = process_rule,
+    at the vertices w of the subtree view behind e; pass sum_rule(0) for
+    the raw i.i.d. labels.  The pair (view at e1, view at e2) must be
+    exchangeable and invariant under independent view automorphisms,
+    which holds whenever the two subtrees are disjoint and g is
+    equivariant.
     """
     f_bar = symmetrize_rule(view_rule, ball.d)
-    sites = [
-        composite_edge_site(ball, e1, view_rule, process_rule),
-        composite_edge_site(ball, e2, view_rule, process_rule),
-        composite_edge_site(ball, e1, f_bar, process_rule),
-        composite_edge_site(ball, e2, f_bar, process_rule),
-    ]
-    vals, n_cfg = _site_values(ball, domain, sites)
+    sites: list[Site] = []
+    views = []
+    for e in (e1, e2):
+        levels = subtree_levels(ball, e, view_rule.depth)
+        flat = np.concatenate(levels).tolist()
+        views.append((slice(len(sites), len(sites) + len(flat)), [len(lv) for lv in levels]))
+        sites += [rule_site(ball, process_rule, w) for w in flat]
+    g, n_cfg = _site_values(ball, domain, sites)
+    (f1, b1), (f2, b2) = (_view_values(g[rows], sizes, (view_rule.func, f_bar.func))
+                          for rows, sizes in views)
     n = float(n_cfg)
-    f1, f2, b1, b2 = vals
 
     def mean(x):
         return compensated_sum(x) / n

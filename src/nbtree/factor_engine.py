@@ -41,41 +41,18 @@ Levels = tuple[np.ndarray, ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabelDomain:
-    """Finite distribution of one i.i.d. vertex label, which the exact route
-    enumerates: "rademacher" (+-1) or "alphabet" (uniform on
-    {0..alphabet_size-1}).
+def domain_values(tag: str) -> np.ndarray:
+    """The equally likely values of one i.i.d. vertex label, which the exact
+    route enumerates: "rademacher" (+-1) or "alphabet:A" ({0..A-1}).
     """
-
-    kind: str
-    alphabet_size: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("rademacher", "alphabet"):
-            raise ValueError(f"unknown label domain kind {self.kind!r}")
-        if self.kind == "alphabet":
-            if self.alphabet_size is None or self.alphabet_size < 2:
-                raise ValueError("alphabet domain needs alphabet_size >= 2")
-        elif self.alphabet_size is not None:
-            raise ValueError(f"{self.kind} domain takes no alphabet size")
-
-    def values(self) -> np.ndarray:
-        """The label values, each equally likely."""
-        if self.kind == "rademacher":
-            return np.array([-1.0, 1.0])
-        return np.arange(self.alphabet_size, dtype=np.float64)
-
-
-def parse_domain(tag) -> LabelDomain:
-    """Accept a LabelDomain or a string tag like "rademacher" / "alphabet:2"."""
-    if isinstance(tag, LabelDomain):
-        return tag
-    if not isinstance(tag, str):
-        raise ValueError(f"cannot parse label domain from {tag!r}")
-    if tag.startswith("alphabet:"):
-        return LabelDomain("alphabet", int(tag.split(":", 1)[1]))
-    return LabelDomain(tag)
+    if tag == "rademacher":
+        return np.array([-1.0, 1.0])
+    if isinstance(tag, str) and tag.startswith("alphabet:"):
+        size = int(tag.split(":", 1)[1])
+        if size < 2:
+            raise ValueError("alphabet domain needs alphabet_size >= 2")
+        return np.arange(size, dtype=np.float64)
+    raise ValueError(f"unknown label domain {tag!r}")
 
 
 # ---------------------------------------------------------------------------

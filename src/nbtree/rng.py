@@ -8,8 +8,6 @@ target distribution at the end.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -22,8 +20,6 @@ _ONE_BITS = np.uint64(0x3FF0000000000000)  # IEEE-754 bits of 1.0
 
 #: words per row block in rademacher2: 256 KiB, which stays in L2
 _BLOCK_WORDS = 1 << 15
-
-SQRT3 = math.sqrt(3.0)
 
 
 def _premix(z: np.ndarray, t: np.ndarray) -> None:
@@ -112,11 +108,6 @@ def to_alphabet(w: np.ndarray, size: int) -> np.ndarray:
 def to_rademacher(w: np.ndarray) -> np.ndarray:
     """Map uint64 words to +-1 with equal probability."""
     return 1.0 - 2.0 * (w >> np.uint64(63)).astype(np.float64)
-
-
-def to_centered_uniform(w: np.ndarray) -> np.ndarray:
-    """Map uint64 words to uniform on [-sqrt(3), sqrt(3)] (mean 0, variance 1)."""
-    return (to_unit(w) - 0.5) * (2.0 * SQRT3)
 
 
 def randint(seed: int, index, n: int) -> np.ndarray:

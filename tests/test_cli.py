@@ -1,5 +1,6 @@
 """Command-line surface: output formats, exit codes, and reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -168,6 +169,22 @@ def test_symmetrize_check_command(capsys):
     assert doc["cross_moment_residual"] <= 1e-12
 
 
+#: sha256 of symmetrize-check stdout at d=3 (seed 0, alphabet 2), per (k, rule)
+SYMMETRIZE_CHECK_SHA256 = {
+    (1, "first-child"): "c3d828908af3d25728532a328931fc7865068bf46188339ab2e6b465dacf35ce",
+    (1, "table"): "fb3e3cba0536718d3988800708510abf19e59fea86d02d9e78d070c93868b0e0",
+    (2, "first-child"): "501f387d4729c42e43126e19b17534617c5222ea89c3569cd8a76fbae8ae7d3d",
+    (2, "table"): "2f5df654633643f23b4e47e797cb0d12c0ee6d1bfe2d30112732e626a657bb36",
+}
+
+
+@pytest.mark.parametrize("k, rule", sorted(SYMMETRIZE_CHECK_SHA256))
+def test_symmetrize_check_bytes_are_pinned(capsys, k, rule):
+    code, out = run_cli(capsys, "symmetrize-check", "--d", "3", "--k", str(k), "--rule", rule)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SYMMETRIZE_CHECK_SHA256[k, rule]
+
+
 def test_universal_check_command(capsys):
     code, out = run_cli(capsys, "universal-check", "--d", "3", "--depth", "3",
                         "--trials", "40", "--seed", "2")
@@ -185,7 +202,7 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_byte_identical_repeat_runs(capsys):
-    args = ["simulate-vertex", "--d", "4", "--k", "7", "--rule", "linear",
+    args = ["simulate-vertex", "--d", "4", "--k", "7",
             "--lambda", "0.5774", "--samples", "100000", "--seed", "7",
             "--format", "csv"]
     code1, out1 = run_cli(capsys, *args)
@@ -320,6 +337,7 @@ def test_removed_flags_are_usage_errors(capsys):
     assert main(["nb-norm", "--d", "3", "--radius", "3", "--format", "csv"]) == 2
     assert main(["report", "--format", "json"]) == 2
     assert main(["symmetrize-check", "--d", "3", "--k", "3"]) == 2
+    assert main(["simulate-vertex", "--d", "3", "--k", "1", "--rule", "linear"]) == 2
 
 
 #: cheap valid arguments per subcommand, perturbed by the fuzz test below

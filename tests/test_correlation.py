@@ -1,6 +1,7 @@
 """Monte Carlo estimation, the exact enumeration engine, and identity checks."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +17,9 @@ from nbtree.correlation import (
     TABLE_CAP,
     PolarizationResult,
     Site,
+    SymmetrizationCheck,
     _site_values,
     compensated_sum,
-    composite_edge_site,
     edge_homogeneity_check,
     exact_corr_discrete,
     exact_edge_corr,
@@ -33,16 +34,17 @@ from nbtree.correlation import (
     symmetrization_moment_check,
     verify_bound,
 )
-from nbtree.acceptance import edge_pair
+from nbtree.acceptance import SYMMETRIZATION_PAIRS, edge_pair
 from nbtree.errors import CapExceededError, NonExchangeableError
 from nbtree.factor_engine import (
     LinearRule,
+    domain_values,
     edge_first_child_rule,
     edge_sum_rule,
+    edge_table_rule,
     geometric_profile,
     linear_rule_covariance_exact,
     parity_rule,
-    parse_domain,
     subtree_levels,
     sum_rule,
     symmetrize_rule,
@@ -58,7 +60,7 @@ from nbtree.tree_core import build_ball, cone, edge_between, path_vertices, vert
 
 
 def _identical_sampler(seed, idx):
-    z = rng.to_centered_uniform(rng.words(seed, idx))
+    z = rng.to_unit(rng.words(seed, idx)) - 0.5
     return z, z
 
 
@@ -209,7 +211,7 @@ def test_mc_non_finite_moments_raise(scale, threads):
     # moments whose total overflows (1e152), and variances whose product
     # overflows (1e100) must not turn into an estimate
     def sampler(seed, idx):
-        z = rng.to_centered_uniform(rng.words(seed, idx))
+        z = rng.to_rademacher(rng.words(seed, idx))
         return z * scale, z * scale
 
     with pytest.raises(ValueError, match="not finite"):
@@ -222,7 +224,7 @@ def test_mc_minimum_samples():
 
 
 def test_compensated_sum_matches_fsum():
-    x = rng.to_centered_uniform(rng.words(8, np.arange(300_000)))
+    x = rng.to_unit(rng.words(8, np.arange(300_000))) - 0.5
     assert compensated_sum(x) == pytest.approx(math.fsum(x.tolist()), abs=1e-9)
 
 
@@ -289,9 +291,13 @@ def test_exact_enumeration_cap():
 
 
 def test_exact_rejects_continuous_domain():
+    # the exact route enumerates labels, so it knows no continuous domain
     ball = build_ball(3, 2)
-    with pytest.raises(ValueError):
-        exact_corr_discrete(ball, sum_rule(1), "uniform", [0], [0])
+    for domain in ("uniform", "centered_uniform"):
+        with pytest.raises(ValueError, match=f"unknown label domain '{domain}'"):
+            exact_corr_discrete(ball, sum_rule(1), domain, [0], [0])
+    with pytest.raises(ValueError, match="alphabet domain needs alphabet_size >= 2"):
+        exact_corr_discrete(ball, sum_rule(1), "alphabet:1", [0], [0])
 
 
 def test_exact_edge_corr_bounds():
@@ -311,7 +317,7 @@ def test_exact_edge_corr_bounds():
 
 def _odometer_site_values(domain, sites):
     """Reference: each configuration's index into every site table by digit arithmetic."""
-    values = parse_domain(domain).values()
+    values = domain_values(domain)
     a_size = len(values)
     support = np.unique(np.concatenate([s.local_ids for s in sites]))
     n_cfg = a_size ** len(support)
@@ -356,14 +362,6 @@ def test_site_values_match_odometer_on_interleaved_unsorted_sites(domain):
 def test_site_values_match_odometer_on_a_single_vertex_support(domain):
     _assert_matches_odometer(domain, [_order_sensitive_site([4], 5),
                                       _order_sensitive_site([4], 6)])
-
-
-def test_site_values_match_odometer_on_composite_edge_sites():
-    ball = build_ball(3, 4)
-    view = edge_first_child_rule()
-    sites = [composite_edge_site(ball, e, rule, parity_rule(1))
-             for rule in (view, symmetrize_rule(view, 3)) for e in (1, 3)]
-    _assert_matches_odometer("alphabet:2", sites)
 
 
 def test_site_values_match_odometer_on_rule_sites():
@@ -872,10 +870,90 @@ def test_symmetrization_preserves_mean_and_cross_moment():
     assert chk.variance_gap_1 >= -1e-12
 
 
+def _composite_edge_site(ball, e, view_rule, process_rule):
+    """Reference: one nested site for view_rule on the process values of the
+    subtree view behind e, re-running every process rule per local labeling;
+    with no process rule, the view rule's own site on the raw labels."""
+    if process_rule is None:
+        return rule_site(ball, view_rule, e)
+    view_levels = subtree_levels(ball, e, view_rule.depth)
+    view_sizes = [len(lv) for lv in view_levels]
+    g_sites = [rule_site(ball, process_rule, w) for w in np.concatenate(view_levels).tolist()]
+    local_ids = np.unique(np.concatenate([s.local_ids for s in g_sites]))
+    g_cols = [(s.func, np.searchsorted(local_ids, s.local_ids)) for s in g_sites]
+
+    def func(flat):
+        xs = np.array([g(flat[cols]) for g, cols in g_cols])
+        return float(view_rule.func(tuple(np.split(xs, np.cumsum(view_sizes)[:-1]))))
+
+    return Site(local_ids, func)
+
+
+def _composite_symmetrization_check(ball, e1, e2, view_rule, domain, process_rule):
+    """Reference: the moment check on four composite sites (f and its orbit
+    average at e1 and e2), each enumerated as its own site table."""
+    f_bar = symmetrize_rule(view_rule, ball.d)
+    sites = [_composite_edge_site(ball, e, rule, process_rule)
+             for rule in (view_rule, f_bar) for e in (e1, e2)]
+    (f1, f2, b1, b2), n_cfg = _site_values(ball, domain, sites)
+
+    def mean(x):
+        return compensated_sum(x) / float(n_cfg)
+
+    e_f1, e_f2, e_b1, e_b2 = mean(f1), mean(f2), mean(b1), mean(b2)
+    e_f1sq, e_b1sq = mean(f1 * f1), mean(b1 * b1)
+    return SymmetrizationCheck(
+        mean_residual_1=abs(e_b1 - e_f1),
+        mean_residual_2=abs(e_b2 - e_f2),
+        second_moment_gap_1=e_f1sq - e_b1sq,
+        second_moment_gap_2=mean(f2 * f2) - mean(b2 * b2),
+        cross_moment_residual=abs(mean(b1 * b2) - mean(f1 * f2)),
+        variance_gap_1=(e_f1sq - e_f1 ** 2) - (e_b1sq - e_b1 ** 2),
+    )
+
+
+#: (d, process, domain): block factors of binary labels, read through
+#: composite sites, and the raw labels, which the reference reads directly
+_ORACLE_CASES = [(3, name, "alphabet:2") for name in ("parity:r1", "sum:r1")] + [
+    (d, "raw", domain) for d in (3, 4) for domain in ("alphabet:2", "alphabet:3", "rademacher")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_ORACLE_CASES), st.sampled_from(sorted(SYMMETRIZATION_PAIRS)),
+       st.one_of(st.none(), st.integers(0, 2 ** 20)))
+@example((3, "parity:r1", "alphabet:2"), 1, None)
+@example((3, "parity:r1", "alphabet:2"), 2, None)
+@example((3, "raw", "rademacher"), 2, None)
+@example((4, "raw", "rademacher"), 1, 12345)
+def test_symmetrization_check_matches_the_composite_site_reference(case, k, table_seed):
+    d, process, domain = case
+    alphabet = int(domain.split(":")[1]) if domain != "rademacher" else 2
+    view = (edge_first_child_rule() if table_seed is None
+            else edge_table_rule(1, alphabet, table_seed))
+    rule, reference_rule = {"parity:r1": (parity_rule(1),) * 2, "sum:r1": (sum_rule(1),) * 2,
+                            "raw": (sum_rule(0), None)}[process]
+    ball = build_ball(d, 4)
+    e1, e2 = SYMMETRIZATION_PAIRS[k]
+    got = symmetrization_moment_check(ball, e1, e2, view, domain, rule)
+    want = _composite_symmetrization_check(ball, e1, e2, view, domain, reference_rule)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("k", sorted(SYMMETRIZATION_PAIRS))
+def test_view_rule_runs_once_per_distinct_tuple_of_process_values(k):
+    calls = []
+    view = edge_first_child_rule()
+    counted = replace(view, func=lambda lv: calls.append(1) or view.func(lv))
+    e1, e2 = SYMMETRIZATION_PAIRS[k]
+    symmetrization_moment_check(build_ball(3, 4), e1, e2, counted, "alphabet:2", parity_rule(1))
+    # 2 views x 2^3 parity tuples x (f, and f-bar over its 2-element orbit)
+    assert 0 < len(calls) <= 48
+
+
 def test_symmetrization_strictly_contracts_asymmetric_rule():
     ball = build_ball(3, 4)
     chk = symmetrization_moment_check(ball, 1, 3, edge_first_child_rule(),
-                                      "alphabet:2", None)
+                                      "alphabet:2", sum_rule(0))
     assert chk.second_moment_gap_1 > 1e-6  # strictly smaller second moment
 
 

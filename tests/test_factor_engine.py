@@ -15,15 +15,14 @@ from nbtree import rng
 from nbtree.correlation import rule_site
 from nbtree.errors import CapExceededError, InteriorityError
 from nbtree.factor_engine import (
-    LabelDomain,
     LinearRule,
     delta_profile,
+    domain_values,
     edge_sum_rule,
     edge_tail_rule,
     geometric_profile,
     linear_rule_covariance_exact,
     orbit_size,
-    parse_domain,
     subtree_levels,
     sum_rule,
     symmetrize_rule,
@@ -62,12 +61,13 @@ def _with_label(labels, v, value):
 
 
 def test_parse_domain():
-    assert parse_domain("rademacher").kind == "rademacher"
-    assert parse_domain("alphabet:3").alphabet_size == 3
-    assert parse_domain(LabelDomain("rademacher")).kind == "rademacher"
-    for bad in ("alphabet:1", "weird", "uniform", "centered_uniform"):
-        with pytest.raises(ValueError):
-            parse_domain(bad)
+    assert domain_values("rademacher").tolist() == [-1.0, 1.0]
+    assert domain_values("alphabet:3").tolist() == [0.0, 1.0, 2.0]
+    with pytest.raises(ValueError, match="alphabet domain needs alphabet_size >= 2"):
+        domain_values("alphabet:1")
+    for bad in ("weird", "uniform", "centered_uniform"):
+        with pytest.raises(ValueError, match=f"unknown label domain '{bad}'"):
+            domain_values(bad)
 
 
 def test_vertex_view_shape():

@@ -3,8 +3,10 @@
 Every name a module imports is used in that module (``__init__`` re-exports
 are exempt), and every module-private top-level function is referenced
 somewhere in the package, so deleted code cannot leave dead helpers or
-stale imports behind.  SciPy is imported only inside functions, so importing
-the package, and every CLI subcommand, runs without loading it.
+stale imports behind.  A `Site` is built only by `correlation.rule_site`, so
+every exact observable is a rule's site table reduced over its rows.  SciPy
+is imported only inside functions, so importing the package, and every CLI
+subcommand, runs without loading it.
 """
 
 import ast
@@ -94,3 +96,17 @@ def test_scipy_is_not_imported_at_module_scope():
             found += [f"{name}:{node.lineno} {m}" for m in modules
                       if m.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_sites_are_built_only_by_rule_site():
+    # a nested site, which re-runs rules once per labeling of its support,
+    # cannot come back beside the per-rule tables
+    builders = []
+    for name, tree in _modules().items():
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            builders += [f"{name}:{owner}" for node in ast.walk(top)
+                         if isinstance(node, ast.Call)
+                         and "Site" in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None))]
+    assert builders == ["correlation.py:rule_site"]

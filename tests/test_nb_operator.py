@@ -104,7 +104,7 @@ def test_apply_is_byte_equal_to_the_sorted_csr_of_b():
         b = _sorted_b(op)
         assert op.succ.T.format == "csc"
         for seed in range(3):
-            f = rng.to_centered_uniform(rng.words(seed, np.arange(op.m))) * 1e3
+            f = (rng.to_unit(rng.words(seed, np.arange(op.m))) - 0.5) * 1e3
             g, h = f, f
             for _ in range(4):  # also repeated application, as in power iteration
                 g, h = apply(op, g), b @ h
@@ -211,8 +211,8 @@ def test_transpose_all_ones_counts_successors():
 def test_adjoint_identity_on_random_vectors():
     op = _op(3, 4)
     for trial in range(100):
-        f = rng.to_centered_uniform(rng.words(100 + trial, np.arange(op.m)))
-        g = rng.to_centered_uniform(rng.words(300 + trial, np.arange(op.m)))
+        f = rng.to_unit(rng.words(100 + trial, np.arange(op.m))) - 0.5
+        g = rng.to_unit(rng.words(300 + trial, np.arange(op.m))) - 0.5
         lhs = float(apply(op, f) @ g)
         rhs = float(f @ apply_transpose(op, g))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
@@ -276,7 +276,7 @@ def test_norm_estimate_dominates_random_rayleigh_vectors():
     for k in (1, 3):
         rep = operator_norm_pow(op.ball, k, tol=1e-10)
         for trial in range(20):
-            f = rng.to_centered_uniform(rng.words(7000 + trial, np.arange(op.m)))
+            f = rng.to_unit(rng.words(7000 + trial, np.arange(op.m))) - 0.5
             w = f
             for _ in range(k):
                 w = apply(op, w)

@@ -143,7 +143,7 @@ def test_encode_vertex_matches_the_neighbour_walk(d, depth, pick, seed, labels, 
     eligible = np.flatnonzero(ball.depth <= 1)
     v = int(eligible[pick % len(eligible)])
     words = rng.words(seed, np.arange(ball.n))
-    values = (rng.to_centered_uniform(words) if labels == "centered_uniform"
+    values = (rng.to_unit(words) - 0.5 if labels == "centered_uniform"
               else rng.to_unit(words))
     if labels == "few":  # ties inside one block, signed zeros
         values = np.array([-0.0, 0.0, 0.25, 0.5])[rng.randint(seed, np.arange(ball.n), 4)]

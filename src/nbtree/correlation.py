@@ -5,7 +5,7 @@ Two independent computation routes coexist deliberately:
 * an exact route that enumerates every labeling of the (small) union of
   rule supports: every observable is built from the value tables of
   `rule_site` sites, one per rule placement, reduced over their rows (a
-  view of process values runs its rule once per distinct value tuple;
+  view of process values runs its rule on its distinct value tuples only;
   `sum_rule(0)` makes the raw labels such a process), and
 * a Monte Carlo route with counter-based sampling, fixed-size chunks and
   a fixed reduction order, so estimates are byte-stable under any thread
@@ -203,16 +203,22 @@ class Site:
     """One scalar observable: a function of the labels at fixed vertices."""
 
     local_ids: np.ndarray  # distinct vertex ids the value depends on, in evaluation order
-    func: Callable[[np.ndarray], float]  # maps labels (in local_ids order) to a real
+    func: Callable[[np.ndarray], np.ndarray]  # (n, len(local_ids)) labels -> (n,) values
 
 
-def _split(flat: np.ndarray, sizes: Sequence[int]) -> Levels:
-    out = []
-    pos = 0
-    for s in sizes:
-        out.append(flat[pos:pos + s])
-        pos += s
-    return tuple(out)
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One representative row index per distinct row of x, and each row's code.
+
+    Rows are numbered by their distinct tuples one column at a time, with
+    codes renumbered after each column so they stay below the row count;
+    x[first][codes] equals x row for row.
+    """
+    codes = np.zeros(len(x), dtype=np.int64)
+    for col in x.T:
+        vals, digit = np.unique(col, return_inverse=True)
+        _, first, codes = np.unique(codes * len(vals) + digit,
+                                    return_index=True, return_inverse=True)
+    return first, codes
 
 
 def rule_site(ball: TreeBall, rule, at) -> Site:
@@ -223,22 +229,18 @@ def rule_site(ball: TreeBall, rule, at) -> Site:
         levels = subtree_levels(ball, at, rule.depth)
     else:
         raise TypeError(f"no site for rule type {type(rule).__name__}")
-    sizes = [len(lv) for lv in levels]
-    flat_ids = np.concatenate(levels)
-
     if isinstance(rule, LinearRule):
-        profile = rule.profile
+        starts = np.cumsum([0] + [len(lv) for lv in levels[:-1]])
+        profile = np.array(rule.profile)
 
-        def func(flat: np.ndarray) -> float:
-            lv = _split(flat, sizes)
-            return math.fsum(a * float(x.sum()) for a, x in zip(profile, lv))
+        def func(x: np.ndarray) -> np.ndarray:
+            # per-level label sums are exact; fsum once per distinct tuple of products
+            products = np.add.reduceat(x, starts, axis=1) * profile
+            first, codes = _distinct_rows(products)
+            return np.array([math.fsum(row) for row in products[first].tolist()])[codes]
     else:
-        inner = rule.func
-
-        def func(flat: np.ndarray) -> float:
-            return float(inner(_split(flat, sizes)))
-
-    return Site(flat_ids, func)
+        func = rule.func
+    return Site(np.concatenate(levels), func)
 
 
 def _site_values(ball: TreeBall, domain, sites: Sequence[Site]
@@ -246,8 +248,8 @@ def _site_values(ball: TreeBall, domain, sites: Sequence[Site]
     """Values of every site under every labeling of the union support.
 
     Configurations are indexed in odometer order over the sorted support;
-    support position p holds digit (cfg // A^p) % A.  Per-site tables keep
-    the Python-level rule evaluations down to A^|local support| calls, and
+    support position p holds digit (cfg // A^p) % A.  Each site's table over
+    its A^|local support| local labelings is one call of its func, and
     each table reaches every configuration through one broadcast copy: seen
     as an (A,)*|support| array, a site's row varies only along the axes of
     the positions it reads.  The local ids of a site must be distinct.
@@ -279,8 +281,7 @@ def _site_values(ball: TreeBall, domain, sites: Sequence[Site]
         # table over local configurations, local position j least significant
         local_cfg = np.arange(n_local, dtype=np.int64)
         digits = (local_cfg[:, None] // a_size ** np.arange(loc, dtype=np.int64)[None, :]) % a_size
-        labels = values[digits]
-        table = np.array([site.func(labels[i]) for i in range(n_local)])
+        table = site.func(values[digits])
         # axis i of a C-order (A,)*m array holds digit m-1-i, so the table's
         # axes are the local ids reversed and support position p is axis n-1-p
         axes = [n - 1 - pos_of[v] for v in reversed(site.local_ids.tolist())]
@@ -393,21 +394,15 @@ class SymmetrizationCheck:
                 and self.variance_gap_1 >= -1e-12)
 
 
-def _view_values(g: np.ndarray, sizes: Sequence[int], funcs) -> list[np.ndarray]:
+def _view_values(g: np.ndarray, funcs) -> list[np.ndarray]:
     """Each view func on the process values of every configuration.
 
     Row i of g holds the process value at view vertex i for every
-    configuration.  Columns are numbered by their distinct tuples, one row
-    at a time with codes kept below the column count, so each func runs
-    once per distinct tuple and its results are gathered back.
+    configuration.  Each func runs once, on the distinct tuples of process
+    values, and its results are gathered back.
     """
-    codes = np.zeros(g.shape[1], dtype=np.int64)
-    for row in g:
-        vals, digit = np.unique(row, return_inverse=True)
-        _, first, codes = np.unique(codes * len(vals) + digit,
-                                    return_index=True, return_inverse=True)
-    cols = g[:, first].T
-    return [np.array([float(f(_split(c, sizes))) for c in cols])[codes] for f in funcs]
+    first, codes = _distinct_rows(g.T)
+    return [f(g.T[first])[codes] for f in funcs]
 
 
 def symmetrization_moment_check(ball: TreeBall, e1: int, e2: int,
@@ -426,13 +421,11 @@ def symmetrization_moment_check(ball: TreeBall, e1: int, e2: int,
     sites: list[Site] = []
     views = []
     for e in (e1, e2):
-        levels = subtree_levels(ball, e, view_rule.depth)
-        flat = np.concatenate(levels).tolist()
-        views.append((slice(len(sites), len(sites) + len(flat)), [len(lv) for lv in levels]))
+        flat = np.concatenate(subtree_levels(ball, e, view_rule.depth)).tolist()
+        views.append(slice(len(sites), len(sites) + len(flat)))
         sites += [rule_site(ball, process_rule, w) for w in flat]
     g, n_cfg = _site_values(ball, domain, sites)
-    (f1, b1), (f2, b2) = (_view_values(g[rows], sizes, (view_rule.func, f_bar.func))
-                          for rows, sizes in views)
+    (f1, b1), (f2, b2) = (_view_values(g[rows], (view_rule.func, f_bar.func)) for rows in views)
     n = float(n_cfg)
 
     def mean(x):

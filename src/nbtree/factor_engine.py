@@ -1,8 +1,9 @@
 """Local rules over tree balls: label domains, local views, symmetrization.
 
-A rule sees its input as a *rooted local view*: a tuple of per-level
-label arrays in canonical (breadth-first id) order.  Two view shapes
-occur:
+A rule reads a *rooted local view*, its vertices level by level in
+canonical (breadth-first id) order.  Its func is batched: it maps an
+(n, n_local) label matrix, one labeling per row and the view's vertices
+as columns in level order, to n values.  Two view shapes occur:
 
 * vertex view: level 1 has d entries (all neighbors), deeper levels
   branch by d-1;
@@ -67,6 +68,8 @@ def _grow_levels(ball: TreeBall, start: int, avoid: int, depth: int) -> list[np.
     level, parents in level order, siblings in ascending id order.  Raises
     InteriorityError if the walk would need neighbors the ball cut off.
     """
+    if depth < 0:
+        raise ValueError(f"view depth must be >= 0, got {depth}")
     levels = [np.array([start], dtype=np.int64)]
     came_from = [avoid]
     for _ in range(depth):
@@ -116,10 +119,10 @@ def subtree_levels(ball: TreeBall, e: int, depth: int) -> Levels:
 
 @dataclass(frozen=True)
 class BlockRule:
-    """Local rule of a vertex process; func maps label levels to a real."""
+    """Local rule of a vertex process on its radius-r vertex view."""
 
     radius: int
-    func: Callable[[Levels], float]
+    func: Callable[[np.ndarray], np.ndarray]  # (n, n_local) labels, columns in level order -> (n,)
     symmetric: bool = False
     name: str = ""
     domain: str | None = None
@@ -144,7 +147,7 @@ class EdgeRule:
     """Rule on the depth-D subtree view behind a directed edge."""
 
     depth: int
-    func: Callable[[Levels], float]
+    func: Callable[[np.ndarray], np.ndarray]  # (n, n_local) labels, columns in level order -> (n,)
     symmetric: bool = False
     name: str = ""
 
@@ -252,9 +255,12 @@ def symmetrize_rule(rule, d: int):
     if size > ORBIT_CAP:
         raise CapExceededError(f"orbit has {size} elements (cap {ORBIT_CAP})")
     inner = rule.func
+    columns = (np.arange(1), np.arange(1, 1 + b0), np.arange(1 + b0, 1 + b0 * d))[:depth + 1]
+    orbit = [np.concatenate(p) for p in _level_orbit(columns, b0, d)]
 
-    def averaged(levels: Levels) -> float:
-        return math.fsum(inner(p) for p in _level_orbit(levels, b0, d)) / size
+    def averaged(x: np.ndarray) -> np.ndarray:
+        values = np.column_stack([inner(x[:, p]) for p in orbit])
+        return np.array([math.fsum(row) for row in values.tolist()]) / size
 
     return replace(rule, func=averaged, symmetric=True,
                    name=f"sym({rule.name})" if rule.name else "sym")
@@ -265,37 +271,32 @@ def symmetrize_rule(rule, d: int):
 # ---------------------------------------------------------------------------
 
 
-def _flat(levels: Levels) -> np.ndarray:
-    return np.concatenate(levels)
-
-
 def sum_rule(radius: int) -> BlockRule:
-    return BlockRule(radius, lambda lv: float(_flat(lv).sum()),
-                     symmetric=True, name=f"sum:r{radius}")
+    return BlockRule(radius, lambda x: x.sum(axis=1), symmetric=True, name=f"sum:r{radius}")
 
 
 def parity_rule(radius: int) -> BlockRule:
-    return BlockRule(radius, lambda lv: float(int(_flat(lv).sum()) % 2),
+    return BlockRule(radius, lambda x: x.sum(axis=1) % 2,
                      symmetric=True, name=f"parity:r{radius}", domain="alphabet:2")
 
 
 def threshold_rule(radius: int, theta: float) -> BlockRule:
-    return BlockRule(radius, lambda lv: float(_flat(lv).sum() >= theta),
+    if not math.isfinite(theta):
+        raise ValueError(f"threshold must be finite, got {theta}")
+    return BlockRule(radius, lambda x: (x.sum(axis=1) >= theta).astype(np.float64),
                      symmetric=True, name=f"threshold:r{radius}:t{theta}")
 
 
 def majority_rule(radius: int) -> BlockRule:
-    def f(lv: Levels) -> float:
-        s = _flat(lv).sum()
-        return float(np.sign(s))
-    return BlockRule(radius, f, symmetric=True, name=f"majority:r{radius}",
-                     domain="rademacher")
+    return BlockRule(radius, lambda x: np.sign(x.sum(axis=1)), symmetric=True,
+                     name=f"majority:r{radius}", domain="rademacher")
 
 
 def xor_pair_rule() -> BlockRule:
     """Parity of the center label and its first neighbor; order-sensitive."""
-    return BlockRule(1, lambda lv: float(int(lv[0][0]) ^ int(lv[1][0])),
-                     symmetric=False, name="xor-pair", domain="alphabet:2")
+    def f(x: np.ndarray) -> np.ndarray:
+        return (x[:, 0].astype(np.int64) ^ x[:, 1].astype(np.int64)).astype(np.float64)
+    return BlockRule(1, f, symmetric=False, name="xor-pair", domain="alphabet:2")
 
 
 def geometric_profile(d: int, radius: int, rate: float | None = None) -> LinearRule:
@@ -317,14 +318,14 @@ def delta_profile() -> LinearRule:
     return LinearRule(0, (1.0,))
 
 
-def _table_rule_func(alphabet: int, seed: int) -> Callable[[Levels], float]:
-    """Uniform value hashed from the view's labels, read as base-`alphabet` digits."""
-    def f(lv: Levels) -> float:
-        key = np.concatenate(lv).astype(np.int64)
-        idx = 0
-        for x in key.tolist():
-            idx = idx * alphabet + x
-        return float(rng.to_unit(rng.words(seed, np.array([idx])))[0])
+def _table_rule_func(alphabet: int, seed: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Uniform value hashed from each row of labels, read as base-`alphabet`
+    digits, first column most significant; labels must lie in {0..alphabet-1}."""
+    def f(x: np.ndarray) -> np.ndarray:
+        if not np.isin(x, np.arange(alphabet)).all():
+            raise ValueError(f"table rule reads labels in 0..{alphabet - 1} only")
+        idx = x.astype(np.int64) @ alphabet ** np.arange(x.shape[1] - 1, -1, -1, dtype=np.int64)
+        return rng.to_unit(rng.words(seed, idx))
     return f
 
 
@@ -335,18 +336,16 @@ def table_block_rule(radius: int, d: int, alphabet: int, seed: int) -> BlockRule
 
 
 def edge_tail_rule() -> EdgeRule:
-    return EdgeRule(0, lambda lv: float(lv[0][0]), symmetric=True, name="edge-tail")
+    return EdgeRule(0, lambda x: x[:, 0], symmetric=True, name="edge-tail")
 
 
 def edge_sum_rule(depth: int) -> EdgeRule:
-    return EdgeRule(depth, lambda lv: float(_flat(lv).sum()),
-                    symmetric=True, name=f"edge-sum:D{depth}")
+    return EdgeRule(depth, lambda x: x.sum(axis=1), symmetric=True, name=f"edge-sum:D{depth}")
 
 
 def edge_first_child_rule() -> EdgeRule:
     """Label of the first outward neighbor; depends on the canonical order."""
-    return EdgeRule(1, lambda lv: float(lv[1][0]), symmetric=False,
-                    name="edge-first-child")
+    return EdgeRule(1, lambda x: x[:, 1], symmetric=False, name="edge-first-child")
 
 
 def edge_table_rule(depth: int, alphabet: int, seed: int) -> EdgeRule:

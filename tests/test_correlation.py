@@ -48,6 +48,7 @@ from nbtree.factor_engine import (
     subtree_levels,
     sum_rule,
     symmetrize_rule,
+    table_block_rule,
     vertex_ball_levels,
 )
 from nbtree.nb_operator import walk_count
@@ -310,6 +311,16 @@ def test_exact_edge_corr_bounds():
     assert res.corr ** 2 <= 1 + 1e-12
 
 
+def test_table_rules_reject_labels_outside_their_alphabet():
+    # read as base-A digits, -1 would wrap the table index, and the keys
+    # (-1, 1) and (0, -1) would collide
+    with pytest.raises(ValueError, match=r"table rule reads labels in 0\.\.1 only"):
+        exact_edge_corr(build_ball(3, 4), edge_table_rule(1, 2, 0), "rademacher", 1, 3)
+    with pytest.raises(ValueError, match=r"table rule reads labels in 0\.\.1 only"):
+        exact_corr_discrete(build_ball(3, 2), table_block_rule(1, 3, 2, 0), "alphabet:3",
+                            [0], [1])
+
+
 # ---------------------------------------------------------------------------
 # site tables against the odometer reference
 # ---------------------------------------------------------------------------
@@ -330,7 +341,7 @@ def _odometer_site_values(domain, sites):
         local_cfg = np.arange(n_local, dtype=np.int64)
         digits = (local_cfg[:, None] // a_size ** np.arange(loc, dtype=np.int64)[None, :]) % a_size
         labels = values[digits]
-        table = np.array([site.func(labels[i]) for i in range(n_local)])
+        table = np.concatenate([site.func(labels[i:i + 1]) for i in range(n_local)])
         local_idx = np.zeros(n_cfg, dtype=np.int64)
         for j, v in enumerate(site.local_ids.tolist()):
             local_idx += ((cfg // a_size ** pos_of[int(v)]) % a_size) * a_size ** j
@@ -341,11 +352,16 @@ def _odometer_site_values(domain, sites):
 def _order_sensitive_site(ids, salt):
     # a distinct weight per local position, so permuting the ids changes the table
     w = 1.0 + rng.to_unit(rng.words(salt, np.arange(len(ids))))
-    return Site(np.asarray(ids, dtype=np.int64), lambda x: float(x @ w + x[0] * x[-1]))
+    return Site(np.asarray(ids, dtype=np.int64),
+                lambda x: sum(x[:, j] * w[j] for j in range(len(w))) + x[:, 0] * x[:, -1])
 
 
 def _assert_matches_odometer(domain, sites):
-    got, n_cfg = _site_values(None, domain, sites)
+    calls = []
+    counted = [Site(s.local_ids, lambda x, i=i, f=s.func: calls.append(i) or f(x))
+               for i, s in enumerate(sites)]
+    got, n_cfg = _site_values(None, domain, counted)
+    assert calls == list(range(len(sites)))  # each table is one call of its site's func
     ref, ref_n = _odometer_site_values(domain, sites)
     assert n_cfg == ref_n
     assert got.tobytes() == ref.tobytes()
@@ -388,7 +404,7 @@ def test_site_values_caps_raise_before_any_table_is_built():
 
     def counted(x):
         calls.append(1)
-        return 0.0
+        return np.zeros(len(x))
 
     # 2^23 configurations over 23 vertices, with no site table over the cap
     wide = [Site(np.arange(0, 12), counted), Site(np.arange(11, 23), counted)]
@@ -876,15 +892,13 @@ def _composite_edge_site(ball, e, view_rule, process_rule):
     with no process rule, the view rule's own site on the raw labels."""
     if process_rule is None:
         return rule_site(ball, view_rule, e)
-    view_levels = subtree_levels(ball, e, view_rule.depth)
-    view_sizes = [len(lv) for lv in view_levels]
-    g_sites = [rule_site(ball, process_rule, w) for w in np.concatenate(view_levels).tolist()]
+    view_ids = np.concatenate(subtree_levels(ball, e, view_rule.depth))
+    g_sites = [rule_site(ball, process_rule, w) for w in view_ids.tolist()]
     local_ids = np.unique(np.concatenate([s.local_ids for s in g_sites]))
     g_cols = [(s.func, np.searchsorted(local_ids, s.local_ids)) for s in g_sites]
 
-    def func(flat):
-        xs = np.array([g(flat[cols]) for g, cols in g_cols])
-        return float(view_rule.func(tuple(np.split(xs, np.cumsum(view_sizes)[:-1]))))
+    def func(x):
+        return view_rule.func(np.column_stack([g(x[:, cols]) for g, cols in g_cols]))
 
     return Site(local_ids, func)
 
@@ -912,23 +926,25 @@ def _composite_symmetrization_check(ball, e1, e2, view_rule, domain, process_rul
     )
 
 
-#: (d, process, domain): block factors of binary labels, read through
-#: composite sites, and the raw labels, which the reference reads directly
-_ORACLE_CASES = [(3, name, "alphabet:2") for name in ("parity:r1", "sum:r1")] + [
-    (d, "raw", domain) for d in (3, 4) for domain in ("alphabet:2", "alphabet:3", "rademacher")]
+#: (d, process, domain, A): block factors of binary labels, read through
+#: composite sites, and the raw labels, which the reference reads directly.
+#: A table view rule reads process values in 0..A-1 only, so it is drawn
+#: only where A is set: parity values and raw alphabet labels
+_ORACLE_CASES = [(3, "parity:r1", "alphabet:2", 2), (3, "sum:r1", "alphabet:2", None)] + [
+    (d, "raw", domain, None if domain == "rademacher" else int(domain.split(":")[1]))
+    for d in (3, 4) for domain in ("alphabet:2", "alphabet:3", "rademacher")]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(_ORACLE_CASES), st.sampled_from(sorted(SYMMETRIZATION_PAIRS)),
        st.one_of(st.none(), st.integers(0, 2 ** 20)))
-@example((3, "parity:r1", "alphabet:2"), 1, None)
-@example((3, "parity:r1", "alphabet:2"), 2, None)
-@example((3, "raw", "rademacher"), 2, None)
-@example((4, "raw", "rademacher"), 1, 12345)
+@example((3, "parity:r1", "alphabet:2", 2), 1, None)
+@example((3, "parity:r1", "alphabet:2", 2), 2, None)
+@example((3, "raw", "rademacher", None), 2, None)
+@example((4, "raw", "alphabet:3", 3), 1, 12345)
 def test_symmetrization_check_matches_the_composite_site_reference(case, k, table_seed):
-    d, process, domain = case
-    alphabet = int(domain.split(":")[1]) if domain != "rademacher" else 2
-    view = (edge_first_child_rule() if table_seed is None
+    d, process, domain, alphabet = case
+    view = (edge_first_child_rule() if table_seed is None or alphabet is None
             else edge_table_rule(1, alphabet, table_seed))
     rule, reference_rule = {"parity:r1": (parity_rule(1),) * 2, "sum:r1": (sum_rule(1),) * 2,
                             "raw": (sum_rule(0), None)}[process]
@@ -943,11 +959,11 @@ def test_symmetrization_check_matches_the_composite_site_reference(case, k, tabl
 def test_view_rule_runs_once_per_distinct_tuple_of_process_values(k):
     calls = []
     view = edge_first_child_rule()
-    counted = replace(view, func=lambda lv: calls.append(1) or view.func(lv))
+    counted = replace(view, func=lambda x: calls.append(len(x)) or view.func(x))
     e1, e2 = SYMMETRIZATION_PAIRS[k]
     symmetrization_moment_check(build_ball(3, 4), e1, e2, counted, "alphabet:2", parity_rule(1))
-    # 2 views x 2^3 parity tuples x (f, and f-bar over its 2-element orbit)
-    assert 0 < len(calls) <= 48
+    # rows passed: 2 views x 2^3 parity tuples x (f, and f-bar over its 2-element orbit)
+    assert 0 < sum(calls) <= 48
 
 
 def test_symmetrization_strictly_contracts_asymmetric_rule():

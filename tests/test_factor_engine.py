@@ -2,31 +2,39 @@
 and orbit averaging.
 
 A rule is evaluated the way the exact route evaluates it: through its
-`rule_site`, on a plain label array with labels[v] the label of vertex v.
+`rule_site`, on one labeling passed as a one-row label matrix, read from a
+plain label array with labels[v] the label of vertex v.
 """
 
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nbtree import rng
-from nbtree.correlation import rule_site
+from nbtree.correlation import exact_corr_discrete, rule_site
 from nbtree.errors import CapExceededError, InteriorityError
 from nbtree.factor_engine import (
     LinearRule,
     delta_profile,
     domain_values,
+    edge_first_child_rule,
     edge_sum_rule,
+    edge_table_rule,
     edge_tail_rule,
     geometric_profile,
     linear_rule_covariance_exact,
+    majority_rule,
     orbit_size,
+    parity_rule,
     subtree_levels,
     sum_rule,
     symmetrize_rule,
     table_block_rule,
+    threshold_rule,
     vertex_ball_levels,
     xor_pair_rule,
 )
@@ -46,7 +54,7 @@ def _labels(ball, seed, domain="uniform"):
 def _value(ball, rule, at, labels):
     """The rule's value at vertex or edge `at`, as the exact route computes it."""
     site = rule_site(ball, rule, at)
-    return site.func(labels[site.local_ids])
+    return site.func(labels[site.local_ids][None])[0]
 
 
 def _with_label(labels, v, value):
@@ -100,6 +108,14 @@ def test_subtree_view_shapes_and_interiority():
     deep = int(ball.vertices_at_depth(3)[0])
     with pytest.raises(InteriorityError):
         subtree_levels(ball, 2 * (deep - 1) + 1, 2)
+
+
+def test_negative_view_depth_is_rejected():
+    ball = build_ball(3, 2)
+    with pytest.raises(ValueError, match="view depth must be >= 0, got -1"):
+        subtree_levels(ball, 0, -1)
+    with pytest.raises(ValueError, match="view depth must be >= 0, got -1"):
+        exact_corr_discrete(ball, sum_rule(-1), "alphabet:2", [0], [1])
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +181,12 @@ def test_profile_length_checked():
 def test_non_finite_profile_rejected(rate, radius):
     with pytest.raises(ValueError):
         geometric_profile(3, radius, rate)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_threshold_rejected(theta):
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        threshold_rule(1, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +271,7 @@ def test_symmetric_rule_is_fixed_point():
 def test_constant_rule_unchanged():
     from nbtree.factor_engine import BlockRule
 
-    const = BlockRule(1, lambda lv: 7.5, symmetric=False, name="const")
+    const = BlockRule(1, lambda x: np.full(len(x), 7.5), symmetric=False, name="const")
     sym = symmetrize_rule(const, 3)
     ball = build_ball(3, 3)
     assert _value(ball, sym, 1, _labels(ball, 2)) == 7.5
@@ -290,7 +312,7 @@ def test_orbit_average_by_direct_enumeration_depth2():
                     new_l1 = l1[list(sigma)]
                     new_l2 = np.concatenate(
                         [blocks[sigma[i]][list(subs[i])] for i in range(3)])
-                    total += rule.func((l0, new_l1, new_l2))
+                    total += rule.func(np.concatenate((l0, new_l1, new_l2))[None])[0]
                     count += 1
     assert count == orbit_size(2, 3, 3)
     assert _value(ball, sym, v, labels) == pytest.approx(total / count, rel=1e-12)
@@ -299,10 +321,10 @@ def test_orbit_average_by_direct_enumeration_depth2():
 def test_symmetrize_caps():
     from nbtree.factor_engine import BlockRule
 
-    deep = BlockRule(3, lambda lv: 0.0, name="deep")
+    deep = BlockRule(3, lambda x: np.zeros(len(x)), name="deep")
     with pytest.raises(CapExceededError):
         symmetrize_rule(deep, 3)
-    wide = BlockRule(2, lambda lv: 0.0, name="wide")
+    wide = BlockRule(2, lambda x: np.zeros(len(x)), name="wide")
     with pytest.raises(CapExceededError):
         symmetrize_rule(wide, 9)
 
@@ -325,12 +347,12 @@ def test_symmetric_edge_rule_invariant_under_child_order():
     rule = edge_sum_rule(1)
     e = 2 * (1 - 1) + 1  # toward edge of vertex 1
     levels = tuple(labels[ids] for ids in subtree_levels(ball, e, 1))
-    base = rule.func(levels)
+    base = rule.func(np.concatenate(levels)[None])[0]
     for trial in range(20):
         perm = rng.randint(50 + trial, np.arange(2), 2)
         order = [0, 1] if perm[0] <= perm[1] else [1, 0]
         permuted = (levels[0], levels[1][order])
-        assert rule.func(permuted) == base
+        assert rule.func(np.concatenate(permuted)[None])[0] == base
 
 
 def test_edge_rule_locality():
@@ -344,3 +366,97 @@ def test_edge_rule_locality():
         if u in inside:
             continue
         assert _value(ball, rule, e, _with_label(labels, u, 99.0)) == base
+
+
+# ---------------------------------------------------------------------------
+# batched rules against the per-configuration reference
+# ---------------------------------------------------------------------------
+
+
+def _flat_sum(lv):
+    return np.concatenate(lv).sum()
+
+
+def _reference_table(alphabet, seed):
+    def f(lv):
+        idx = 0
+        for x in np.concatenate(lv).astype(np.int64).tolist():
+            idx = idx * alphabet + x
+        return float(rng.to_unit(rng.words(seed, np.array([idx])))[0])
+    return f
+
+
+def _reference_orbit(lv, d):
+    """Every recursive child permutation of a depth <= 2 view, by direct loops."""
+    if len(lv) == 1:
+        return [lv]
+    b0 = len(lv[1])
+    if len(lv) == 2:
+        return [(lv[0], lv[1][list(sigma)]) for sigma in permutations(range(b0))]
+    blocks = [lv[2][i * (d - 1):(i + 1) * (d - 1)] for i in range(b0)]
+    return [(lv[0], lv[1][list(sigma)],
+             np.concatenate([blocks[sigma[i]][list(subs[i])] for i in range(b0)]))
+            for sigma in permutations(range(b0))
+            for subs in product(permutations(range(d - 1)), repeat=b0)]
+
+
+def _rule_and_reference(family, depth, alphabet, seed):
+    """A built-in rule and the per-configuration func it replaces: one
+    labeling, as a tuple of per-level label arrays, to a float."""
+    if family == "linear":
+        # alternate scales, so that a sum of three terms rounds more than once
+        # unless it is correctly rounded
+        scales = 2.0 ** (40 * (np.arange(depth + 1) % 2))
+        profile = tuple((rng.to_unit(rng.words(seed, np.arange(depth + 1))) - 0.5) * scales)
+        return LinearRule(depth, profile), lambda lv: math.fsum(
+            a * float(x.sum()) for a, x in zip(profile, lv))
+    return {
+        "sum": (sum_rule(depth), lambda lv: float(_flat_sum(lv))),
+        "parity": (parity_rule(depth), lambda lv: float(int(_flat_sum(lv)) % 2)),
+        "threshold": (threshold_rule(depth, 1.5), lambda lv: float(_flat_sum(lv) >= 1.5)),
+        "majority": (majority_rule(depth), lambda lv: float(np.sign(_flat_sum(lv)))),
+        "xor-pair": (xor_pair_rule(), lambda lv: float(int(lv[0][0]) ^ int(lv[1][0]))),
+        "table": (table_block_rule(depth, 3, alphabet, seed), _reference_table(alphabet, seed)),
+        "edge-tail": (edge_tail_rule(), lambda lv: float(lv[0][0])),
+        "edge-sum": (edge_sum_rule(depth), lambda lv: float(_flat_sum(lv))),
+        "edge-first-child": (edge_first_child_rule(), lambda lv: float(lv[1][0])),
+        "edge-table": (edge_table_rule(depth, alphabet, seed), _reference_table(alphabet, seed)),
+    }[family]
+
+
+_ORDER_SENSITIVE = ("xor-pair", "table", "edge-first-child", "edge-table")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["sum", "parity", "threshold", "majority", "linear", "edge-tail",
+                        "edge-sum"] + [f"{s}{f}" for f in _ORDER_SENSITIVE for s in ("", "sym:")]),
+       st.sampled_from(["alphabet:2", "alphabet:3", "rademacher"]),
+       st.sampled_from([3, 4]), st.integers(0, 2), st.integers(0, 2 ** 20))
+def test_batched_rules_match_the_per_configuration_reference(family, domain, d, depth, seed):
+    values = domain_values(domain)
+    alphabet = None if domain == "rademacher" else len(values)
+    sym = family.startswith("sym:")
+    family = family.removeprefix("sym:")
+    # table rules read labels in 0..A-1 only; a depth-2 orbit at d=4 has 31,104 elements
+    assume(alphabet is not None or "table" not in family)
+    assume(not (sym and d == 4 and depth == 2 and "table" in family))
+    rule, reference = _rule_and_reference(family, depth, alphabet, seed)
+    if sym:
+        inner = reference
+        rule = symmetrize_rule(rule, d)
+
+        def reference(lv):
+            orbit = _reference_orbit(lv, d)
+            return math.fsum(inner(p) for p in orbit) / len(orbit)
+    ball = build_ball(d, 3)
+    site = rule_site(ball, rule, 0)
+    levels = (subtree_levels(ball, 0, rule.depth) if family.startswith("edge")
+              else vertex_ball_levels(ball, 0, rule.radius))
+    assert site.local_ids.tolist() == np.concatenate(levels).tolist()
+    n_local = len(site.local_ids)
+    x = values[rng.to_alphabet(rng.words2(seed, np.arange(64), np.arange(n_local)), len(values))]
+    got = site.func(x)
+    splits = np.cumsum([len(lv) for lv in levels])[:-1]
+    want = np.array([reference(tuple(np.split(row, splits))) for row in x])
+    assert got.dtype == np.float64 and got.shape == (64,)
+    assert got.tobytes() == want.tobytes()

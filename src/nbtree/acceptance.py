@@ -3,7 +3,7 @@
 Each criterion function returns a JSON-ready dict with a boolean
 ``passed`` and enough detail to diagnose a failure.  ``run_report``
 executes all of them with one master seed and fixed derived seeds, so
-the emitted document is byte-identical across runs and thread counts.
+the emitted document is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ def corr_row(d, k, rule, mode, value, stderr, bound, n_samples, seed, degenerate
 
 
 def vertex_mc_row(d: int, k: int, profile: str, r: int, n_samples: int, seed: int,
-                  name: str, rate: float | None = None,
-                  threads: int | None = None) -> dict:
+                  name: str, rate: float | None = None) -> dict:
     """Monte Carlo correlation of a radius-r "geometric" (rate^i, critical rate
     by default) or "flat" linear rule at two vertices k apart."""
     ball = _ball(d, (k + 1) // 2 + r)  # validates d before the profile divides by d - 1
@@ -94,7 +93,7 @@ def vertex_mc_row(d: int, k: int, profile: str, r: int, n_samples: int, seed: in
     u, v = vertices_at_distance(ball, k)
     sampler = linear_pair_sampler(vertex_ball_levels(ball, u, r), vertex_ball_levels(ball, v, r),
                                   rule.profile)
-    est = monte_carlo_corr(sampler, n_samples, seed, threads=threads)
+    est = monte_carlo_corr(sampler, n_samples, seed)
     return corr_row(d, k, name, "mc", est.estimate, est.stderr,
                     bounds.vertex_corr_bound(d, k), n_samples, seed, est.degenerate)
 
@@ -109,7 +108,7 @@ def edge_pair(ball: TreeBall, k: int) -> tuple[int, int, int]:
 
 
 def edge_mc_row(d: int, k: int, depth: int, n_samples: int, seed: int,
-                rate: float | None = None, threads: int | None = None) -> dict:
+                rate: float | None = None) -> dict:
     """Monte Carlo correlation of depth-D geometric subtree sums behind two
     same-direction edges at edge distance k; rate defaults to 1/sqrt(d-1)."""
     if k < 0:
@@ -118,7 +117,7 @@ def edge_mc_row(d: int, k: int, depth: int, n_samples: int, seed: int,
     e1, e2, _ = edge_pair(ball, k)
     levels_1, levels_2 = subtree_levels(ball, e1, depth), subtree_levels(ball, e2, depth)
     sampler = linear_pair_sampler(levels_1, levels_2, geometric_profile(d, depth, rate).profile)
-    est = monte_carlo_corr(sampler, n_samples, seed, threads=threads)
+    est = monte_carlo_corr(sampler, n_samples, seed)
     return corr_row(d, k, f"edge-geom:D{depth}", "mc", est.estimate, est.stderr,
                     bounds.edge_corr_bound(d, k), n_samples, seed, est.degenerate)
 
@@ -154,7 +153,7 @@ def symmetrization_case(d: int, k: int, rule, alphabet: int):
 # ---------------------------------------------------------------------------
 
 
-def criterion_bound_formulas(seed: int = 0, threads: int | None = None) -> dict:
+def criterion_bound_formulas(seed: int = 0) -> dict:
     """Spot values of all four closed forms, to 1e-12 relative."""
     checks = [
         ("vertex(3,2)", bounds.vertex_corr_bound(3, 2), 5.0 / 6.0),
@@ -167,7 +166,7 @@ def criterion_bound_formulas(seed: int = 0, threads: int | None = None) -> dict:
     return {"passed": all(r["ok"] for r in rows), "checks": rows}
 
 
-def criterion_norm_bound(seed: int = 0, threads: int | None = None) -> dict:
+def criterion_norm_bound(seed: int = 0) -> dict:
     """Norm estimates below the closed-form bound, with the expected growth rate."""
     rows = []
     passed = True
@@ -189,7 +188,7 @@ def criterion_norm_bound(seed: int = 0, threads: int | None = None) -> dict:
     return {"passed": passed, "rows": rows}
 
 
-def criterion_certificates(seed: int = 0, threads: int | None = None) -> dict:
+def criterion_certificates(seed: int = 0) -> dict:
     """Exact cone-sum maxima strictly below the bound, plus both closed forms."""
     rows = []
     passed = True
@@ -218,7 +217,7 @@ def criterion_certificates(seed: int = 0, threads: int | None = None) -> dict:
     return {"passed": passed, "rows": rows}
 
 
-def criterion_walk_counts(seed: int = 0, threads: int | None = None) -> dict:
+def criterion_walk_counts(seed: int = 0) -> dict:
     """walk_count equals (d-1)^k on 100 random interior edges per (d, k)."""
     rows = []
     passed = True
@@ -270,7 +269,7 @@ def _oracle_cases(seed: int):
     return cases[:50]
 
 
-def criterion_oracle_agreement(seed: int = 0, threads: int | None = None) -> dict:
+def criterion_oracle_agreement(seed: int = 0) -> dict:
     """Full-enumeration correlations match the geometry oracle; MC covers exact."""
     rows = []
     passed = True
@@ -297,7 +296,7 @@ def criterion_oracle_agreement(seed: int = 0, threads: int | None = None) -> dic
                                   profile)
     covered = 0
     for s in range(20):
-        est = monte_carlo_corr(sampler, 100_000, seed * 7919 + 31 + s, threads=threads)
+        est = monte_carlo_corr(sampler, 100_000, seed * 7919 + 31 + s)
         if est.ci_low <= oracle.corr <= est.ci_high:
             covered += 1
     mc_ok = covered >= 17
@@ -320,7 +319,7 @@ def _sweep_regions(ball: TreeBall, d: int, k: int):
     return reg1, reg2
 
 
-def criterion_bound_sweep(seed: int = 0, threads: int | None = None) -> dict:
+def criterion_bound_sweep(seed: int = 0) -> dict:
     """Every built-in rule family obeys its bound: vertex, hull, and edge pairs."""
     rows = []
     n_mc = 50_000
@@ -343,8 +342,7 @@ def criterion_bound_sweep(seed: int = 0, threads: int | None = None) -> dict:
             for name, profile, r, shift in (("linear-geom:r4", "geometric", 4, 0),
                                             ("linear-flat:r2", "flat", 2, 7)):
                 row_seed = seed * 65537 + 101 * d + 13 * k + shift
-                rows.append(vertex_mc_row(d, k, profile, r, n_mc, row_seed, name,
-                                          threads=threads))
+                rows.append(vertex_mc_row(d, k, profile, r, n_mc, row_seed, name))
 
             # region pairs at hull distance k, exact
             ball_r = _ball(d, (k + 1) // 2 + 2)
@@ -369,15 +367,14 @@ def criterion_bound_sweep(seed: int = 0, threads: int | None = None) -> dict:
                     res = exact_edge_corr(ball_e, rule, "alphabet:2", e1, e2)
                     rows.append(corr_row(d, k, f"{rule.name}:{pair_name}", "exact",
                                          res.corr, 0.0, eb, res.n_configs, 0, res.degenerate))
-            rows.append(edge_mc_row(d, k, 3, n_mc, seed * 65537 + 9001 * d + 17 * k,
-                                    threads=threads))
+            rows.append(edge_mc_row(d, k, 3, n_mc, seed * 65537 + 9001 * d + 17 * k))
 
     failures = [r for r in rows if r["verdict"] != "PASS"]
     return {"passed": not failures, "n_rows": len(rows),
             "n_fail": len(failures), "failures": failures[:10], "rows": rows}
 
 
-def criterion_sharpness(seed: int = 0, threads: int | None = None) -> dict:
+def criterion_sharpness(seed: int = 0) -> dict:
     """Near-critical linear rule decays at the predicted geometric rate.
 
     The decay rate is the least-squares slope of log corr(k) over
@@ -398,7 +395,7 @@ def criterion_sharpness(seed: int = 0, threads: int | None = None) -> dict:
             "corr": dict(zip(range(2, 9), corrs))}
 
 
-def criterion_symmetrization(seed: int = 0, threads: int | None = None) -> dict:
+def criterion_symmetrization(seed: int = 0) -> dict:
     """Orbit averaging preserves mean and cross-moment, contracts variance.
 
     The pair consists of the depth-1 subtree views behind two opposing
@@ -423,7 +420,7 @@ def criterion_symmetrization(seed: int = 0, threads: int | None = None) -> dict:
     return {"passed": passed, "rows": rows}
 
 
-def criterion_polarization(seed: int = 0, threads: int | None = None) -> dict:
+def criterion_polarization(seed: int = 0) -> dict:
     """Polarization identity on 1000 random pairs; bound transfer on a full scan."""
     worst = 0.0
     for i in range(1000):
@@ -458,7 +455,7 @@ def criterion_polarization(seed: int = 0, threads: int | None = None) -> dict:
             "scan_pairs": checked, "scan_alpha": alpha, "scan_ok": scan_ok}
 
 
-def criterion_homogeneity(seed: int = 0, threads: int | None = None) -> dict:
+def criterion_homogeneity(seed: int = 0) -> dict:
     """E[Y_e1 Y_e2] identical over interior congruent pairs; counts match."""
     ball = _ball(3, 5)
     res = edge_homogeneity_check(ball, edge_sum_rule(1), 2, "alphabet:2")
@@ -469,7 +466,7 @@ def criterion_homogeneity(seed: int = 0, threads: int | None = None) -> dict:
             "n_pairs": res.n_pairs, "pairs_per_source": res.pairs_per_source}
 
 
-def criterion_universal(seed: int = 0, threads: int | None = None) -> dict:
+def criterion_universal(seed: int = 0) -> dict:
     """Encode/reconstruct roundtrip is exact; path spheres overlap in one vertex."""
     r1 = roundtrip_check(_ball(3, 6), 3, 500, seed + 71)
     r2 = roundtrip_check(_ball(4, 5), 2, 200, seed + 72)
@@ -503,17 +500,17 @@ CRITERIA = [
 ]
 
 
-def run_report(seed: int = 0, threads: int | None = None) -> dict:
+def run_report(seed: int = 0) -> dict:
     """Run criteria 1..11 and assemble the verdict document.
 
-    Criterion 12 (byte-identical reports across thread counts) is a
+    Criterion 12 (byte-identical repeat runs in fresh processes) is a
     statement about this very command, so it is exercised externally by
     the test suite; it appears here as a documented external entry.
     """
     criteria = []
     all_passed = True
     for cid, name, fn in CRITERIA:
-        result = fn(seed=seed, threads=threads)
+        result = fn(seed=seed)
         all_passed &= bool(result["passed"])
         entry = {"id": cid, "name": name, "passed": bool(result["passed"])}
         entry.update({k: v for k, v in result.items() if k != "passed"})
@@ -521,7 +518,7 @@ def run_report(seed: int = 0, threads: int | None = None) -> dict:
     criteria.append({
         "id": 12, "name": "report-determinism", "passed": None,
         "status": "external",
-        "note": "run this command twice with NBTREE_THREADS=1 and 8; "
+        "note": "run this command twice, each in a fresh process; "
                 "the emitted JSON must be byte-identical",
     })
     return {"suite": "nbtree-acceptance", "seed": seed,

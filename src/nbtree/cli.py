@@ -6,8 +6,7 @@ that the report runs, so they share its instances, rows and verdicts.
 
 Exit codes: 0 all verdicts pass, 1 some bound or identity verdict failed,
 2 usage or precondition error.  All floats print with 17 significant
-digits; identical (argv, seed, NBTREE_THREADS-independent) runs emit
-byte-identical output.
+digits; runs with identical arguments emit byte-identical output.
 """
 
 from __future__ import annotations
@@ -104,15 +103,14 @@ def _cmd_hull_distance(args, out) -> int:
 
 def _cmd_simulate_vertex(args, out) -> int:
     row = acceptance.vertex_mc_row(args.d, args.k, args.profile, args.r, args.samples,
-                                   args.seed, f"linear-{args.profile}", rate=args.lam,
-                                   threads=args.threads)
+                                   args.seed, f"linear-{args.profile}", rate=args.lam)
     _emit_rows([row], args.format, out)
     return 0 if row["verdict"] == "PASS" else 1
 
 
 def _cmd_simulate_edge(args, out) -> int:
     row = acceptance.edge_mc_row(args.d, args.k, args.depth, args.samples, args.seed,
-                                 rate=args.lam, threads=args.threads)
+                                 rate=args.lam)
     _emit_rows([row], args.format, out)
     return 0 if row["verdict"] == "PASS" else 1
 
@@ -153,7 +151,7 @@ def _cmd_universal_check(args, out) -> int:
 
 
 def _cmd_report(args, out) -> int:
-    doc = acceptance.run_report(seed=args.seed, threads=args.threads)
+    doc = acceptance.run_report(seed=args.seed)
     _emit_json(doc, out)
     return 0 if doc["all_passed"] else 1
 
@@ -183,10 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def rows(p, default="json"):
         p.add_argument("--format", choices=("csv", "json"), default=default)
-
-    def threads(p):
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: NBTREE_THREADS or cpu count)")
 
     p = sub.add_parser("bounds", help="emit the closed-form bound table")
     p.add_argument("--d", type=int, required=True)
@@ -228,7 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-vertex", help="Monte Carlo vertex-pair correlation vs bound")
     common(p, k=1)
     rows(p)
-    threads(p)
     p.add_argument("--profile", choices=("geometric", "flat"), default="geometric")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="geometric decay rate (default 1/sqrt(d-1))")
@@ -240,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-edge", help="Monte Carlo edge-pair correlation vs bound")
     common(p, k=1)
     rows(p)
-    threads(p)
     p.add_argument("--depth", type=int, default=3, help="subtree view depth")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--samples", type=int, default=100_000)
@@ -277,7 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run the full verification suite, emit one JSON doc")
     p.add_argument("--seed", type=int, default=0)
-    threads(p)
     out_flag(p)
     p.set_defaults(fn=_cmd_report)
 

@@ -7,9 +7,10 @@ Two independent computation routes coexist deliberately:
   `rule_site` sites, one per rule placement, reduced over their rows (a
   view of process values runs its rule on its distinct value tuples only;
   `sum_rule(0)` makes the raw labels such a process), and
-* a Monte Carlo route with counter-based sampling, fixed-size chunks and
-  a fixed reduction order, so estimates are byte-stable under any thread
-  count.
+* a Monte Carlo route with counter-based sampling and fixed-size
+  chunks, whose moments are centred per chunk and merged in chunk index
+  order, so estimates are byte-stable and a common offset of the samples
+  does not bias them.
 
 Exact identities (the polarization identity and its consequence for
 exchangeable pairs) are evaluated exactly: float inputs are dyadic
@@ -20,9 +21,8 @@ so an identity that holds algebraically yields residual exactly zero.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,21 +58,11 @@ MC_CHUNK = 4096
 _NOT_FINITE = "Monte Carlo moments are not finite: a sample is, or a moment overflows"
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Thread count: explicit argument, then NBTREE_THREADS, then cpu count."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("NBTREE_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def compensated_sum(values: np.ndarray) -> float:
     """Fixed-chunk pairwise partial sums combined exactly with math.fsum.
 
-    Chunk boundaries do not depend on thread count or array provenance,
-    so the result is reproducible for any evaluation order upstream.
+    Chunk boundaries depend only on the array's length, so equal arrays
+    give equal sums, however they were computed.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size <= _SUM_CHUNK:
@@ -100,22 +90,39 @@ class CorrEstimate:
     degenerate: bool = False
 
 
+def _merge_moments(acc: tuple, chunk: tuple) -> tuple:
+    """Centred moments of two disjoint sample sets combined, after Chan,
+    Golub & LeVeque (1983): the means move by their weighted difference and
+    the sums of squares gain the between-set term."""
+    n1, ma1, mb1, maa1, mbb1, cab1 = acc
+    n2, ma2, mb2, maa2, mbb2, cab2 = chunk
+    n = n1 + n2
+    da, db = ma2 - ma1, mb2 - mb1
+    w = n1 * n2 / n
+    return (n, ma1 + da * (n2 / n), mb1 + db * (n2 / n), maa1 + maa2 + da * da * w,
+            mbb1 + mbb2 + db * db * w, cab1 + cab2 + da * db * w)
+
+
 def monte_carlo_corr(pair_sampler: Callable[[int, np.ndarray], tuple],
-                     n_samples: int, seed: int,
-                     threads: int | None = None) -> CorrEstimate:
+                     n_samples: int, seed: int, threads: int = 1) -> CorrEstimate:
     """Pearson correlation of pairs drawn by a deterministic sampler.
 
     pair_sampler(seed, indices) must return two float arrays, one pair
     per index, as a pure function of (seed, index).  Sampling is chunked
-    at the fixed size MC_CHUNK and chunk moments are reduced in index
-    order, so the estimate depends only on (seed, n_samples).  Raises
-    ValueError when a sample or a moment is not finite.
+    at the fixed size MC_CHUNK; each chunk's moments are centred on its
+    own means and merged in chunk index order, so the estimate depends
+    only on (seed, n_samples) and a common offset of the samples does not
+    bias it.  `threads` > 1 draws the chunks in a thread pool; the merge
+    stays in index order in the calling thread.  Raises ValueError when a
+    sample or a moment is not finite.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    starts = list(range(0, n_samples, MC_CHUNK))
+    starts = range(0, n_samples, MC_CHUNK)
 
-    def chunk_moments(lo: int) -> tuple[float, float, float, float, float]:
+    def chunk_moments(lo: int) -> tuple:
+        """(count, mean_a, mean_b, M2_a, M2_b, C_ab) of one chunk, the sums
+        of squares and products taken about the chunk's own means."""
         idx = np.arange(lo, min(lo + MC_CHUNK, n_samples), dtype=np.int64)
         a, b = pair_sampler(seed, idx)
         a = np.asarray(a, dtype=np.float64)
@@ -123,27 +130,28 @@ def monte_carlo_corr(pair_sampler: Callable[[int, np.ndarray], tuple],
         if a.shape != idx.shape or b.shape != idx.shape:
             raise ValueError("pair_sampler must return one (a, b) pair per index")
         with np.errstate(over="ignore", invalid="ignore"):
-            moments = (float(a.sum()), float(b.sum()), float((a * a).sum()),
-                       float((b * b).sum()), float((a * b).sum()))
+            mean_a, mean_b = float(a.sum()) / idx.size, float(b.sum()) / idx.size
+            da, db = a - mean_a, b - mean_b
+            moments = (idx.size, mean_a, mean_b, float((da * da).sum()),
+                       float((db * db).sum()), float((da * db).sum()))
         if not all(map(math.isfinite, moments)):
             raise ValueError(_NOT_FINITE)
         return moments
 
-    n_workers = resolve_threads(threads)
-    if n_workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    if threads > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             per_chunk = list(pool.map(chunk_moments, starts))
     else:
-        per_chunk = [chunk_moments(lo) for lo in starts]
+        per_chunk = map(chunk_moments, starts)
 
-    try:
-        sa, sb, saa, sbb, sab = (math.fsum(col) for col in zip(*per_chunk))
-    except OverflowError:
-        raise ValueError(_NOT_FINITE) from None
+    moments = reduce(_merge_moments, per_chunk)
+    if not all(map(math.isfinite, moments)):
+        raise ValueError(_NOT_FINITE)
+    _, _, _, m2_a, m2_b, c_ab = moments
     n = float(n_samples)
-    var_a = saa / n - (sa / n) ** 2
-    var_b = sbb / n - (sb / n) ** 2
-    cov = sab / n - (sa / n) * (sb / n)
+    var_a, var_b, cov = m2_a / n, m2_b / n, c_ab / n
 
     if var_a <= 0.0 or var_b <= 0.0:
         return CorrEstimate(0.0, n_samples, 0.0, 0.0, 0.0, seed, degenerate=True)

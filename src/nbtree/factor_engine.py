@@ -329,7 +329,7 @@ def _table_rule_func(alphabet: int, seed: int) -> Callable[[np.ndarray], np.ndar
     return f
 
 
-def table_block_rule(radius: int, d: int, alphabet: int, seed: int) -> BlockRule:
+def table_block_rule(radius: int, alphabet: int, seed: int) -> BlockRule:
     """Deterministic random-valued rule on an alphabet view, driven by a table."""
     return BlockRule(radius, _table_rule_func(alphabet, seed), symmetric=False,
                      name=f"table:r{radius}:s{seed}", domain=f"alphabet:{alphabet}")

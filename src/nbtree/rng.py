@@ -1,9 +1,9 @@
 """Counter-based randomness built on the splitmix64 finalizer.
 
 Every draw is a pure function of (seed, counter), not of call order, so
-labels and sample streams are reproducible under any chunking or thread
-count.  All arithmetic is wrapping uint64; outputs are mapped to the
-target distribution at the end.
+labels and sample streams are reproducible under any chunking.  All
+arithmetic is wrapping uint64; outputs are mapped to the target
+distribution at the end.
 """
 
 from __future__ import annotations

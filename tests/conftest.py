@@ -1,0 +1,17 @@
+"""Fixtures shared by the test modules."""
+
+import os
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def checkout_env() -> dict:
+    """The environment for a child interpreter, with this checkout's ``src``
+    first on PYTHONPATH, so that the child imports the nbtree under test
+    whether or not any nbtree is installed."""
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 
@@ -211,19 +210,6 @@ def test_byte_identical_repeat_runs(capsys):
     assert out1 == out2
 
 
-def test_thread_count_does_not_change_output():
-    env = dict(os.environ)
-    outs = []
-    for threads in ("1", "4"):
-        env["NBTREE_THREADS"] = threads
-        proc = subprocess.run(
-            [sys.executable, "-m", "nbtree.cli", "simulate-vertex", "--d", "3",
-             "--k", "2", "--samples", "20000", "--seed", "5", "--format", "csv"],
-            capture_output=True, env=env, text=True, check=True)
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
-
-
 def test_failed_norm_and_certificate_verdicts_exit_one(capsys, monkeypatch):
     # a bound set below the true values must come back as a FAIL verdict
     # (JSON on stdout, exit 1), not as an error
@@ -267,7 +253,7 @@ def test_degenerate_monte_carlo_rows_fail_the_bound_sweep(monkeypatch):
     from nbtree import acceptance
 
     monkeypatch.setattr(acceptance, "linear_pair_sampler", _constant_pair_sampler)
-    res = acceptance.criterion_bound_sweep(0, threads=1)
+    res = acceptance.criterion_bound_sweep(0)
     mc_rows = [r for r in res["rows"] if r["mode"] == "mc"]
     assert not res["passed"] and res["n_fail"] == len(mc_rows) == 48
     assert all(r["verdict"] == "FAIL" for r in mc_rows)
@@ -292,13 +278,13 @@ def test_degenerate_exact_rows_fail_the_bound_sweep(monkeypatch):
     def constant(*args, **kwargs):
         return ExactCorrResult(0.0, 0.0, 1.0, 0.0, 1)
 
-    def sampled(sampler, n_samples, seed, threads=None):
+    def sampled(sampler, n_samples, seed):
         return CorrEstimate(0.0, n_samples, 0.01, -0.02, 0.02, seed)
 
     monkeypatch.setattr(acceptance, "exact_corr_discrete", constant)
     monkeypatch.setattr(acceptance, "exact_edge_corr", constant)
     monkeypatch.setattr(acceptance, "monte_carlo_corr", sampled)
-    res = acceptance.criterion_bound_sweep(0, threads=1)
+    res = acceptance.criterion_bound_sweep(0)
     enumerated = [r for r in res["rows"]
                   if r["mode"] == "exact" and r["rule"] != "linear-geom:r6"]
     assert not res["passed"] and res["n_fail"] == len(enumerated) == 144
@@ -334,6 +320,9 @@ def test_norm_and_walk_count_build_no_sparse_operator(capsys, monkeypatch):
 
 def test_removed_flags_are_usage_errors(capsys):
     assert main(["bounds", "--d", "3", "--k-max", "2", "--threads", "2"]) == 2
+    assert main(["report", "--threads", "1"]) == 2
+    assert main(["simulate-vertex", "--d", "3", "--samples", "200", "--threads", "1"]) == 2
+    assert main(["simulate-edge", "--d", "3", "--samples", "200", "--threads", "1"]) == 2
     assert main(["nb-norm", "--d", "3", "--radius", "3", "--format", "csv"]) == 2
     assert main(["report", "--format", "json"]) == 2
     assert main(["symmetrize-check", "--d", "3", "--k", "3"]) == 2
@@ -435,7 +424,7 @@ def _sweep_row(rows, d, k, rule):
 def sweep_rows():
     from nbtree import acceptance
 
-    return acceptance.criterion_bound_sweep(0, threads=1)["rows"]
+    return acceptance.criterion_bound_sweep(0)["rows"]
 
 
 @pytest.mark.parametrize("d,k", [(3, 1), (3, 5), (4, 1), (4, 5)])
@@ -464,7 +453,8 @@ def test_report_argument_errors_exit_two(capsys):
 
 
 #: runs each argv given as JSON in argv[1] with every scipy import refused,
-#: and prints each exit code and stdout sha256 and the scipy modules loaded
+#: and prints each exit code and stdout sha256 and the scipy and concurrent
+#: modules loaded
 _WITHOUT_SCIPY = """
 import contextlib, hashlib, io, json, sys
 
@@ -482,7 +472,8 @@ for argv in json.loads(sys.argv[1]):
         code = main(argv)
     runs.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
 print(json.dumps({"runs": runs,
-                  "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
+                  "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"],
+                  "concurrent": [m for m in sys.modules if m.split(".")[0] == "concurrent"]}))
 """
 
 #: builds the sparse operator in an interpreter that has not loaded scipy
@@ -501,19 +492,20 @@ print(json.dumps({
 """
 
 
-def test_every_subcommand_runs_without_scipy():
+def test_every_subcommand_runs_without_scipy(checkout_env):
     # only build_operator needs scipy, and no subcommand calls it; the
-    # report keeps its bytes with every scipy import refused
+    # report keeps its bytes with every scipy import refused, and no run
+    # loads the thread pool
     from test_acceptance import REPORT_SEED0_SHA256
     argvs = [[command] + argv for command, argv in sorted(FUZZ_BASE.items())]
     argvs.append(["report", "--seed", "0"])
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, env=checkout_env, check=True)
     doc = json.loads(proc.stdout)
     assert [code for code, _ in doc["runs"]] == [0] * len(argvs)
     assert doc["runs"][-1][1] == REPORT_SEED0_SHA256
-    assert doc["scipy"] == []
+    assert doc["scipy"] == [] and doc["concurrent"] == []
     proc = subprocess.run([sys.executable, "-c", _SPARSE_ON_FIRST_USE],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, env=checkout_env, check=True)
     assert json.loads(proc.stdout) == {
         "before": False, "after": True, "apply": True, "apply_transpose": True}

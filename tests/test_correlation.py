@@ -105,6 +105,41 @@ def test_mc_deterministic_across_thread_counts():
     assert r1 == r4
 
 
+def _geometric_vertex_pair_sampler(d, k, r):
+    """The sampler of a criterion-6 "linear-geom" row: radius-r geometric
+    sums at two vertices k apart."""
+    ball = build_ball(d, (k + 1) // 2 + r)
+    u, v = vertices_at_distance(ball, k)
+    return linear_pair_sampler(vertex_ball_levels(ball, u, r), vertex_ball_levels(ball, v, r),
+                               geometric_profile(d, r).profile)
+
+
+@pytest.mark.parametrize("shift", [1e8, -1e8])
+def test_mc_estimate_is_not_biased_by_a_common_offset(shift):
+    # raw one-pass moments cancel catastrophically under an offset: shifted
+    # by 1e8, this pair read 0.3333 against 0.3996 unshifted (about 18
+    # standard errors) and still passed its bound
+    sampler = _geometric_vertex_pair_sampler(3, 3, 4)
+
+    def shifted(seed, idx):
+        a, b = sampler(seed, idx)
+        return a + shift, b + shift
+
+    plain = monte_carlo_corr(sampler, 50_000, 3)
+    assert abs(plain.estimate - 0.3996) < 1e-4
+    assert abs(monte_carlo_corr(shifted, 50_000, 3).estimate - plain.estimate) <= 1e-6
+
+
+@pytest.mark.parametrize("n_samples", [100, 4096, 4097, 50_000])
+def test_mc_merged_moments_match_one_centred_pass(n_samples):
+    # the chunk merge must agree with the correlation of all samples at once
+    sampler = _geometric_vertex_pair_sampler(4, 2, 3)
+    a, b = sampler(9, np.arange(n_samples, dtype=np.int64))
+    da, db = a - a.mean(), b - b.mean()
+    want = math.fsum(da * db) / math.sqrt(math.fsum(da * da) * math.fsum(db * db))
+    assert monte_carlo_corr(sampler, n_samples, 9).estimate == pytest.approx(want, rel=1e-12)
+
+
 def test_mc_degenerate_variance_flag():
     def constant(seed, idx):
         return np.ones(len(idx)), rng.to_rademacher(rng.words(seed, idx))
@@ -317,7 +352,7 @@ def test_table_rules_reject_labels_outside_their_alphabet():
     with pytest.raises(ValueError, match=r"table rule reads labels in 0\.\.1 only"):
         exact_edge_corr(build_ball(3, 4), edge_table_rule(1, 2, 0), "rademacher", 1, 3)
     with pytest.raises(ValueError, match=r"table rule reads labels in 0\.\.1 only"):
-        exact_corr_discrete(build_ball(3, 2), table_block_rule(1, 3, 2, 0), "alphabet:3",
+        exact_corr_discrete(build_ball(3, 2), table_block_rule(1, 2, 0), "alphabet:3",
                             [0], [1])
 
 

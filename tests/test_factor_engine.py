@@ -295,7 +295,7 @@ def test_xor_pair_average_is_mean_over_neighbors():
 def test_orbit_average_by_direct_enumeration_depth2():
     # reference average computed with an independent permutation loop
     ball = build_ball(3, 4)
-    rule = table_block_rule(2, 3, 2, seed=5)
+    rule = table_block_rule(2, 2, seed=5)
     sym = symmetrize_rule(rule, 3)
     labels = _labels(ball, 13, "alphabet:2")
     v = 1
@@ -416,7 +416,7 @@ def _rule_and_reference(family, depth, alphabet, seed):
         "threshold": (threshold_rule(depth, 1.5), lambda lv: float(_flat_sum(lv) >= 1.5)),
         "majority": (majority_rule(depth), lambda lv: float(np.sign(_flat_sum(lv)))),
         "xor-pair": (xor_pair_rule(), lambda lv: float(int(lv[0][0]) ^ int(lv[1][0]))),
-        "table": (table_block_rule(depth, 3, alphabet, seed), _reference_table(alphabet, seed)),
+        "table": (table_block_rule(depth, alphabet, seed), _reference_table(alphabet, seed)),
         "edge-tail": (edge_tail_rule(), lambda lv: float(lv[0][0])),
         "edge-sum": (edge_sum_rule(depth), lambda lv: float(_flat_sum(lv))),
         "edge-first-child": (edge_first_child_rule(), lambda lv: float(lv[1][0])),

@@ -5,8 +5,10 @@ are exempt), and every module-private top-level function is referenced
 somewhere in the package, so deleted code cannot leave dead helpers or
 stale imports behind.  A `Site` is built only by `correlation.rule_site`, so
 every exact observable is a rule's site table reduced over its rows.  SciPy
-is imported only inside functions, so importing the package, and every CLI
-subcommand, runs without loading it.
+and ``concurrent`` (the thread pool behind ``monte_carlo_corr(threads=...)``)
+are imported only inside functions, so importing the package, and every CLI
+subcommand, runs without loading them.  No module reads the environment, so
+every run is set by its arguments alone.
 """
 
 import ast
@@ -84,6 +86,7 @@ def test_no_unreferenced_private_functions():
 
 
 def test_scipy_is_not_imported_at_module_scope():
+    # nor concurrent, which only monte_carlo_corr(threads > 1) needs
     found = []
     for name, tree in _modules().items():
         for node in _import_time_nodes(tree):
@@ -94,7 +97,21 @@ def test_scipy_is_not_imported_at_module_scope():
             else:
                 continue
             found += [f"{name}:{node.lineno} {m}" for m in modules
-                      if m.split(".")[0] == "scipy"]
+                      if m.split(".")[0] in ("scipy", "concurrent")]
+    assert found == []
+
+
+def test_no_module_reads_the_environment():
+    # os.environ, os.environb, os.getenv and os.getenvb, however reached
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in readers:
+                found.append(f"{name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{name}:{node.lineno} {a.name}" for a in node.names
+                          if a.name in readers or a.name == "*"]
     assert found == []
 
 

@@ -10,7 +10,8 @@ Two independent computation routes coexist deliberately:
 * a Monte Carlo route with counter-based sampling and fixed-size
   chunks, whose moments are centred per chunk and merged in chunk index
   order, so estimates are byte-stable and a common offset of the samples
-  does not bias them.
+  does not bias them; a linear rule's Rademacher labels are drawn 64 to
+  a word and summed per class of vertices by popcount.
 
 Exact identities (the polarization identity and its consequence for
 exchangeable pairs) are evaluated exactly: float inputs are dyadic
@@ -171,32 +172,65 @@ def monte_carlo_corr(pair_sampler: Callable[[int, np.ndarray], tuple],
     return CorrEstimate(r, n_samples, stderr, ci_low, ci_high, seed)
 
 
+def _word_pieces(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Consecutive bit ranges of the given sizes, cut at 64-bit word
+    boundaries: (word, mask, range index) of every piece."""
+    words, masks, owners = [], [], []
+    lo = 0
+    for owner, size in enumerate(sizes.tolist()):
+        hi = lo + size
+        while lo < hi:
+            top = min(hi, (lo // 64 + 1) * 64)
+            words.append(lo // 64)
+            masks.append(((1 << (top - lo)) - 1) << (lo % 64))
+            owners.append(owner)
+            lo = top
+    return np.array(words, dtype=np.intp), np.array(masks, dtype=np.uint64), np.array(owners)
+
+
 def linear_pair_sampler(levels_a: Levels, levels_b: Levels, weights):
     """Sampler of (sum_j weights[j] * level-j labels) over two views, i.i.d. Rademacher.
 
     levels_a and levels_b are views as `vertex_ball_levels` and
-    `subtree_levels` return them.  One fresh labeling per sample index;
-    label (index, vertex) is a pure function of (seed, index, vertex), so
-    chunking cannot change labels.  The two sums are bit-stable only
-    because each chunk is a single `@`.
+    `subtree_levels` return them, with one weight per level.  The sums read
+    the labels only through class sums: a class is the set of support
+    vertices at level i of view A and level j of view B, "not in the view"
+    being a level of its own.  Each class takes a contiguous range of bits,
+    in sorted class-key order; a set bit is label +1, so a class of n
+    labels sums to 2 * popcount(its bits) - n.  One sample draws
+    ceil(|support| / 64) words of `rng.words2`, each a pure function of
+    (seed, index, word), so chunking cannot change a sample.  The two sums
+    are bit-stable only because each chunk is a single `@`.
     """
+    if not len(weights) == len(levels_a) == len(levels_b):
+        raise ValueError(f"{len(weights)} weights for views of {len(levels_a)} "
+                         f"and {len(levels_b)} levels")
     support = np.unique(np.concatenate(levels_a + levels_b))
 
-    def coefficients(levels: Levels) -> np.ndarray:
-        vec = np.zeros(len(support))
-        for lv, w in zip(levels, weights):
-            np.add.at(vec, np.searchsorted(support, lv), float(w))
-        return vec
+    def level_of(levels: Levels) -> np.ndarray:
+        level = np.full(len(support), len(levels))
+        for i, lv in enumerate(levels):
+            level[np.searchsorted(support, lv)] = i
+        return level
 
-    vec_a = coefficients(levels_a)
-    vec_b = coefficients(levels_b)
+    keys, sizes = np.unique(np.stack([level_of(levels_a), level_of(levels_b)], axis=1),
+                            axis=0, return_counts=True)
+    level_weight = np.append(np.asarray(weights, dtype=np.float64), 0.0)
+    class_weights = level_weight[keys]  # (classes, 2): the weight on side A and on side B
+    word, mask, owner = _word_pieces(sizes)
+    coef = 2.0 * class_weights[owner]
+    const = np.array([math.fsum(class_weights[:, side] * sizes) for side in (0, 1)])
+    cols = np.arange(-(-len(support) // 64))
 
     def sampler(seed: int, idx: np.ndarray):
-        labels = rng.rademacher2(seed, idx, support)
-        # dgemv sums depend on the row blocking: with OpenBLAS 0.3.31 (Haswell
-        # kernels), 20 chunks of 4096 x 320 cut into 7-row blocks changed
-        # 20,529 of 81,920 sums, so never split this product into row blocks
-        return labels @ vec_a, labels @ vec_b
+        counts = np.bitwise_count(rng.words2(seed, idx, cols)[:, word] & mask)
+        # float64 counts, because a uint8 operand takes NumPy's slower
+        # non-BLAS loop; BLAS sums depend on the row blocking: with OpenBLAS
+        # 0.3.31 (Haswell kernels), 20 chunks of 4096 x 320 cut into 7-row
+        # blocks changed 20,529 of 81,920 dgemv sums, so never split this
+        # product into row blocks
+        sums = counts.astype(np.float64) @ coef - const
+        return sums[:, 0], sums[:, 1]
 
     return sampler
 

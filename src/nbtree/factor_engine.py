@@ -11,7 +11,9 @@ as columns in level order, to n values.  Two view shapes occur:
 
 The views hold vertex ids; the exact route (`correlation.rule_site`)
 enumerates the labels of a finite label domain on them, and the Monte
-Carlo route (`correlation.linear_pair_sampler`) weights them by level.
+Carlo route (`correlation.linear_pair_sampler`) groups the vertices of two
+views into classes by their pair of levels, draws each class's Rademacher
+labels as packed bits and weights the class sums by level.
 
 Symmetrization averages a rule over all recursive child permutations of
 its view, which preserves means and cross-moments while contracting

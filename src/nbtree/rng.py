@@ -3,7 +3,9 @@
 Every draw is a pure function of (seed, counter), not of call order, so
 labels and sample streams are reproducible under any chunking.  All
 arithmetic is wrapping uint64; outputs are mapped to the target
-distribution at the end.
+distribution at the end.  The Monte Carlo sampler uses the words as raw
+bits: each bit of a `words2` word is one fair coin, so one word carries 64
+Rademacher labels.
 """
 
 from __future__ import annotations
@@ -15,31 +17,17 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
-_SIGN_BIT = np.uint64(1 << 63)
-_ONE_BITS = np.uint64(0x3FF0000000000000)  # IEEE-754 bits of 1.0
-
-#: words per row block in rademacher2: 256 KiB, which stays in L2
-_BLOCK_WORDS = 1 << 15
 
 
-def _premix(z: np.ndarray, t: np.ndarray) -> None:
-    """The finalizer up to its last xor-shift, in place; t is scratch of z's shape.
-
-    The skipped step, z ^= z >> 31, cannot change bit 63, so the sign bit
-    is already final here.
-    """
+def _mix_inplace(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer applied to a uint64 array the caller owns."""
+    t = np.empty_like(z)
     np.right_shift(z, _S30, out=t)
     z ^= t
     z *= _MIX1
     np.right_shift(z, _S27, out=t)
     z ^= t
     z *= _MIX2
-
-
-def _mix_inplace(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer applied to a uint64 array the caller owns."""
-    t = np.empty_like(z)
-    _premix(z, t)
     np.right_shift(z, _S31, out=t)
     z ^= t
     return z
@@ -56,10 +44,6 @@ def words(seed: int, index) -> np.ndarray:
     return _mix_inplace(np.uint64(seed & _U64_MASK) + (idx + np.uint64(1)) * _GOLDEN)
 
 
-def _col_offsets(cols) -> np.ndarray:
-    return (np.asarray(cols, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-
-
 def words2(seed: int, rows, cols) -> np.ndarray:
     """Independent words indexed by (row, col); shape (len(rows), len(cols)).
 
@@ -67,31 +51,8 @@ def words2(seed: int, rows, cols) -> np.ndarray:
     chunks) yields the same values regardless of chunk boundaries.
     """
     r = words(seed, rows)
-    return _mix_inplace(r[:, None] + _col_offsets(cols)[None, :])
-
-
-def rademacher2(seed: int, rows, cols) -> np.ndarray:
-    """+-1.0 labels indexed by (row, col), bit-identical to
-    ``to_rademacher(words2(seed, rows, cols))``.
-
-    Only the sign bit of each word is used, so the finalizer stops before
-    its last step and the bit is turned into a double by OR-ing in the
-    exponent of 1.0.  Rows are mixed in blocks of about _BLOCK_WORDS
-    words, in place with one scratch buffer, so each block stays in cache.
-    """
-    r = words(seed, rows)
-    c = _col_offsets(cols)
-    out = np.empty((r.size, c.size), dtype=np.uint64)
-    step = max(1, _BLOCK_WORDS // max(1, c.size))
-    scratch = np.empty((min(step, r.size), c.size), dtype=np.uint64)
-    for lo in range(0, r.size, step):
-        z = out[lo:lo + step]
-        t = scratch[:len(z)]
-        np.add(r[lo:lo + step, None], c[None, :], out=z)
-        _premix(z, t)
-        z &= _SIGN_BIT
-        z |= _ONE_BITS
-    return out.view(np.float64)
+    c = (np.asarray(cols, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
+    return _mix_inplace(r[:, None] + c[None, :])
 
 
 def to_unit(w: np.ndarray) -> np.ndarray:

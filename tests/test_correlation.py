@@ -19,6 +19,7 @@ from nbtree.correlation import (
     Site,
     SymmetrizationCheck,
     _site_values,
+    _word_pieces,
     compensated_sum,
     edge_homogeneity_check,
     exact_corr_discrete,
@@ -117,7 +118,7 @@ def _geometric_vertex_pair_sampler(d, k, r):
 @pytest.mark.parametrize("shift", [1e8, -1e8])
 def test_mc_estimate_is_not_biased_by_a_common_offset(shift):
     # raw one-pass moments cancel catastrophically under an offset: shifted
-    # by 1e8, this pair read 0.3333 against 0.3996 unshifted (about 18
+    # by 1e8, this pair once read 0.3333 against 0.3996 unshifted (about 18
     # standard errors) and still passed its bound
     sampler = _geometric_vertex_pair_sampler(3, 3, 4)
 
@@ -126,7 +127,8 @@ def test_mc_estimate_is_not_biased_by_a_common_offset(shift):
         return a + shift, b + shift
 
     plain = monte_carlo_corr(sampler, 50_000, 3)
-    assert abs(plain.estimate - 0.3996) < 1e-4
+    exact = linear_rule_covariance_exact(3, geometric_profile(3, 4).profile, 3).corr
+    assert abs(plain.estimate - exact) <= 3 * plain.stderr
     assert abs(monte_carlo_corr(shifted, 50_000, 3).estimate - plain.estimate) <= 1e-6
 
 
@@ -148,59 +150,74 @@ def test_mc_degenerate_variance_flag():
     assert est.degenerate and est.estimate == 0.0
 
 
+def _unpacked_sampler(levels_a, levels_b, weights):
+    """The packed sampler's sums from one +-1 label per support vertex.
+
+    Vertices are put in the class layout one by one: sorted by (level in
+    view A, level in view B), "not in the view" being level len(levels),
+    and vertex p reads bit p of the sample's `words2` words (bit 1 is +1).
+    Returns the class sizes and a sampler of (class sums, a, b), the sums
+    as `labels @ vec`.
+    """
+    support = np.unique(np.concatenate(levels_a + levels_b))
+
+    def level(levels, v):
+        return next((i for i, lv in enumerate(levels) if v in lv.tolist()), len(levels))
+
+    keys = sorted((level(levels_a, v), level(levels_b, v), v) for v in support.tolist())
+    classes = sorted({key[:2] for key in keys})
+    sizes = np.array([sum(key[:2] == c for key in keys) for c in classes])
+    owner = np.array([classes.index(key[:2]) for key in keys])
+    level_weight = list(weights) + [0.0]
+    vec_a = np.array([level_weight[key[0]] for key in keys])
+    vec_b = np.array([level_weight[key[1]] for key in keys])
+    bit = np.arange(len(keys))
+
+    def sampler(seed, idx):
+        w = rng.words2(seed, idx, np.arange(-(-len(keys) // 64)))
+        bits = (w[:, bit // 64] >> (bit % 64).astype(np.uint64)) & np.uint64(1)
+        labels = 2 * bits.astype(np.int64) - 1
+        class_sums = np.stack([labels[:, owner == c].sum(axis=1)
+                               for c in range(len(classes))], axis=1)
+        return class_sums, labels @ vec_a, labels @ vec_b
+
+    return sizes, sampler, np.abs(vec_a).sum() + np.abs(vec_b).sum()
+
+
+def _assert_packed_is_unpacked(levels_a, levels_b, weights, seed, idx):
+    """Integer class sums equal exactly; the two sums agree to 1e-12 of the
+    largest value they can take."""
+    sizes, reference, scale = _unpacked_sampler(levels_a, levels_b, weights)
+    class_sums, ref_a, ref_b = reference(seed, idx)
+    word, mask, owner = _word_pieces(sizes)
+    w = rng.words2(seed, idx, np.arange(-(-int(sizes.sum()) // 64)))
+    counts = np.bitwise_count(w[:, word] & mask).astype(np.int64)
+    packed = np.stack([counts[:, owner == c].sum(axis=1) for c in range(len(sizes))], axis=1)
+    assert np.array_equal(2 * packed - sizes, class_sums)
+    got_a, got_b = linear_pair_sampler(levels_a, levels_b, weights)(seed, idx)
+    np.testing.assert_allclose(got_a, ref_a, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(got_b, ref_b, rtol=1e-12, atol=1e-12 * scale)
+
+
 @pytest.mark.parametrize("n_samples", [20_000, 20_001])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_linear_sampler_estimate_matches_words2_reference(n_samples, threads):
-    # the label kernel must reproduce to_rademacher(words2(...)) @ vec exactly,
-    # including a last chunk whose row count is not a multiple of 4; two
-    # overlapping radius-3 views at d=4 span 89 support columns
+    # packed class sums against one label per vertex drawn from the same
+    # words, including a last chunk whose row count is not a multiple of 4;
+    # two overlapping radius-3 views at d=4 span 89 support vertices
     ball = build_ball(4, 4)
     u, v = vertices_at_distance(ball, 2)
     levels_a, levels_b = vertex_ball_levels(ball, u, 3), vertex_ball_levels(ball, v, 3)
     weights = rng.to_unit(rng.words(1, np.arange(4))) - 0.25
-    support = np.unique(np.concatenate(levels_a + levels_b))
-    vec_a, vec_b = np.zeros(len(support)), np.zeros(len(support))
-    for vec, levels in ((vec_a, levels_a), (vec_b, levels_b)):
-        for lv, w in zip(levels, weights):
-            vec[np.searchsorted(support, lv)] = w
-
-    def reference(seed, idx):
-        labels = rng.to_rademacher(rng.words2(seed, idx, support))
-        return labels @ vec_a, labels @ vec_b
-
-    sampler = linear_pair_sampler(levels_a, levels_b, weights)
     for idx in (np.arange(4096), np.arange(16_384, n_samples)):
-        for x, ref in zip(sampler(77, idx), reference(77, idx)):
-            assert x.tobytes() == ref.tobytes()
+        _assert_packed_is_unpacked(levels_a, levels_b, weights, 77, idx)
+    _, reference, _ = _unpacked_sampler(levels_a, levels_b, weights)
+    sampler = linear_pair_sampler(levels_a, levels_b, weights)
     got = monte_carlo_corr(sampler, n_samples, 77, threads=threads)
-    assert got == monte_carlo_corr(reference, n_samples, 77, threads=threads)
+    assert got == monte_carlo_corr(sampler, n_samples, 77)
+    want = monte_carlo_corr(lambda seed, idx: reference(seed, idx)[1:], n_samples, 77)
+    assert got.estimate == pytest.approx(want.estimate, rel=1e-12)
     assert not got.degenerate and got.estimate > 0.1
-
-
-def _coefficient_sampler(levels_a, levels_b, weights):
-    """The former sampler chain: per-vertex (id, coefficient) lists for each
-    view, scattered into the union support one coefficient at a time."""
-    def site_coefficients(levels):
-        ids = np.concatenate(levels)
-        coeff = np.concatenate([np.full(len(lv), float(w)) for lv, w in zip(levels, weights)])
-        return ids, coeff
-
-    ids_a, coeff_a = site_coefficients(levels_a)
-    ids_b, coeff_b = site_coefficients(levels_b)
-    support = np.unique(np.concatenate([ids_a, ids_b]))
-    vec_a = np.zeros(len(support))
-    vec_b = np.zeros(len(support))
-    pos = {int(v): i for i, v in enumerate(support)}
-    for v, c in zip(ids_a.tolist(), coeff_a.tolist()):
-        vec_a[pos[v]] += c
-    for v, c in zip(ids_b.tolist(), coeff_b.tolist()):
-        vec_b[pos[v]] += c
-
-    def sampler(seed, idx):
-        labels = rng.rademacher2(seed, idx, support)
-        return labels @ vec_a, labels @ vec_b
-
-    return sampler
 
 
 def _pair_views(shape, d, r, k, facing):
@@ -228,10 +245,37 @@ def test_level_sampler_is_the_coefficient_sampler(shape, d, r, k, facing, rate, 
     levels_a, levels_b = _pair_views(shape, d, r, k, facing)
     weights = geometric_profile(d, r, rate).profile
     idx = np.arange(lo, lo + n, dtype=np.int64)
-    got = linear_pair_sampler(levels_a, levels_b, weights)(seed, idx)
-    want = _coefficient_sampler(levels_a, levels_b, weights)(seed, idx)
-    for x, y in zip(got, want):
-        assert np.array_equal(x, y) and x.tobytes() == y.tobytes()
+    _assert_packed_is_unpacked(levels_a, levels_b, weights, seed, idx)
+
+
+@pytest.mark.parametrize("shape, d, r, k", [("vertex", 4, 3, 2), ("vertex", 4, 4, 7),
+                                            ("edge", 3, 3, 3), ("vertex", 3, 0, 0)])
+def test_linear_sampler_draws_one_word_per_64_support_vertices(monkeypatch, shape, d, r, k):
+    levels_a, levels_b = _pair_views(shape, d, r, k, False)
+    n_support = len(np.unique(np.concatenate(levels_a + levels_b)))
+    sampler = linear_pair_sampler(levels_a, levels_b, geometric_profile(d, r).profile)
+    drawn = []
+    words2 = rng.words2
+
+    def counting(seed, rows, cols):
+        out = words2(seed, rows, cols)
+        drawn.append(out.shape)
+        return out
+
+    monkeypatch.setattr(rng, "words2", counting)
+    sampler(5, np.arange(1000, 1300))
+    assert drawn == [(300, -(-n_support // 64))]
+
+
+def test_linear_sampler_needs_one_weight_per_level():
+    ball = build_ball(3, 4)
+    u, v = vertices_at_distance(ball, 2)
+    levels_a, levels_b = vertex_ball_levels(ball, u, 2), vertex_ball_levels(ball, v, 2)
+    for weights in ((1.0, 0.5), (1.0, 0.5, 0.25, 0.125)):
+        with pytest.raises(ValueError, match="weights"):
+            linear_pair_sampler(levels_a, levels_b, weights)
+    with pytest.raises(ValueError, match="weights"):
+        linear_pair_sampler(levels_a, vertex_ball_levels(ball, v, 1), (1.0, 0.5, 0.25))
 
 
 def test_degenerate_estimate_fails_its_verdict():

@@ -45,11 +45,7 @@ from .factor_engine import (
 )
 from .nb_operator import (
     CertificateReport,
-    NbOperator,
     NormReport,
-    apply,
-    apply_transpose,
-    build_operator,
     certify_claims,
     cone_weight_sums,
     operator_norm_pow,

@@ -284,10 +284,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     out_path = getattr(args, "out", None)
     try:
-        if out_path:
-            with open(out_path, "w") as fh:
-                return args.fn(args, fh)
-        return args.fn(args, sys.stdout)
+        if not out_path:
+            return args.fn(args, sys.stdout)
+        try:
+            fh = open(out_path, "w")
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise NbtreeError(f"cannot write --out {out_path}: {exc.strerror}") from exc
+        with fh:
+            return args.fn(args, fh)
     except (NbtreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

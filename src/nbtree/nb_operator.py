@@ -1,16 +1,10 @@
 """The non-backtracking operator on the directed edges of a tree ball.
 
 The operator maps a function f on directed edges to
-(Bf)(e) = sum of f over the predecessors e' -> e.  Its public sparse form,
-`NbOperator`, is one 0/1 CSR matrix, B^T, whose rows are the successor
-lists of ``tree_core`` (the one place the relation e -> e' is computed).
-`apply` runs B as that matrix's transpose view, which SciPy evaluates as a
-CSC product summing each (Bf)(e) in ascending predecessor order;
-`apply_transpose` runs the CSR product, summing over the successor list.
-`build_operator` is the one place that builds the matrix, so it imports
-`scipy.sparse` itself, on its first call; nothing else in the package
-needs SciPy, and no CLI subcommand or report criterion loads it.
-The k-step cones behind the certificates follow the same rule through
+(Bf)(e) = sum of f over the predecessors e' -> e, and its adjoint to
+(B^T f)(e) = sum of f over the successors e -> e'; the relation itself
+is computed in one place, ``tree_core.successor_lists``.  The k-step
+cones behind the certificates follow the same rule through
 ``tree_core.cone``.  Two independent certificates are computed for the
 k-th power of B:
 
@@ -19,13 +13,13 @@ k-th power of B:
 * exact height-weighted walk sums over k-step cones, whose maxima over
   interior edges must stay strictly below the same bound.
 
-The power iteration never builds the matrix.  The root-fixing
-automorphisms of the ball act transitively on each (orientation, height)
-class of directed edges, and the iteration starts from the all-ones
-vector, which is constant on every class; B and B^T commute with those
-automorphisms, so every iterate is class-constant too.  It is held as 2R
-class values, away[h] and toward[h] for h = 1..R.  On such a vector the
-sparse products compute
+The power iteration never builds a matrix or an edge vector.  The
+root-fixing automorphisms of the ball act transitively on each
+(orientation, height) class of directed edges, and the iteration starts
+from the all-ones vector, which is constant on every class; B and B^T
+commute with those automorphisms, so every iterate is class-constant too.
+It is held as 2R class values, away[h] and toward[h] for h = 1..R.
+Summing each edge's predecessors in ascending id order gives
 
     (Bf)(away at h)   = 0.0 + away[h-1] + toward[h] + ... + toward[h]
     (Bf)(toward at h) = 0.0 + toward[h+1] + ... + toward[h+1]
@@ -34,11 +28,11 @@ with d-2 sibling terms toward[h] (d-1, and no away[h-1], at h = 1), d-1
 child terms toward[h+1] (none at h = R), and B^T the same sums with away
 and toward exchanged.  `_b_classes` adds the terms one at a time in that
 order, never as a count times a value (t+t+t and 3*t can round
-differently), so each class value is bit for bit the entry SciPy
-computes on every edge of its class.  Only the two reductions of each
-iteration, v @ w and ||w||, run on full edge vectors: BLAS blocks those
-sums by the vector length, so a shorter weighted sum would round
-differently.
+differently).  The two reductions of each iteration, v @ w and ||w||,
+weight each class by its n_h edges of either orientation and are summed
+exactly (`_class_dot`): the result is the correctly rounded sum of the
+rounded elementwise products, which is math.fsum over the full edge
+vectors, and does not depend on the vector length or on any library.
 
 Inside a tree a non-backtracking walk can never revisit an undirected
 edge, so the k-step cone of any edge is duplicate-free and cone sums are
@@ -56,32 +50,13 @@ import numpy as np
 from . import bounds
 from ._exact import root_lt, root_value
 from .errors import NbtreeError
-from .tree_core import TreeBall, cone, predecessors, successor_lists
+from .tree_core import TreeBall, cone
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 
 #: relative guard band for strict-inequality certificate checks
 CERT_GUARD = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class NbOperator:
-    """Sparse realization of the non-backtracking operator on a ball.
-
-    `succ` is B^T: row e lists the successors of e.  B itself is applied
-    as the transpose view ``succ.T``.
-    """
-
-    ball: TreeBall
-    m: int
-    succ: scipy.sparse.csr_matrix
-
-    def predecessors(self, e: int) -> np.ndarray:
-        return predecessors(self.ball, e)
-
-    def successors(self, e: int) -> np.ndarray:
-        return self.succ.indices[int(self.succ.indptr[e]):int(self.succ.indptr[e + 1])]
 
 
 @dataclass(frozen=True)
@@ -160,44 +135,8 @@ class CertificateReport:
         }
 
 
-def build_operator(ball: TreeBall) -> NbOperator:
-    """Assemble the successor lists of every directed edge into CSR form."""
-    import scipy.sparse as sp  # here, not at module load: no CLI path needs it
-
-    m = ball.n_edges
-    succ, counts = successor_lists(ball, np.arange(m))
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    succ_mat = sp.csr_matrix((np.ones(succ.size), succ, indptr), shape=(m, m))
-    return NbOperator(ball, m, succ_mat)
-
-
-def apply(op: NbOperator, f: np.ndarray) -> np.ndarray:
-    """(Bf)(e) = sum of f over predecessors of e."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (op.m,):
-        raise ValueError(f"vector length {f.shape} != edge count {op.m}")
-    return op.succ.T @ f
-
-
-def apply_transpose(op: NbOperator, f: np.ndarray) -> np.ndarray:
-    """(B^T f)(e) = sum of f over successors of e; the adjoint of apply."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (op.m,):
-        raise ValueError(f"vector length {f.shape} != edge count {op.m}")
-    return op.succ @ f
-
-
-def _require_ball(ball, caller: str) -> None:
-    """Reject anything but a TreeBall, an NbOperator included, up front."""
-    if not isinstance(ball, TreeBall):
-        raise TypeError(f"{caller} takes a TreeBall (an NbOperator's is op.ball), "
-                        f"got {type(ball).__name__}")
-
-
 def walk_count(ball: TreeBall, e0: int, k: int) -> int:
     """Number of edges reachable from e0 by a k-step non-backtracking walk."""
-    _require_ball(ball, "walk_count")
     if k < 0:
         raise ValueError("k must be >= 0")
     ball._check_edge(e0)
@@ -208,11 +147,11 @@ def _b_classes(d: int, away: list, toward: list) -> tuple[list, list]:
     """B on a class-constant vector held as its class values.
 
     away[h] and toward[h] are the values at height h = 1..R (index 0 is
-    unused).  Each sum adds its terms one at a time, in the order the CSC
-    product of `apply` adds them; see the module docstring.  Reversing
-    every edge maps the away class at h to the toward class at h and turns
-    B into B^T with the same order of terms, so B^T is this function on
-    the swapped classes.
+    unused).  Each sum adds its terms one at a time, in ascending
+    predecessor order; see the module docstring.  Reversing every edge
+    maps the away class at h to the toward class at h and turns B into B^T
+    with the same order of terms, so B^T is this function on the swapped
+    classes.
     """
     radius = len(away) - 1
     new_away = [0.0] * (radius + 1)
@@ -234,18 +173,26 @@ def _b_classes(d: int, away: list, toward: list) -> tuple[list, list]:
     return new_away, new_toward
 
 
-def _expand_classes(ball: TreeBall, away: list, toward: list, out: np.ndarray) -> None:
-    """Write the class values onto every edge of `out`.
+def _class_dot(counts: list, x_away: list, x_toward: list,
+               y_away: list, y_toward: list) -> float:
+    """x @ y of two class-constant edge vectors, summed exactly, rounded once.
 
-    The edges at height h hold the ids [2(ls[h]-1), 2(ls[h+1]-1)), away
-    (even) and toward (odd) interleaved.  Viewed as complex128, each
-    (away, toward) pair is one element, so every height is one contiguous
-    fill; the two doubles are stored unchanged.
+    counts[h] is the number of edges of each orientation at height h.
+    Each class product is rounded as on one edge, then the counts-weighted
+    sum is accumulated as an integer over one power-of-two denominator, so
+    the result is math.fsum of the elementwise products over every edge.
     """
-    pairs = out.view(np.complex128)
-    ls = ball.level_start.tolist()
-    for h in range(1, ball.radius + 1):
-        pairs[ls[h] - 1:ls[h + 1] - 1] = complex(away[h], toward[h])
+    num = 0
+    shift = 0  # the sum so far is num / 2**shift
+    for h in range(1, len(counts)):
+        for p in (x_away[h] * y_away[h], x_toward[h] * y_toward[h]):
+            a, b = p.as_integer_ratio()
+            s = b.bit_length() - 1
+            if s > shift:
+                num <<= s - shift
+                shift = s
+            num += counts[h] * a << (shift - s)
+    return num / (1 << shift)
 
 
 def operator_norm_pow(ball: TreeBall, k: int, tol: float = DEFAULT_TOL,
@@ -259,13 +206,10 @@ def operator_norm_pow(ball: TreeBall, k: int, tol: float = DEFAULT_TOL,
     defect, reported through the returned estimate and bound.
 
     The iterates are class-constant, so B and B^T run on the 2R class
-    values (`_b_classes`), bit for bit equal to the sparse products on
-    every edge.  The two reductions, v @ w and ||w||, stay on the full
-    edge vectors: BLAS sums them in blocks whose order depends on the
-    length, so the class values are expanded into two buffers for them
-    and each iteration's digits are those of the sparse iteration.
+    values (`_b_classes`), and v @ w and ||w|| are exact class-weighted
+    sums (`_class_dot`): every iteration's digits are those of the same
+    iteration on full edge vectors with math.fsum reductions.
     """
-    _require_ball(ball, "operator_norm_pow")
     if k < 1:
         raise ValueError("power k must be >= 1")
     if not tol > 0:
@@ -279,8 +223,7 @@ def operator_norm_pow(ball: TreeBall, k: int, tol: float = DEFAULT_TOL,
     if m == 0:
         return NormReport(d, ball.radius, k, 0.0, bound, 0, 0.0, True)
 
-    v_full = np.empty(m)
-    w_full = np.empty(m)
+    counts = [0] + np.diff(ball.level_start[1:]).tolist()
     v_away = v_toward = [1.0 / math.sqrt(m)] * (ball.radius + 1)
     rho_prev = None
     residual = math.inf
@@ -293,10 +236,8 @@ def operator_norm_pow(ball: TreeBall, k: int, tol: float = DEFAULT_TOL,
             w_away, w_toward = _b_classes(d, w_away, w_toward)
         for _ in range(k):
             w_toward, w_away = _b_classes(d, w_toward, w_away)
-        _expand_classes(ball, v_away, v_toward, v_full)
-        _expand_classes(ball, w_away, w_toward, w_full)
-        rho = float(v_full @ w_full)
-        norm_w = float(np.linalg.norm(w_full))
+        rho = _class_dot(counts, v_away, v_toward, w_away, w_toward)
+        norm_w = math.sqrt(_class_dot(counts, w_away, w_toward, w_away, w_toward))
         if norm_w == 0.0 or rho <= 0.0:
             rho = max(rho, 0.0)
             residual = 0.0
@@ -343,7 +284,6 @@ def cone_weight_sums(ball: TreeBall, e: int, k: int) -> WeightSums:
     A cone is interior exactly when it has the full (d-1)^k walks; cones
     clipped by the ball boundary are flagged so callers can exclude them.
     """
-    _require_ball(ball, "cone_weight_sums")
     if k < 1:
         raise ValueError("k must be >= 1")
     q = ball.d - 1
@@ -385,7 +325,6 @@ def certify_claims(ball: TreeBall, k: int) -> CertificateReport:
     respect a relative guard band of CERT_GUARD.  The report is strict only
     when both hold; a non-strict report indicates a defect.
     """
-    _require_ball(ball, "certify_claims")
     if k < 1:
         raise ValueError("k must be >= 1")
     if ball.radius < k + 2:

@@ -14,8 +14,7 @@ operations that need full neighborhoods check interiority explicitly.
 
 The non-backtracking successor rule e -> e' (head(e) = tail(e') and
 e' != reverse(e)) is computed in one place, `successor_lists`, vectorised
-over edge arrays.  Predecessors, k-step cones and the sparse operator of
-``nb_operator`` are all derived from it.
+over edge arrays.  Predecessors and k-step cones are derived from it.
 
 Vertex geometry likewise has one BFS and one path walk.  `distances_from`
 is a BFS from one vertex or a connected vertex set, and `hull_distance`

@@ -291,25 +291,17 @@ def test_degenerate_exact_rows_fail_the_bound_sweep(monkeypatch):
     assert all(r["verdict"] == "FAIL" for r in enumerated)
 
 
-def test_norm_and_walk_count_build_no_sparse_operator(capsys, monkeypatch):
+def test_norm_and_walk_count_build_no_sparse_operator(capsys):
     # the power iteration runs on (orientation, height) class values and
-    # walk counts on cones: neither subcommand, nor criteria 2 and 4,
-    # builds the sparse matrix
+    # walk counts on cones; the package has no sparse form of the operator
     from nbtree import acceptance, nb_operator
 
-    def refuse(ball):
-        raise AssertionError("the sparse operator was built")
-
-    build = nb_operator.build_operator
-    for name, mod in list(sys.modules.items()):
-        if ((name == "nbtree" or name.startswith("nbtree."))
-                and getattr(mod, "build_operator", None) is build):
-            monkeypatch.setattr(mod, "build_operator", refuse)
+    assert not hasattr(nb_operator, "build_operator")
     code, out = run_cli(capsys, "nb-norm", "--d", "3", "--radius", "17", "--k", "6")
     assert code == 0
-    assert json.loads(out) == {  # the digits of the sparse power iteration
-        "d": 3, "radius": 17, "k": 6, "estimate": 31.467645841222165,
-        "bound": 79.19595949289331, "residual": 3.9581155948848265e-11,
+    assert json.loads(out) == {  # the digits of the full-vector fsum iteration
+        "d": 3, "radius": 17, "k": 6, "estimate": 31.467645841219518,
+        "bound": 79.19595949289331, "residual": 3.899688521910216e-11,
         "iterations": 16, "converged": True}
     code, out = run_cli(capsys, "walk-count", "--d", "3", "--radius", "12", "--k", "6",
                         "--edge", "0")
@@ -452,6 +444,25 @@ def test_report_argument_errors_exit_two(capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
+def test_out_writes_the_file(capsys, tmp_path):
+    path = tmp_path / "bounds.csv"
+    assert main(["bounds", "--d", "3", "--k-max", "2", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    _, out = run_cli(capsys, "bounds", "--d", "3", "--k-max", "2")
+    assert path.read_text() == out
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    # a missing directory and a directory: exit 2 with one error line
+    for path in (tmp_path / "no" / "such" / "x.csv", tmp_path):
+        assert main(["bounds", "--d", "3", "--k-max", "2", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write --out {path}: ")
+        assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 #: runs each argv given as JSON in argv[1] with every scipy import refused,
 #: and prints each exit code and stdout sha256 and the scipy and concurrent
 #: modules loaded
@@ -476,26 +487,10 @@ print(json.dumps({"runs": runs,
                   "concurrent": [m for m in sys.modules if m.split(".")[0] == "concurrent"]}))
 """
 
-#: builds the sparse operator in an interpreter that has not loaded scipy
-_SPARSE_ON_FIRST_USE = """
-import json, sys
-import numpy as np
-from nbtree import apply, apply_transpose, build_ball, build_operator
-before = "scipy.sparse" in sys.modules
-op = build_operator(build_ball(3, 3))
-ones = np.ones(op.m)
-print(json.dumps({
-    "before": before, "after": "scipy.sparse" in sys.modules,
-    "apply": apply(op, ones).tolist() == [op.predecessors(e).size for e in range(op.m)],
-    "apply_transpose":
-        apply_transpose(op, ones).tolist() == [op.successors(e).size for e in range(op.m)]}))
-"""
-
-
 def test_every_subcommand_runs_without_scipy(checkout_env):
-    # only build_operator needs scipy, and no subcommand calls it; the
-    # report keeps its bytes with every scipy import refused, and no run
-    # loads the thread pool
+    # the package needs no scipy: every subcommand runs and the report
+    # keeps its bytes with every scipy import refused, and no run loads
+    # the thread pool
     from test_acceptance import REPORT_SEED0_SHA256
     argvs = [[command] + argv for command, argv in sorted(FUZZ_BASE.items())]
     argvs.append(["report", "--seed", "0"])
@@ -505,7 +500,3 @@ def test_every_subcommand_runs_without_scipy(checkout_env):
     assert [code for code, _ in doc["runs"]] == [0] * len(argvs)
     assert doc["runs"][-1][1] == REPORT_SEED0_SHA256
     assert doc["scipy"] == [] and doc["concurrent"] == []
-    proc = subprocess.run([sys.executable, "-c", _SPARSE_ON_FIRST_USE],
-                          capture_output=True, text=True, env=checkout_env, check=True)
-    assert json.loads(proc.stdout) == {
-        "before": False, "after": True, "apply": True, "apply_transpose": True}

@@ -4,11 +4,12 @@ Every name a module imports is used in that module (``__init__`` re-exports
 are exempt), and every module-private top-level function is referenced
 somewhere in the package, so deleted code cannot leave dead helpers or
 stale imports behind.  A `Site` is built only by `correlation.rule_site`, so
-every exact observable is a rule's site table reduced over its rows.  SciPy
-and ``concurrent`` (the thread pool behind ``monte_carlo_corr(threads=...)``)
-are imported only inside functions, so importing the package, and every CLI
-subcommand, runs without loading them.  No module reads the environment, so
-every run is set by its arguments alone.
+every exact observable is a rule's site table reduced over its rows.  No
+module imports SciPy, and ``concurrent`` (the thread pool behind
+``monte_carlo_corr(threads=...)``) is imported only inside functions, so
+importing the package, and every CLI subcommand, runs without loading it.
+No module reads the environment, so every run is set by its arguments
+alone.
 """
 
 import ast
@@ -85,19 +86,26 @@ def test_no_unreferenced_private_functions():
     assert dead == []
 
 
+def _imported_modules(node) -> list[str]:
+    """Absolute module names an import statement loads (none for others)."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
 def test_scipy_is_not_imported_at_module_scope():
-    # nor concurrent, which only monte_carlo_corr(threads > 1) needs
+    # scipy nowhere, function bodies included; concurrent, which only
+    # monte_carlo_corr(threads > 1) needs, only inside functions
     found = []
     for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            found += [f"{name}:{node.lineno} {m}" for m in _imported_modules(node)
+                      if m.split(".")[0] == "scipy"]
         for node in _import_time_nodes(tree):
-            if isinstance(node, ast.Import):
-                modules = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            found += [f"{name}:{node.lineno} {m}" for m in modules
-                      if m.split(".")[0] in ("scipy", "concurrent")]
+            found += [f"{name}:{node.lineno} {m}" for m in _imported_modules(node)
+                      if m.split(".")[0] == "concurrent"]
     assert found == []
 
 

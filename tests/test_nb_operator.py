@@ -1,5 +1,6 @@
-"""Operator assembly, adjointness, walk counts, norm estimates, certificates."""
+"""Operator assembly, class operator, walk counts, norm estimates, certificates."""
 
+import functools
 import math
 
 import numpy as np
@@ -11,19 +12,20 @@ from nbtree.nb_operator import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     NormReport,
-    apply,
-    apply_transpose,
-    build_operator,
+    _b_classes,
+    _class_dot,
     certify_claims,
     cone_weight_sums,
     operator_norm_pow,
     walk_count,
 )
-from nbtree.tree_core import build_ball, reverse_edge, successors
-
-
-def _op(d, radius):
-    return build_operator(build_ball(d, radius))
+from nbtree.tree_core import (
+    build_ball,
+    predecessors,
+    reverse_edge,
+    successor_lists,
+    successors,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -35,11 +37,10 @@ def test_star_ball_predecessor_counts():
     # d=3, R=1: 4 vertices, 6 directed edges.  Toward-root edges end at
     # leaves' only neighbor, so they have no predecessors; each edge out of
     # the root is fed by the two toward edges from the other leaves.
-    op = _op(3, 1)
-    ball = op.ball
-    assert op.m == 6
+    ball = build_ball(3, 1)
+    assert ball.n_edges == 6
     for e in range(6):
-        preds = op.predecessors(e)
+        preds = predecessors(ball, e)
         if ball.is_away(e):
             assert len(preds) == 2
             assert all(not ball.is_away(int(p)) for p in preds)
@@ -48,84 +49,95 @@ def test_star_ball_predecessor_counts():
 
 
 def test_depth1_to_depth2_edge_has_two_predecessors():
-    op = _op(3, 2)
-    ball = op.ball
+    ball = build_ball(3, 2)
     w = int(ball.vertices_at_depth(1)[0])
     c = int(ball.children(w)[0])
     e = 2 * (c - 1)  # away edge w -> c
     assert ball.edge_tail(e) == w
-    assert len(op.predecessors(e)) == 2
+    assert len(predecessors(ball, e)) == 2
 
 
 def test_total_predecessors_equal_total_successors():
     for d, radius in ((3, 3), (4, 2)):
-        op = _op(d, radius)
-        n_pred = sum(len(op.predecessors(e)) for e in range(op.m))
-        n_succ = sum(len(op.successors(e)) for e in range(op.m))
+        ball = build_ball(d, radius)
+        edges = range(ball.n_edges)
+        n_pred = sum(len(predecessors(ball, e)) for e in edges)
+        n_succ = sum(len(successors(ball, e)) for e in edges)
         assert n_pred == n_succ
 
 
 def test_operator_rows_match_successor_definition():
     # e -> e' exactly when head(e) = tail(e') and e' != reverse(e), checked
-    # over every ordered edge pair against both CSR matrices
+    # over every ordered edge pair; both lists come in ascending id order
     for d, radius in ((3, 3), (4, 2), (5, 2)):
-        op = _op(d, radius)
-        ball = op.ball
-        heads = [ball.edge_head(e) for e in range(op.m)]
-        tails = [ball.edge_tail(e) for e in range(op.m)]
-        succ = [[f for f in range(op.m) if heads[e] == tails[f] and f != reverse_edge(e)]
-                for e in range(op.m)]
-        b = op.succ.T.tocsr()  # B, rows = target edge, cols = predecessor
-        b.sort_indices()
-        for e in range(op.m):
-            pred = [f for f in range(op.m) if e in succ[f]]
+        ball = build_ball(d, radius)
+        m = ball.n_edges
+        heads = [ball.edge_head(e) for e in range(m)]
+        tails = [ball.edge_tail(e) for e in range(m)]
+        succ = [[f for f in range(m) if heads[e] == tails[f] and f != reverse_edge(e)]
+                for e in range(m)]
+        for e in range(m):
+            pred = [f for f in range(m) if e in succ[f]]
             assert successors(ball, e).tolist() == succ[e]
-            assert op.successors(e).tolist() == succ[e]
-            assert op.predecessors(e).tolist() == pred
-            assert _row(op.succ, e) == succ[e]
-            assert _row(b, e) == pred
+            assert predecessors(ball, e).tolist() == pred
 
 
-def _row(mat, e):
-    return mat.indices[mat.indptr[e]:mat.indptr[e + 1]].tolist()
+# ---------------------------------------------------------------------------
+# full-edge-vector reference
+# ---------------------------------------------------------------------------
 
 
-def _sorted_b(op):
-    """B as the former NbOperator stored it: a CSR copy of the transpose
-    with sorted column indices."""
-    mat = op.succ.T.tocsr()
-    mat.sort_indices()
-    return mat
+def _padded(ball, relation, counts):
+    """(m, d-1) ids of each edge's `relation` list, ascending, padded with m.
+
+    `relation` takes every edge id at once and concatenates the lists;
+    counts[e] is the length of e's list.
+    """
+    m = ball.n_edges
+    ids = relation(ball, np.arange(m))
+    starts = np.cumsum(counts) - counts
+    idx = np.full((m, ball.d - 1), m, dtype=np.int64)
+    idx[np.repeat(np.arange(m), counts), np.arange(ids.size) - np.repeat(starts, counts)] = ids
+    assert np.all((np.diff(idx, axis=1) > 0) | (idx[:, 1:] == m))
+    return idx
 
 
-def test_apply_is_byte_equal_to_the_sorted_csr_of_b():
-    for d, radius in ((3, 1), (3, 9), (4, 5), (5, 4)):
-        op = _op(d, radius)
-        b = _sorted_b(op)
-        assert op.succ.T.format == "csc"
-        for seed in range(3):
-            f = (rng.to_unit(rng.words(seed, np.arange(op.m))) - 0.5) * 1e3
-            g, h = f, f
-            for _ in range(4):  # also repeated application, as in power iteration
-                g, h = apply(op, g), b @ h
-                assert g.tobytes() == h.tobytes()
+@functools.lru_cache(maxsize=None)
+def _reference_operator(d, radius):
+    """The ball with B (predecessor lists) and B^T (successor lists)."""
+    ball = build_ball(d, radius)
+    edges = np.arange(ball.n_edges)
+    return (ball, _padded(ball, predecessors, successor_lists(ball, edges ^ 1)[1]),
+            _padded(ball, successors, successor_lists(ball, edges)[1]))
 
 
-def _csr_norm_pow(op, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Power iteration on the sparse matrices, B as the sorted CSR of the
-    transpose and B^T as the successor CSR: the reference loop whose every
-    NormReport field operator_norm_pow must reproduce."""
-    b = _sorted_b(op)
-    v = np.full(op.m, 1.0 / math.sqrt(op.m))
+def _sum_lists(idx, f):
+    """Each edge's sum of f over its row of idx, adding one term at a time
+    from 0.0; the pad id m reads 0.0, and s + 0.0 == s for every s this
+    can reach (never -0.0)."""
+    f = np.append(f, 0.0)
+    out = np.zeros(idx.shape[0])
+    for j in range(idx.shape[1]):
+        out = out + f[idx[:, j]]
+    return out
+
+
+def _fsum_norm_pow(d, radius, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """Power iteration on full edge vectors, B and B^T summed in ascending
+    id order and both reductions by math.fsum: the reference loop whose
+    every NormReport field operator_norm_pow must reproduce."""
+    ball, b, bt = _reference_operator(d, radius)
+    m = ball.n_edges
+    v = np.full(m, 1.0 / math.sqrt(m))
     rho, rho_prev, residual, converged = 0.0, None, math.inf, False
     for iterations in range(1, max_iter + 1):
         w = v
         for _ in range(k):
-            w = b @ w
+            w = _sum_lists(b, w)
         for _ in range(k):
-            w = op.succ @ w
-        rho = float(v @ w)
-        norm_w = float(np.linalg.norm(w))
+            w = _sum_lists(bt, w)
+        rho = math.fsum(v * w)
+        norm_w = math.sqrt(math.fsum(w * w))
         if norm_w == 0.0 or rho <= 0.0:
             rho, residual, converged = max(rho, 0.0), 0.0, True
             break
@@ -136,26 +148,26 @@ def _csr_norm_pow(op, k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
                 break
         rho_prev = rho
         v = w / norm_w
-    return NormReport(op.ball.d, op.ball.radius, k, math.sqrt(max(rho, 0.0)),
-                      bnorm_bound(op.ball.d, k), iterations, residual, converged)
+    return NormReport(d, radius, k, math.sqrt(max(rho, 0.0)), bnorm_bound(d, k),
+                      iterations, residual, converged)
 
 
 #: (d, largest radius) of the class-iteration grid
 NORM_GRID = ((3, 9), (4, 6), (5, 5), (6, 4))
 
 
-def test_norm_estimate_matches_the_sorted_csr_power_iteration():
-    # the class-value iteration is the sparse one bit for bit: converged,
-    # at a tighter tolerance, and stopped before convergence
+def test_norm_estimate_matches_the_full_vector_fsum_iteration():
+    # the class-value iteration is the full-vector one bit for bit:
+    # converged, at a tighter tolerance, and stopped before convergence
     cases = 0
     for d, max_radius in NORM_GRID:
         for radius in range(1, max_radius + 1):
-            op = _op(d, radius)
+            ball = build_ball(d, radius)
             for k in range(1, 8):
                 for tol, max_iter in ((DEFAULT_TOL, DEFAULT_MAX_ITER),
                                       (1e-12, DEFAULT_MAX_ITER), (1e-16, 3)):
-                    got = operator_norm_pow(op.ball, k, tol, max_iter)
-                    want = _csr_norm_pow(op, k, tol, max_iter)
+                    got = operator_norm_pow(ball, k, tol, max_iter)
+                    want = _fsum_norm_pow(d, radius, k, tol, max_iter)
                     assert got == want, (d, radius, k, tol, max_iter)
                     assert repr(got) == repr(want)  # also tells -0.0 from 0.0
                     cases += 1
@@ -163,67 +175,94 @@ def test_norm_estimate_matches_the_sorted_csr_power_iteration():
 
 
 # ---------------------------------------------------------------------------
-# apply / adjoint
+# B on class values
 # ---------------------------------------------------------------------------
 
 
+def _classes(ball, seed, binades=0):
+    """Signed class values in (-0.5, 0.5), scaled by powers of two spread
+    over `binades` binades; index 0 is unused."""
+    n = 2 * (ball.radius + 1)
+    u = rng.to_unit(rng.words(seed, np.arange(2 * n)))
+    vals = ((u[:n] - 0.5) * np.exp2(np.floor(u[n:] * binades) - binades // 2)).tolist()
+    return vals[:ball.radius + 1], vals[ball.radius + 1:]
+
+
+def _expand(ball, away, toward):
+    """The full edge vector of class values: edge e holds its class's."""
+    out = np.empty(ball.n_edges)
+    h = ball.depth[np.arange(ball.n_edges) // 2 + 1]
+    even = np.arange(ball.n_edges) % 2 == 0
+    out[even] = np.asarray(away)[h[even]]
+    out[~even] = np.asarray(toward)[h[~even]]
+    return out
+
+
+def _counts(ball):
+    return [0] + np.diff(ball.level_start[1:]).tolist()
+
+
+def test_class_dot_is_fsum_over_every_edge():
+    for d, max_radius in NORM_GRID:
+        for radius in range(1, max_radius + 1):
+            ball = build_ball(d, radius)
+            for seed in range(4):
+                xa, xt = _classes(ball, 10 * seed, binades=80)
+                ya, yt = _classes(ball, 10 * seed + 1, binades=80)
+                got = _class_dot(_counts(ball), xa, xt, ya, yt)
+                want = math.fsum(_expand(ball, xa, xt) * _expand(ball, ya, yt))
+                assert repr(got) == repr(want), (d, radius, seed)
+
+
 def test_apply_zero_and_linearity():
-    op = _op(3, 3)
-    z = np.zeros(op.m)
-    assert np.array_equal(apply(op, z), z)
-    f = rng.to_unit(rng.words(3, np.arange(op.m)))
-    g = rng.to_unit(rng.words(4, np.arange(op.m)))
-    lhs = apply(op, 2.0 * f - 3.0 * g)
-    rhs = 2.0 * apply(op, f) - 3.0 * apply(op, g)
-    assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
-
-
-def test_apply_indicator_spreads_over_successors():
-    op = _op(3, 3)
-    e0 = 0
-    f = np.zeros(op.m)
-    f[e0] = 1.0
-    out = apply(op, f)
-    hit = set(np.flatnonzero(out).tolist())
-    assert hit == set(op.successors(e0).tolist())
+    ball = build_ball(3, 3)
+    zero = [0.0] * 4
+    assert _b_classes(3, zero, zero) == (zero, zero)
+    fa, ft = _classes(ball, 3)
+    ga, gt = _classes(ball, 4)
+    lhs = _b_classes(3, [2.0 * f - 3.0 * g for f, g in zip(fa, ga)],
+                     [2.0 * f - 3.0 * g for f, g in zip(ft, gt)])
+    bf, bg = _b_classes(3, fa, ft), _b_classes(3, ga, gt)
+    for side in (0, 1):
+        rhs = [2.0 * f - 3.0 * g for f, g in zip(bf[side], bg[side])]
+        assert np.allclose(lhs[side], rhs, rtol=1e-13, atol=1e-13)
 
 
 def test_apply_all_ones_counts_predecessors():
-    d = 3
-    op = _op(d, 3)
-    out = apply(op, np.ones(op.m))
-    for e in range(op.m):
-        assert out[e] == len(op.predecessors(e))
-    interior = [e for e in range(op.m) if len(op.predecessors(e)) == d - 1]
-    assert interior and all(out[e] == 2.0 for e in interior)
+    for d, radius in ((3, 3), (4, 3), (5, 2)):
+        ball = build_ball(d, radius)
+        ones = [1.0] * (radius + 1)
+        out = _expand(ball, *_b_classes(d, ones, ones))
+        for e in range(ball.n_edges):
+            assert out[e] == len(predecessors(ball, e))
+        interior = [e for e in range(ball.n_edges) if len(predecessors(ball, e)) == d - 1]
+        assert interior and all(out[e] == d - 1 for e in interior)
 
 
 def test_transpose_all_ones_counts_successors():
     d = 4
-    op = _op(d, 3)
-    out = apply_transpose(op, np.ones(op.m))
-    ball = op.ball
-    for e in range(op.m):
+    ball = build_ball(d, 3)
+    ones = [1.0] * 4
+    toward, away = _b_classes(d, ones, ones)  # B^T: B on the swapped classes
+    out = _expand(ball, away, toward)
+    for e in range(ball.n_edges):
         expected = d - 1 if ball.depth[ball.edge_head(e)] < ball.radius else 0
-        assert out[e] == expected
+        assert out[e] == expected == len(successors(ball, e))
 
 
 def test_adjoint_identity_on_random_vectors():
-    op = _op(3, 4)
+    ball = build_ball(3, 4)
+    counts = _counts(ball)
     for trial in range(100):
-        f = rng.to_unit(rng.words(100 + trial, np.arange(op.m))) - 0.5
-        g = rng.to_unit(rng.words(300 + trial, np.arange(op.m))) - 0.5
-        lhs = float(apply(op, f) @ g)
-        rhs = float(f @ apply_transpose(op, g))
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-
-def test_length_mismatch_rejected():
-    op = _op(3, 2)
-    with pytest.raises(ValueError):
-        apply(op, np.ones(op.m + 1))
-    with pytest.raises(ValueError):
-        apply_transpose(op, np.ones(3))
+        fa, ft = _classes(ball, 100 + trial)
+        ga, gt = _classes(ball, 300 + trial)
+        bfa, bft = _b_classes(3, fa, ft)
+        btgt, btga = _b_classes(3, gt, ga)
+        lhs = _class_dot(counts, bfa, bft, ga, gt)
+        rhs = _class_dot(counts, fa, ft, btga, btgt)
+        scale = math.sqrt(_class_dot(counts, bfa, bft, bfa, bft)
+                          * _class_dot(counts, ga, gt, ga, gt))
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +311,14 @@ def test_norm_report_fields_and_bound_value():
 
 
 def test_norm_estimate_dominates_random_rayleigh_vectors():
-    op = _op(3, 7)
+    ball, b, _ = _reference_operator(3, 7)
     for k in (1, 3):
-        rep = operator_norm_pow(op.ball, k, tol=1e-10)
+        rep = operator_norm_pow(ball, k, tol=1e-10)
         for trial in range(20):
-            f = rng.to_unit(rng.words(7000 + trial, np.arange(op.m))) - 0.5
+            f = rng.to_unit(rng.words(7000 + trial, np.arange(ball.n_edges))) - 0.5
             w = f
             for _ in range(k):
-                w = apply(op, w)
+                w = _sum_lists(b, w)
             ratio = float(np.linalg.norm(w)) / float(np.linalg.norm(f))
             assert ratio <= rep.estimate * (1.0 + 3e-10)
 
@@ -301,15 +340,6 @@ def test_norm_nonconvergence_flagged():
 def test_norm_invalid_k():
     with pytest.raises(ValueError):
         operator_norm_pow(build_ball(3, 4), 0)
-
-
-@pytest.mark.parametrize("fn, args", [(operator_norm_pow, (2,)), (walk_count, (0, 2)),
-                                      (cone_weight_sums, (0, 2)), (certify_claims, (2,))])
-def test_operator_in_place_of_ball_is_a_type_error(fn, args):
-    # these take the ball; an NbOperator used to fail deep inside with an
-    # AttributeError on .d, .radius or ._check_edge
-    with pytest.raises(TypeError, match=rf"{fn.__name__} takes a TreeBall .*, got NbOperator"):
-        fn(_op(3, 4), *args)
 
 
 # ---------------------------------------------------------------------------
@@ -402,33 +432,31 @@ def test_certificate_json_fields():
 # ---------------------------------------------------------------------------
 
 
-def _dense_matrix(op) -> np.ndarray:
-    mat = np.zeros((op.m, op.m))
-    for e in range(op.m):
-        for p in op.predecessors(e).tolist():
-            mat[e, p] = 1.0
+def _dense_matrix(ball) -> np.ndarray:
+    mat = np.zeros((ball.n_edges, ball.n_edges))
+    for e in range(ball.n_edges):
+        mat[e, predecessors(ball, e)] = 1.0
     return mat
 
 
 def test_power_iteration_matches_dense_svd():
     for d, radius in ((3, 4), (4, 3)):
-        op = _op(d, radius)
-        dense = _dense_matrix(op)
+        ball = build_ball(d, radius)
+        dense = _dense_matrix(ball)
         for k in (1, 2, 3):
             sigma = float(np.linalg.norm(np.linalg.matrix_power(dense, k), ord=2))
-            rep = operator_norm_pow(op.ball, k, tol=1e-12)
+            rep = operator_norm_pow(ball, k, tol=1e-12)
             assert rep.estimate == pytest.approx(sigma, rel=1e-8)
 
 
 def test_cone_sums_match_dense_matrix_power():
     d, radius, k = 3, 5, 2
-    op = _op(d, radius)
-    ball = op.ball
-    dense = _dense_matrix(op)
+    ball = build_ball(d, radius)
+    dense = _dense_matrix(ball)
     bk = np.linalg.matrix_power(dense, k)
     q = d - 1
-    heights = np.array([ball.edge_height(e) for e in range(op.m)], dtype=float)
-    for e in range(0, op.m, 5):
+    heights = np.array([ball.edge_height(e) for e in range(ball.n_edges)], dtype=float)
+    for e in range(0, ball.n_edges, 5):
         ws = cone_weight_sums(ball, e, k)
         # column e of bk counts walks e -> target; weight by height change
         targets = np.flatnonzero(bk[:, e])
@@ -440,10 +468,10 @@ def test_cone_sums_match_dense_matrix_power():
 
 
 def test_walk_counts_match_dense_matrix_power():
-    op = _op(3, 4)
-    dense = _dense_matrix(op)
+    ball = build_ball(3, 4)
+    dense = _dense_matrix(ball)
     for k in (1, 2, 3):
         bk = np.linalg.matrix_power(dense, k)
         assert np.max(bk) <= 1.0  # walks in a tree are unique
-        for e in range(0, op.m, 7):
-            assert walk_count(op.ball, e, k) == int(bk[:, e].sum())
+        for e in range(0, ball.n_edges, 7):
+            assert walk_count(ball, e, k) == int(bk[:, e].sum())

@@ -195,16 +195,12 @@ def criterion_certificates(seed: int = 0) -> dict:
     for d in (3, 4, 5):
         for k in range(1, 6):
             radius = max(k + 2, 2 * k)
-            ball = _ball(d, radius)
-            rep = certify_claims(ball, k)
-            q = d - 1
+            rep = certify_claims(d, radius, k)
             away_expect = bounds.half_power(d, k)
             deep_expect = bounds.half_power(d, k) + k * (d - 2) * bounds.half_power(d, k - 1)
-            ws_away = cone_weight_sums(ball, 2 * (int(ball.level_start[1]) - 1), k)
-            ws_deep = cone_weight_sums(ball, 2 * (int(ball.level_start[k + 1]) - 1) + 1, k)
+            table = cone_weight_sums(d, radius, k)
+            ws_away, ws_deep = table["away", 1], table["toward", k + 1]
             ok = (rep.strict
-                  and rep.max_s_inv <= rep.bound * (1 - 1e-9)
-                  and rep.max_s_fwd <= rep.bound * (1 - 1e-9)
                   and ws_away.source_interior and ws_deep.source_interior
                   and _rel_close(ws_away.s_inv, away_expect)
                   and _rel_close(ws_deep.s_inv, deep_expect))

@@ -75,7 +75,7 @@ def _cmd_nb_norm(args, out) -> int:
 
 
 def _cmd_nb_certify(args, out) -> int:
-    rep = certify_claims(build_ball(args.d, args.radius), args.k)
+    rep = certify_claims(args.d, args.radius, args.k)
     _emit_json(rep.to_json_dict(), out)
     return 0 if rep.strict else 1
 

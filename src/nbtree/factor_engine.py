@@ -129,6 +129,10 @@ class BlockRule:
     name: str = ""
     domain: str | None = None
 
+    def __post_init__(self):
+        if self.radius < 0:
+            raise ValueError(f"rule radius must be >= 0, got {self.radius}")
+
 
 @dataclass(frozen=True)
 class LinearRule:
@@ -138,6 +142,8 @@ class LinearRule:
     profile: tuple[float, ...]
 
     def __post_init__(self):
+        if self.radius < 0:
+            raise ValueError(f"rule radius must be >= 0, got {self.radius}")
         if len(self.profile) != self.radius + 1:
             raise ValueError("profile needs one coefficient per distance 0..r")
         if not all(map(math.isfinite, self.profile)):
@@ -314,10 +320,6 @@ def geometric_profile(d: int, radius: int, rate: float | None = None) -> LinearR
 
 def flat_profile(radius: int) -> LinearRule:
     return LinearRule(radius, (1.0,) * (radius + 1))
-
-
-def delta_profile() -> LinearRule:
-    return LinearRule(0, (1.0,))
 
 
 def _table_rule_func(alphabet: int, seed: int) -> Callable[[np.ndarray], np.ndarray]:

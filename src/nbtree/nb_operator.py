@@ -3,40 +3,39 @@
 The operator maps a function f on directed edges to
 (Bf)(e) = sum of f over the predecessors e' -> e, and its adjoint to
 (B^T f)(e) = sum of f over the successors e -> e'; the relation itself
-is computed in one place, ``tree_core.successor_lists``.  The k-step
-cones behind the certificates follow the same rule through
-``tree_core.cone``.  Two independent certificates are computed for the
-k-th power of B:
+is computed in one place, ``tree_core.successor_lists``, which
+`walk_count` follows through ``tree_core.cone``.  Two independent
+certificates are computed for the k-th power of B:
 
 * a power-iteration estimate of ||B^k|| on the finite ball, which the
   infinite-tree bound (k+1)*(d-1)^((k+1)/2) must dominate, and
 * exact height-weighted walk sums over k-step cones, whose maxima over
   interior edges must stay strictly below the same bound.
 
-The power iteration never builds a matrix or an edge vector.  The
-root-fixing automorphisms of the ball act transitively on each
-(orientation, height) class of directed edges, and the iteration starts
-from the all-ones vector, which is constant on every class; B and B^T
-commute with those automorphisms, so every iterate is class-constant too.
-It is held as 2R class values, away[h] and toward[h] for h = 1..R.
+Neither builds a matrix or an edge vector.  The root-fixing automorphisms
+of the ball act transitively on each (orientation, height) class of
+directed edges and commute with B and B^T, so both run on class-constant
+vectors held as 2R class values, away[h] and toward[h] for h = 1..R.
 Summing each edge's predecessors in ascending id order gives
 
-    (Bf)(away at h)   = 0.0 + away[h-1] + toward[h] + ... + toward[h]
-    (Bf)(toward at h) = 0.0 + toward[h+1] + ... + toward[h+1]
+    (Bf)(away at h)   = 0 + away[h-1] + toward[h] + ... + toward[h]
+    (Bf)(toward at h) = 0 + toward[h+1] + ... + toward[h+1]
 
 with d-2 sibling terms toward[h] (d-1, and no away[h-1], at h = 1), d-1
 child terms toward[h+1] (none at h = R), and B^T the same sums with away
 and toward exchanged.  `_b_classes` adds the terms one at a time in that
 order, never as a count times a value (t+t+t and 3*t can round
-differently).  The two reductions of each iteration, v @ w and ||w||,
-weight each class by its n_h edges of either orientation and are summed
-exactly (`_class_dot`): the result is the correctly rounded sum of the
-rounded elementwise products, which is math.fsum over the full edge
-vectors, and does not depend on the vector length or on any library.
+differently), from the integer 0, so it runs on floats and integers alike.
 
-Inside a tree a non-backtracking walk can never revisit an undirected
-edge, so the k-step cone of any edge is duplicate-free and cone sums are
-plain sums over frontier sets.
+The power iteration runs it on floats from the all-ones vector.  The two
+reductions of each iteration, v @ w and ||w||, weight each class by its
+n_h edges of either orientation and are summed exactly (`_class_dot`):
+the result is the correctly rounded sum of the rounded elementwise
+products, which is math.fsum over the full edge vectors, and does not
+depend on the vector length or on any library.  The cone sums run it on
+integer class vectors (`cone_weight_sums`): walks in a tree are unique,
+so B^k of all-ones counts each cone's edges, and B^k of the height
+weights gives each sum exactly.
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ import numpy as np
 
 from . import bounds
 from ._exact import root_lt, root_value
-from .errors import NbtreeError
-from .tree_core import TreeBall, cone
+from .tree_core import TreeBall, check_ball, cone
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -92,7 +90,7 @@ class NormReport:
 
 @dataclass(frozen=True)
 class WeightSums:
-    """Exact height-weighted sums over the k-step cones at one edge.
+    """Exact height-weighted sums over the k-step cones of one edge class.
 
     s_inv sums (d-1)^((h(e)-h(target))/2) over the successor cone of e;
     s_fwd sums (d-1)^((h(e)-h(source))/2) over the predecessor cone.
@@ -136,7 +134,9 @@ class CertificateReport:
 
 
 def walk_count(ball: TreeBall, e0: int, k: int) -> int:
-    """Number of edges reachable from e0 by a k-step non-backtracking walk."""
+    """Number of edges reachable from e0 by a k-step non-backtracking walk.
+
+    A walk on the real cone: it checks the successor rule the class recursion assumes."""
     if k < 0:
         raise ValueError("k must be >= 0")
     ball._check_edge(e0)
@@ -154,17 +154,17 @@ def _b_classes(d: int, away: list, toward: list) -> tuple[list, list]:
     classes.
     """
     radius = len(away) - 1
-    new_away = [0.0] * (radius + 1)
-    new_toward = [0.0] * (radius + 1)
+    new_away = [0] * (radius + 1)
+    new_toward = [0] * (radius + 1)
     for h in range(1, radius + 1):
-        s = 0.0
+        s = 0
         if h > 1:
             s += away[h - 1]
         x = toward[h]
         for _ in range(d - 1 if h == 1 else d - 2):
             s += x
         new_away[h] = s
-        s = 0.0
+        s = 0
         if h < radius:
             x = toward[h + 1]
             for _ in range(d - 1):
@@ -261,48 +261,52 @@ def operator_norm_pow(ball: TreeBall, k: int, tol: float = DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 
 
-def _weight_sum_exact(heights_from: int, heights: np.ndarray, q: int
-                      ) -> tuple[Fraction, Fraction]:
-    """Sum of q^(j/2) over j = heights_from - heights, split by parity of j.
+def _unweight(even: int, odd: int, m: int, q: int) -> tuple[Fraction, Fraction]:
+    """(a, b) with a + b*sqrt(q) = (even + odd*sqrt(q)) / q^(m/2), where a
+    sums the cone edges an even number of levels from the cone's own edge."""
+    s = q ** (m // 2)
+    if m % 2 == 0:
+        return Fraction(even, s), Fraction(odd, s)
+    return Fraction(odd, s), Fraction(even, s * q)
 
-    Returns (a, b) with the sum equal to a + b*sqrt(q), both exact.
+
+def cone_weight_sums(d: int, radius: int, k: int) -> dict[tuple[str, int], WeightSums]:
+    """Exact height-weighted k-step cone sums of every (orientation, height) class.
+
+    Keys are ("away", h) and ("toward", h), h = 1..R.  With q = d-1 and
+    w(e) = q^((R-h(e))/2), the predecessor-cone sum at e is (B^k w)(e) / w(e),
+    and the successor-cone sum ((B^T)^k w)(e) / w(e).  w is held as the
+    integer class vectors `even` and `odd` (w = even + sqrt(q)*odd), so
+    `_b_classes` runs exactly; on all-ones it counts the walks, and a cone
+    is interior exactly when it has all q^k of them.
     """
-    a = Fraction(0)
-    b = Fraction(0)
-    diffs, counts = np.unique(heights_from - heights, return_counts=True)
-    for j, cnt in zip(diffs.tolist(), counts.tolist()):
-        if j % 2 == 0:
-            a += cnt * Fraction(q) ** (j // 2)
-        else:
-            b += cnt * Fraction(q) ** ((j - 1) // 2)
-    return a, b
-
-
-def cone_weight_sums(ball: TreeBall, e: int, k: int) -> WeightSums:
-    """Exact forward/backward height-weighted cone sums at edge e.
-
-    A cone is interior exactly when it has the full (d-1)^k walks; cones
-    clipped by the ball boundary are flagged so callers can exclude them.
-    """
+    d, radius = check_ball(d, radius)
     if k < 1:
         raise ValueError("k must be >= 1")
-    q = ball.d - 1
-    full = q ** k
-    h0 = ball.edge_height(e)
+    q = d - 1
+    starts = ([1] * (radius + 1),
+              [q ** (m // 2) if m % 2 == 0 else 0 for m in range(radius, -1, -1)],  # even
+              [q ** (m // 2) if m % 2 == 1 else 0 for m in range(radius, -1, -1)])  # odd
+    powers = []  # B^k of each start, as (away, toward) class values
+    for away in starts:
+        toward = away
+        for _ in range(k):
+            away, toward = _b_classes(d, away, toward)
+        powers.append((away, toward))
 
-    fwd = cone(ball, e, k)
-    a_inv, b_inv = _weight_sum_exact(h0, ball.depth[fwd // 2 + 1], q)
-    bwd = cone(ball, e, k, backward=True)
-    a_fwd, b_fwd = _weight_sum_exact(h0, ball.depth[bwd // 2 + 1], q)
+    def pred_cone(o: int, h: int) -> tuple[tuple[Fraction, Fraction], bool]:
+        walks, even, odd = (p[o][h] for p in powers)
+        return _unweight(even, odd, radius - h, q), walks == q ** k
 
-    return WeightSums(
-        s_inv=root_value(a_inv, b_inv, q),
-        s_fwd=root_value(a_fwd, b_fwd, q),
-        s_inv_exact=(a_inv, b_inv),
-        s_fwd_exact=(a_fwd, b_fwd),
-        source_interior=(fwd.size == full),
-        target_interior=(bwd.size == full),
-    )
+    # B^T is B on the swapped classes, and every start is the same on both,
+    # so (B^T)^k reads B^k's values of the other orientation
+    table = {}
+    for o, orient in enumerate(("away", "toward")):
+        for h in range(1, radius + 1):
+            (s_fwd, target_in), (s_inv, source_in) = pred_cone(o, h), pred_cone(1 - o, h)
+            table[orient, h] = WeightSums(root_value(*s_inv, q), root_value(*s_fwd, q),
+                                          s_inv, s_fwd, source_in, target_in)
+    return table
 
 
 def _bound_exact(d: int, k: int) -> tuple[Fraction, Fraction]:
@@ -313,57 +317,42 @@ def _bound_exact(d: int, k: int) -> tuple[Fraction, Fraction]:
     return Fraction(0), Fraction((k + 1) * q ** (k // 2))
 
 
-def certify_claims(ball: TreeBall, k: int) -> CertificateReport:
+def certify_claims(d: int, radius: int, k: int) -> CertificateReport:
     """Certify that both cone-sum maxima stay strictly below the norm bound.
 
-    The sums depend only on an edge's orientation and height (any two
-    same-height, same-orientation edges are related by a root-fixing
-    automorphism), so one cone per (orientation, height) class is
-    enumerated and the maxima are taken over classes containing at least
-    one interior edge.  Comparisons against the bound are exact in
-    rational arithmetic over sqrt(d-1); the float values additionally
-    respect a relative guard band of CERT_GUARD.  The report is strict only
-    when both hold; a non-strict report indicates a defect.
+    The maxima are taken over the (orientation, height) classes of
+    `cone_weight_sums` with an interior cone; R >= k+2 gives each of the
+    four maxima at least its height-1 class.  Ties keep the lowest
+    height.  Comparisons against the bound are exact in rational
+    arithmetic over sqrt(d-1); the float values additionally respect a
+    relative guard band of CERT_GUARD.  The report is strict only when
+    both hold; a non-strict report indicates a defect.  (d, radius) is
+    refused exactly where `build_ball` would refuse it.
     """
+    d, radius = check_ball(d, radius)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if ball.radius < k + 2:
+    if radius < k + 2:
         raise ValueError(
-            f"radius {ball.radius} too small: need R >= k+2 = {k + 2} so that "
+            f"radius {radius} too small: need R >= k+2 = {k + 2} so that "
             f"some cones are interior"
         )
-    d, q = ball.d, ball.d - 1
+    q = d - 1
     bound_a, bound_b = _bound_exact(d, k)
     bound = root_value(bound_a, bound_b, q)
 
-    best = {
-        ("away", "s_inv"): None, ("away", "s_fwd"): None,
-        ("toward", "s_inv"): None, ("toward", "s_fwd"): None,
-    }
-
-    def consider(key, exact):
-        cur = best[key]
-        if cur is None or root_lt(cur[0], cur[1], exact[0], exact[1], q):
-            best[key] = exact
-
+    best = {}
     interior_edges = 0
-    for h in range(1, ball.radius + 1):
-        v = int(ball.level_start[h])  # class representative at depth h
-        n_class = len(ball.vertices_at_depth(h))
-        for orient, e in (("away", 2 * (v - 1)), ("toward", 2 * (v - 1) + 1)):
-            sums = cone_weight_sums(ball, e, k)
-            if sums.source_interior:
-                consider((orient, "s_inv"), sums.s_inv_exact)
-                interior_edges += n_class
-            if sums.target_interior:
-                consider((orient, "s_fwd"), sums.s_fwd_exact)
-
-    for key, exact in best.items():
-        if exact is None:
-            raise NbtreeError(f"no interior cone found for class {key}")
+    for (orient, h), sums in cone_weight_sums(d, radius, k).items():
+        for key, exact, interior in (((orient, "s_inv"), sums.s_inv_exact, sums.source_interior),
+                                     ((orient, "s_fwd"), sums.s_fwd_exact, sums.target_interior)):
+            if interior and (key not in best or root_lt(*best[key], *exact, q)):
+                best[key] = exact
+        if sums.source_interior:
+            interior_edges += d * q ** (h - 1)  # edges of one orientation at height h
 
     def val(key) -> float:
-        return root_value(best[key][0], best[key][1], q)
+        return root_value(*best[key], q)
 
     max_s_inv = max(val(("away", "s_inv")), val(("toward", "s_inv")))
     max_s_fwd = max(val(("away", "s_fwd")), val(("toward", "s_fwd")))
@@ -379,7 +368,7 @@ def certify_claims(ball: TreeBall, k: int) -> CertificateReport:
         for orient in ("away", "toward")
     }
     return CertificateReport(
-        d=d, radius=ball.radius, k=k,
+        d=d, radius=radius, k=k,
         max_s_inv=max_s_inv, max_s_fwd=max_s_fwd, bound=bound,
         interior_edge_count=interior_edges, breakdown=breakdown, strict=strict,
     )

@@ -33,11 +33,6 @@ def _mix_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, elementwise over uint64 input."""
-    return _mix_inplace(np.array(x, dtype=np.uint64))
-
-
 def words(seed: int, index) -> np.ndarray:
     """Word `index` of the uint64 stream keyed by `seed` (vectorized)."""
     idx = np.atleast_1d(np.asarray(index, dtype=np.uint64))

@@ -150,6 +150,22 @@ def ball_size(d: int, radius: int) -> int:
     return 1 + d * ((d - 1) ** radius - 1) // (d - 2)
 
 
+def check_ball(d: int, radius: int) -> tuple[int, int]:
+    """(d, radius) as ints, once they name a ball `build_ball` may build:
+    d >= 3, radius >= 0 and at most DIRECTED_EDGE_CAP directed edges."""
+    if int(d) != d or d < 3:
+        raise ValueError(f"degree must be an integer >= 3, got {d}")
+    if int(radius) != radius or radius < 0:
+        raise ValueError(f"radius must be an integer >= 0, got {radius}")
+    d, radius = int(d), int(radius)
+    m = 2 * (ball_size(d, radius) - 1)
+    if m > DIRECTED_EDGE_CAP:
+        raise CapExceededError(
+            f"ball d={d}, R={radius} has {m} directed edges (cap {DIRECTED_EDGE_CAP})"
+        )
+    return d, radius
+
+
 def build_ball(d: int, radius: int) -> TreeBall:
     """Construct the radius-R truncation of the d-regular tree.
 
@@ -157,18 +173,8 @@ def build_ball(d: int, radius: int) -> TreeBall:
     CapExceededError when the ball would hold more than
     DIRECTED_EDGE_CAP directed edges.
     """
-    if int(d) != d or d < 3:
-        raise ValueError(f"degree must be an integer >= 3, got {d}")
-    if int(radius) != radius or radius < 0:
-        raise ValueError(f"radius must be an integer >= 0, got {radius}")
-    d, radius = int(d), int(radius)
-
+    d, radius = check_ball(d, radius)
     n = ball_size(d, radius)
-    if 2 * (n - 1) > DIRECTED_EDGE_CAP:
-        raise CapExceededError(
-            f"ball d={d}, R={radius} has {2 * (n - 1)} directed edges "
-            f"(cap {DIRECTED_EDGE_CAP})"
-        )
 
     sizes = [1] + [d * (d - 1) ** (j - 1) for j in range(1, radius + 1)]
     level_start = np.zeros(radius + 2, dtype=np.int64)

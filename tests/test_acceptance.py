@@ -45,6 +45,11 @@ def test_criterion(cid, name, fn, limit):
         assert elapsed < limit, f"criterion {cid} took {elapsed:.1f}s (limit {limit}s)"
 
 
+def test_certificate_criterion_builds_no_ball(no_ball):
+    # both closed-form cases are read off the class table, like the maxima
+    assert acceptance.criterion_certificates(seed=0)["passed"]
+
+
 def test_polarization_criterion_is_pinned():
     # values of the Fraction implementation; criterion 12 compares two runs
     # with each other and would not see a change that drifts consistently

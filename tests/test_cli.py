@@ -70,6 +70,49 @@ def test_nb_certify(capsys):
                         "interior_edge_count"}
 
 
+#: sha256 of the concatenated stdout of ``nb-certify`` over each grid of
+#: (d, radius, k), as the per-edge cone enumeration printed it
+NB_CERTIFY_GRIDS = [
+    ([(3, k + 2, k) for k in range(1, 13)],
+     "aa339a30278f8ecf2319782f54cdd90c7aaed45817f4992e72d29c946e08867f"),
+    ([(d, max(k + 2, 2 * k), k) for d in (3, 4, 5) for k in range(1, 6)],
+     "64d3b593d85cab73a6d3646958bd9d8a5b00d70f6e453b382e1489b0f5e23cd6"),
+]
+
+
+@pytest.mark.parametrize("grid,digest", NB_CERTIFY_GRIDS, ids=["nb-scale", "report"])
+def test_nb_certify_bytes_are_pinned_and_build_no_ball(capsys, no_ball, grid, digest):
+    h = hashlib.sha256()
+    for d, radius, k in grid:
+        code, out = run_cli(capsys, "nb-certify", "--d", str(d), "--radius", str(radius),
+                            "--k", str(k))
+        assert code == 0, (d, radius, k)
+        h.update(out.encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--d", "2", "--radius", "4", "--k", "1"], "degree must be an integer >= 3, got 2"),
+    (["--d", "3", "--radius", "3", "--k", "2"],
+     "radius 3 too small: need R >= k+2 = 4 so that some cones are interior"),
+    (["--d", "3", "--radius", "4", "--k", "0"], "k must be >= 1"),
+    (["--d", "3", "--radius", "4", "--k", "-1"], "k must be >= 1"),
+    (["--d", "3", "--radius", "-1", "--k", "1"], "radius must be an integer >= 0, got -1"),
+    (["--d", "3", "--radius", "40", "--k", "2"],
+     "ball d=3, R=40 has 6597069766650 directed edges (cap 50000000)"),
+    (["--d", "3", "--radius", "23", "--k", "2"],
+     "ball d=3, R=23 has 50331642 directed edges (cap 50000000)"),
+    (["--d", "7", "--radius", "10", "--k", "2"],
+     "ball d=7, R=10 has 169305290 directed edges (cap 50000000)"),
+])
+def test_nb_certify_refuses_what_build_ball_refuses(capsys, no_ball, argv, message):
+    # the class recursion needs no ball, but takes exactly the balls
+    # build_ball would build, so the cap still bounds its work
+    assert main(["nb-certify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_walk_count_command(capsys):
     code, out = run_cli(capsys, "walk-count", "--d", "3", "--radius", "6",
                         "--k", "3", "--edge", "0")
@@ -198,6 +241,18 @@ def test_usage_errors_exit_two(capsys):
     assert main(["bounds", "--d", "2", "--k-max", "3"]) == 2  # precondition
     assert main(["exact-corr", "--d", "3", "--rule", "bogus"]) == 2
     assert main(["ball-info", "--d", "3", "--radius", "40"]) == 2  # size cap
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact-corr", "--d", "3", "--k", "3", "--r", "-1"],
+    ["simulate-vertex", "--d", "3", "--k", "4", "--r", "-1"],
+])
+def test_negative_rule_radius_is_a_usage_error(capsys, argv):
+    # the error names the rule, not a ball too small for the distance
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rule radius must be >= 0, got -1\n"
 
 
 def test_byte_identical_repeat_runs(capsys):

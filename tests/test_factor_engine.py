@@ -19,7 +19,6 @@ from nbtree.correlation import exact_corr_discrete, rule_site
 from nbtree.errors import CapExceededError, InteriorityError
 from nbtree.factor_engine import (
     LinearRule,
-    delta_profile,
     domain_values,
     edge_first_child_rule,
     edge_sum_rule,
@@ -115,6 +114,9 @@ def test_negative_view_depth_is_rejected():
     with pytest.raises(ValueError, match="view depth must be >= 0, got -1"):
         subtree_levels(ball, 0, -1)
     with pytest.raises(ValueError, match="view depth must be >= 0, got -1"):
+        vertex_ball_levels(ball, 0, -1)
+    # a rule of negative radius is refused before it can ask for such a view
+    with pytest.raises(ValueError, match="rule radius must be >= 0, got -1"):
         exact_corr_discrete(ball, sum_rule(-1), "alphabet:2", [0], [1])
 
 
@@ -161,7 +163,7 @@ def test_block_rule_locality():
 def test_linear_rule_delta_profile():
     ball = build_ball(3, 3)
     labels = _labels(ball, 3, "rademacher")
-    assert _value(ball, delta_profile(), 2, labels) == labels[2]
+    assert _value(ball, LinearRule(0, (1.0,)), 2, labels) == labels[2]
 
 
 def test_linear_rule_zero_profile():
@@ -174,6 +176,14 @@ def test_linear_rule_zero_profile():
 def test_profile_length_checked():
     with pytest.raises(ValueError):
         LinearRule(2, (1.0, 0.5))
+
+
+def test_negative_rule_radius_rejected():
+    # LinearRule(-1, ()) has one coefficient per distance 0..-1
+    for make in (lambda: LinearRule(-1, ()), lambda: geometric_profile(3, -1),
+                 lambda: table_block_rule(-2, 2, 0)):
+        with pytest.raises(ValueError, match="rule radius must be >= 0"):
+            make()
 
 
 @pytest.mark.parametrize("rate,radius", [(math.nan, 1), (math.inf, 1), (-math.inf, 2),

@@ -2,11 +2,13 @@
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nbtree import rng
+from nbtree._exact import root_value
 from nbtree.bounds import bnorm_bound, half_power
 from nbtree.nb_operator import (
     DEFAULT_MAX_ITER,
@@ -347,12 +349,59 @@ def test_norm_invalid_k():
 # ---------------------------------------------------------------------------
 
 
+def _class_of(ball, e) -> tuple[str, int]:
+    return ("away" if ball.is_away(e) else "toward"), ball.edge_height(e)
+
+
+def _cone_oracle(ball, k, backward=False):
+    """Per-edge exact cone sums and interior flags, walking the real cones.
+
+    Follows every edge's k-step cone along `tree_core.successor_lists`
+    (as `tree_core.cone` does, reversed for the backward cone), and sums
+    (d-1)^(j/2) over its edges, j the height difference, as (a, b) with
+    the sum a + b*sqrt(d-1): a over even j, b over odd j.
+    """
+    q = ball.d - 1
+    flip = int(backward)
+    owner = np.arange(ball.n_edges)
+    frontier = owner ^ flip
+    for _ in range(k):
+        frontier, counts = successor_lists(ball, frontier)
+        owner = np.repeat(owner, counts)
+    frontier = frontier ^ flip
+    height = ball.depth[np.arange(ball.n_edges) // 2 + 1]
+    sums = [[Fraction(0), Fraction(0)] for _ in range(ball.n_edges)]
+    keys, counts = np.unique(np.stack([owner, height[owner] - height[frontier]]), axis=1,
+                             return_counts=True)
+    for e, j, n in zip(*keys.tolist(), counts.tolist()):
+        sums[e][j % 2] += n * Fraction(q) ** (j // 2)  # j // 2 == (j - 1) // 2 for odd j
+    walks = np.bincount(owner, minlength=ball.n_edges)
+    return [tuple(x) for x in sums], (walks == q ** k).tolist()
+
+
+@pytest.mark.parametrize("d,radius", [(3, 6), (4, 5), (5, 4), (6, 3)])
+def test_class_table_matches_per_edge_cone_oracle(d, radius):
+    # at d=5, sqrt(4) = 2: the a + b*sqrt(q) split must follow the parity
+    # of the height difference, which the value alone does not fix
+    ball = build_ball(d, radius)
+    for k in range(1, radius + 2):
+        table = cone_weight_sums(d, radius, k)
+        assert list(table) == [(o, h) for o in ("away", "toward") for h in range(1, radius + 1)]
+        s_inv, source_interior = _cone_oracle(ball, k)
+        s_fwd, target_interior = _cone_oracle(ball, k, backward=True)
+        for e in range(ball.n_edges):
+            ws = table[_class_of(ball, e)]
+            assert ws.s_inv_exact == s_inv[e] and ws.s_fwd_exact == s_fwd[e], (k, e)
+            assert ws.source_interior == source_interior[e], (k, e)
+            assert ws.target_interior == target_interior[e], (k, e)
+            assert ws.s_inv == root_value(*s_inv[e], d - 1)
+            assert ws.s_fwd == root_value(*s_fwd[e], d - 1)
+
+
 def test_away_cone_sum_closed_form():
     # away edges spread only upward: the weighted sum telescopes to
     # (d-1)^(k/2); at d=3, k=4 that is exactly 4
-    ball = build_ball(3, 7)
-    e = 2 * (int(ball.level_start[1]) - 1)
-    ws = cone_weight_sums(ball, e, 4)
+    ws = cone_weight_sums(3, 7, 4)["away", 1]
     assert ws.source_interior
     assert ws.s_inv == pytest.approx(4.0, rel=1e-12)
     assert ws.s_inv_exact == (4, 0)
@@ -362,9 +411,7 @@ def test_toward_deep_cone_sum_closed_form():
     # toward edges far above the root: one straight-down walk plus k turn
     # levels, each contributing (d-2)*(d-1)^((k-1)/2)
     d, k = 3, 2
-    ball = build_ball(d, 2 * k + 1)
-    v = int(ball.level_start[k + 1])
-    ws = cone_weight_sums(ball, 2 * (v - 1) + 1, k)
+    ws = cone_weight_sums(d, 2 * k + 1, k)["toward", k + 1]
     expected = half_power(d, k) + k * (d - 2) * half_power(d, k - 1)
     assert ws.source_interior
     assert ws.s_inv == pytest.approx(expected, rel=1e-12)
@@ -373,55 +420,56 @@ def test_toward_deep_cone_sum_closed_form():
 
 
 def test_forward_sum_is_reversal_of_inverse_sum():
-    ball = build_ball(3, 6)
-    for e in range(0, ball.n_edges, 7):
-        a = cone_weight_sums(ball, e, 2)
-        b = cone_weight_sums(ball, reverse_edge(e), 2)
-        assert a.s_fwd_exact == b.s_inv_exact
-        assert a.target_interior == b.source_interior
+    # reversing every edge swaps the away and toward classes of one height
+    # and turns predecessor cones into successor cones
+    for k in (1, 2, 3):
+        table = cone_weight_sums(3, 6, k)
+        for h in range(1, 7):
+            for a, b in ((table["away", h], table["toward", h]),
+                         (table["toward", h], table["away", h])):
+                assert a.s_fwd_exact == b.s_inv_exact
+                assert a.target_interior == b.source_interior
 
 
 def test_exhaustive_per_edge_maxima_match_class_report():
-    # k=1, d=3: enumerate every edge of an R=4 ball and verify both the
-    # strict bound and agreement with the class-based certificate
+    # k=1, d=3: take every edge's own cones on an R=4 ball and verify both
+    # the strict bound and agreement with the class-based certificate
     ball = build_ball(3, 4)
-    rep = certify_claims(ball, 1)
+    rep = certify_claims(3, 4, 1)
     bound = bnorm_bound(3, 1)
-    best_inv = 0.0
-    best_fwd = 0.0
-    n_interior = 0
-    for e in range(ball.n_edges):
-        ws = cone_weight_sums(ball, e, 1)
-        if ws.source_interior:
-            n_interior += 1
-            best_inv = max(best_inv, ws.s_inv)
-            assert ws.s_inv < bound
-        if ws.target_interior:
-            best_fwd = max(best_fwd, ws.s_fwd)
-            assert ws.s_fwd < bound
-    assert best_inv == pytest.approx(rep.max_s_inv, rel=1e-13)
-    assert best_fwd == pytest.approx(rep.max_s_fwd, rel=1e-13)
-    assert n_interior == rep.interior_edge_count
+    s_inv, source_interior = _cone_oracle(ball, 1)
+    s_fwd, target_interior = _cone_oracle(ball, 1, backward=True)
+    best_inv = max(root_value(*s_inv[e], 2) for e in range(ball.n_edges) if source_interior[e])
+    best_fwd = max(root_value(*s_fwd[e], 2) for e in range(ball.n_edges) if target_interior[e])
+    assert best_inv < bound and best_fwd < bound
+    assert best_inv == rep.max_s_inv
+    assert best_fwd == rep.max_s_fwd
+    assert sum(source_interior) == rep.interior_edge_count
 
 
 def test_certificates_strict_for_small_cases():
     for d in (3, 4, 5):
         for k in (1, 2, 3):
-            ball = build_ball(d, max(k + 2, 2 * k))
-            rep = certify_claims(ball, k)
+            rep = certify_claims(d, max(k + 2, 2 * k), k)
             assert rep.strict
             assert rep.max_s_inv < rep.bound
             assert rep.max_s_fwd < rep.bound
             assert rep.max_s_inv == rep.max_s_fwd  # reversal symmetry of the ball
 
 
+def test_certificates_build_no_ball(no_ball):
+    rep = certify_claims(5, 10, 5)
+    assert rep.strict and rep.interior_edge_count > 0
+    assert len(cone_weight_sums(5, 10, 5)) == 20
+
+
 def test_certificate_requires_room():
     with pytest.raises(ValueError):
-        certify_claims(build_ball(3, 3), 2)
+        certify_claims(3, 3, 2)
 
 
 def test_certificate_json_fields():
-    rep = certify_claims(build_ball(3, 5), 2)
+    rep = certify_claims(3, 5, 2)
     doc = rep.to_json_dict()
     assert set(doc) == {"d", "radius", "k", "max_s_inv", "max_s_fwd", "bound",
                         "interior_edge_count", "breakdown", "strict"}
@@ -456,8 +504,9 @@ def test_cone_sums_match_dense_matrix_power():
     bk = np.linalg.matrix_power(dense, k)
     q = d - 1
     heights = np.array([ball.edge_height(e) for e in range(ball.n_edges)], dtype=float)
+    table = cone_weight_sums(d, radius, k)
     for e in range(0, ball.n_edges, 5):
-        ws = cone_weight_sums(ball, e, k)
+        ws = table[_class_of(ball, e)]
         # column e of bk counts walks e -> target; weight by height change
         targets = np.flatnonzero(bk[:, e])
         s_inv = float(np.sum(bk[targets, e] * np.sqrt(q) ** (heights[e] - heights[targets])))

@@ -83,10 +83,3 @@ def test_words2_stream_is_pinned():
     bits = np.packbits(rng.to_rademacher(w) < 0)
     assert hashlib.sha256(bits.tobytes()).hexdigest() == (
         "9321b4d2f1da36191c8450be2bf34385520e8eff3a9edcae1e3ac56ae9afe6d2")
-
-
-def test_mix64_does_not_mutate_its_input():
-    x = np.arange(50, dtype=np.uint64)
-    mixed = rng.mix64(x)
-    assert np.array_equal(x, np.arange(50, dtype=np.uint64))
-    assert not np.array_equal(mixed, x)

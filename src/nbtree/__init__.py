@@ -52,11 +52,9 @@ from .nb_operator import (
     walk_count,
 )
 from .tree_core import (
-    DirectedEdge,
     TreeBall,
     build_ball,
     convex_hull,
-    edge_distance,
     hull_distance,
     predecessors,
     reverse_edge,

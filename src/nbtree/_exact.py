@@ -1,4 +1,4 @@
-"""Exact arithmetic on numbers of the form a + b*sqrt(r) with rational a, b, r.
+"""Exact float sums, and exact arithmetic on a + b*sqrt(r) with rational a, b, r.
 
 Strict inequalities against such numbers cannot be decided reliably in
 floating point, so comparisons here square out the radical and stay
@@ -15,6 +15,25 @@ from fractions import Fraction
 
 def _rational(x) -> int | Fraction:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def counted_fsum(terms) -> float:
+    """math.fsum of each float value repeated count times, for (int count,
+    value) terms: summed exactly as an integer over one power-of-two
+    denominator, rounded once."""
+    terms = list(terms)
+    if not all(math.isfinite(value) for _, value in terms):
+        return math.fsum(value for _, value in terms)
+    num = 0
+    shift = 0  # the sum so far is num / 2**shift
+    for count, value in terms:
+        a, b = value.as_integer_ratio()
+        s = b.bit_length() - 1
+        if s > shift:
+            num <<= s - shift
+            shift = s
+        num += count * a << (shift - s)
+    return num / (1 << shift)
 
 
 def root_value(a: int | Fraction, b: int | Fraction, r) -> float:

@@ -37,10 +37,10 @@ from .factor_engine import (
     geometric_profile,
     linear_rule_covariance_exact,
     parity_rule,
-    subtree_levels,
+    subtree_pair_classes,
     sum_rule,
     symmetrize_rule,
-    vertex_ball_levels,
+    vertex_pair_classes,
     xor_pair_rule,
 )
 from .nb_operator import certify_claims, cone_weight_sums, operator_norm_pow, walk_count
@@ -88,11 +88,9 @@ def vertex_mc_row(d: int, k: int, profile: str, r: int, n_samples: int, seed: in
                   name: str, rate: float | None = None) -> dict:
     """Monte Carlo correlation of a radius-r "geometric" (rate^i, critical rate
     by default) or "flat" linear rule at two vertices k apart."""
-    ball = _ball(d, (k + 1) // 2 + r)  # validates d before the profile divides by d - 1
+    bounds.check_degree(d)  # before the profile divides by d - 1
     rule = geometric_profile(d, r, rate) if profile == "geometric" else flat_profile(r)
-    u, v = vertices_at_distance(ball, k)
-    sampler = linear_pair_sampler(vertex_ball_levels(ball, u, r), vertex_ball_levels(ball, v, r),
-                                  rule.profile)
+    sampler = linear_pair_sampler(vertex_pair_classes(d, k, r), rule.profile)
     est = monte_carlo_corr(sampler, n_samples, seed)
     return corr_row(d, k, name, "mc", est.estimate, est.stderr,
                     bounds.vertex_corr_bound(d, k), n_samples, seed, est.degenerate)
@@ -111,12 +109,8 @@ def edge_mc_row(d: int, k: int, depth: int, n_samples: int, seed: int,
                 rate: float | None = None) -> dict:
     """Monte Carlo correlation of depth-D geometric subtree sums behind two
     same-direction edges at edge distance k; rate defaults to 1/sqrt(d-1)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    ball = _ball(d, (k + 2) // 2 + depth + 1)
-    e1, e2, _ = edge_pair(ball, k)
-    levels_1, levels_2 = subtree_levels(ball, e1, depth), subtree_levels(ball, e2, depth)
-    sampler = linear_pair_sampler(levels_1, levels_2, geometric_profile(d, depth, rate).profile)
+    classes = subtree_pair_classes(d, k, depth)
+    sampler = linear_pair_sampler(classes, geometric_profile(d, depth, rate).profile)
     est = monte_carlo_corr(sampler, n_samples, seed)
     return corr_row(d, k, f"edge-geom:D{depth}", "mc", est.estimate, est.stderr,
                     bounds.edge_corr_bound(d, k), n_samples, seed, est.degenerate)
@@ -286,10 +280,7 @@ def criterion_oracle_agreement(seed: int = 0) -> dict:
     profile = (1.0, 0.6, 0.3)
     k = 2
     oracle = linear_rule_covariance_exact(3, profile, k)
-    ball = _ball(3, 2 + 1)
-    u, v = vertices_at_distance(ball, k)
-    sampler = linear_pair_sampler(vertex_ball_levels(ball, u, 2), vertex_ball_levels(ball, v, 2),
-                                  profile)
+    sampler = linear_pair_sampler(vertex_pair_classes(3, k, 2), profile)
     covered = 0
     for s in range(20):
         est = monte_carlo_corr(sampler, 100_000, seed * 7919 + 31 + s)

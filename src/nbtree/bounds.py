@@ -19,14 +19,16 @@ def half_power(d: int, j: int) -> float:
     return math.exp(0.5 * j * math.log(d - 1.0))
 
 
-def _check_d(d: int) -> None:
+def check_degree(d: int) -> int:
+    """d as an int, once it is the degree of a regular tree: d >= 3."""
     if int(d) != d or d < 3:
         raise ValueError(f"degree must be an integer >= 3, got {d}")
+    return int(d)
 
 
 def vertex_corr_bound(d: int, k: int) -> float:
     """Correlation bound for a vertex pair at distance k: (k+1-2k/d)*(d-1)^(-k/2)."""
-    _check_d(d)
+    check_degree(d)
     if k < 0:
         raise ValueError(f"distance must be >= 0, got {k}")
     return (k + 1 - 2 * k / d) * half_power(d, -k)
@@ -34,7 +36,7 @@ def vertex_corr_bound(d: int, k: int) -> float:
 
 def hull_corr_bound(d: int, k: int) -> float:
     """Correlation bound for two regions at hull distance k >= 1: k(d-1)^(1-k/2)."""
-    _check_d(d)
+    check_degree(d)
     if k < 1:
         raise ValueError(f"hull distance must be >= 1, got {k}")
     return k * (d - 1) * half_power(d, -k)
@@ -42,7 +44,7 @@ def hull_corr_bound(d: int, k: int) -> float:
 
 def edge_corr_bound(d: int, k: int) -> float:
     """Correlation bound for a directed-edge pair at distance k: (k+1)*(d-1)^(-(k-1)/2)."""
-    _check_d(d)
+    check_degree(d)
     if k < 0:
         raise ValueError(f"edge distance must be >= 0, got {k}")
     return (k + 1) * half_power(d, -(k - 1))
@@ -50,7 +52,7 @@ def edge_corr_bound(d: int, k: int) -> float:
 
 def bnorm_bound(d: int, k: int) -> float:
     """Norm bound for the k-th power of the non-backtracking operator: (k+1)*(d-1)^((k+1)/2)."""
-    _check_d(d)
+    check_degree(d)
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
     return (k + 1) * half_power(d, k + 1)
@@ -70,7 +72,7 @@ class BoundRow:
 
 def bound_table(d: int, k_max: int) -> list[BoundRow]:
     """Rows for k = 1..k_max; each entry matches the scalar function bit-for-bit."""
-    _check_d(d)
+    check_degree(d)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     return [

@@ -5,14 +5,15 @@ the result.  The correlation experiments call the builders in `acceptance`
 that the report runs, so they share its instances, rows and verdicts.
 
 Exit codes: 0 all verdicts pass, 1 some bound or identity verdict failed,
-2 usage or precondition error.  All floats print with 17 significant
-digits; runs with identical arguments emit byte-identical output.
+2 usage or precondition error, 141 (128 + SIGPIPE) stdout's reader left.
+All floats print with 17 significant digits; identical runs emit identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -285,7 +286,9 @@ def main(argv=None) -> int:
     out_path = getattr(args, "out", None)
     try:
         if not out_path:
-            return args.fn(args, sys.stdout)
+            code = args.fn(args, sys.stdout)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+            return code
         try:
             fh = open(out_path, "w")
         except OSError as exc:  # a missing directory, a directory, no permission
@@ -295,6 +298,9 @@ def main(argv=None) -> int:
     except (NbtreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # what stdout still buffers goes to devnull, not to a second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

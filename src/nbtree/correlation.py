@@ -11,7 +11,8 @@ Two independent computation routes coexist deliberately:
   chunks, whose moments are centred per chunk and merged in chunk index
   order, so estimates are byte-stable and a common offset of the samples
   does not bias them; a linear rule's Rademacher labels are drawn 64 to
-  a word and summed per class of vertices by popcount.
+  a word and summed by popcount per class of `factor_engine`'s closed-form
+  pair-class tables.
 
 Exact identities (the polarization identity and its consequence for
 exchangeable pairs) are evaluated exactly: float inputs are dyadic
@@ -35,7 +36,6 @@ from .factor_engine import (
     BlockRule,
     EdgeRule,
     LinearRule,
-    Levels,
     domain_values,
     subtree_levels,
     symmetrize_rule,
@@ -48,6 +48,9 @@ ENUMERATION_CAP = 4_194_304
 
 #: largest per-site value table the exact route will build
 TABLE_CAP = 262_144
+
+#: largest pair support the linear sampler draws labels for (128 MiB of words per chunk)
+LABEL_CAP = 262_144
 
 _Z95 = 1.959963984540054
 
@@ -188,39 +191,36 @@ def _word_pieces(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.array(words, dtype=np.intp), np.array(masks, dtype=np.uint64), np.array(owners)
 
 
-def linear_pair_sampler(levels_a: Levels, levels_b: Levels, weights):
+def linear_pair_sampler(classes, weights):
     """Sampler of (sum_j weights[j] * level-j labels) over two views, i.i.d. Rademacher.
 
-    levels_a and levels_b are views as `vertex_ball_levels` and
-    `subtree_levels` return them, with one weight per level.  The sums read
-    the labels only through class sums: a class is the set of support
-    vertices at level i of view A and level j of view B, "not in the view"
-    being a level of its own.  Each class takes a contiguous range of bits,
-    in sorted class-key order; a set bit is label +1, so a class of n
-    labels sums to 2 * popcount(its bits) - n.  One sample draws
-    ceil(|support| / 64) words of `rng.words2`, each a pure function of
-    (seed, index, word), so chunking cannot change a sample.  The two sums
-    are bit-stable only because each chunk is a single `@`.
+    classes is the pair-class table of the two views, as
+    `vertex_pair_classes` and `subtree_pair_classes` return it, and there
+    is one weight per view level.  The sums read the labels only through class
+    sums.  Each class takes a contiguous range of bits, in sorted class-key
+    order; a set bit is label +1, so a class of n labels sums to
+    2 * popcount(its bits) - n.  One sample draws ceil(|support| / 64)
+    words of `rng.words2`, each a pure function of (seed, index, word), so
+    chunking cannot change a sample.  The two sums are bit-stable only
+    because each chunk is a single `@`.
     """
-    if not len(weights) == len(levels_a) == len(levels_b):
-        raise ValueError(f"{len(weights)} weights for views of {len(levels_a)} "
-                         f"and {len(levels_b)} levels")
-    support = np.unique(np.concatenate(levels_a + levels_b))
-
-    def level_of(levels: Levels) -> np.ndarray:
-        level = np.full(len(support), len(levels))
-        for i, lv in enumerate(levels):
-            level[np.searchsorted(support, lv)] = i
-        return level
-
-    keys, sizes = np.unique(np.stack([level_of(levels_a), level_of(levels_b)], axis=1),
-                            axis=0, return_counts=True)
+    keys, sizes = classes
+    levels = np.array(keys, dtype=np.int64)
+    # two distinct views each miss a vertex of the other, so their table
+    # holds the "not in the view" level; one view's table is all diagonal
+    n_levels = int(levels.max()) + int((levels[:, 0] == levels[:, 1]).all())
+    if len(weights) != n_levels:
+        raise ValueError(f"{len(weights)} weights for views of {n_levels} levels")
+    n_support = sum(sizes)
+    if n_support > LABEL_CAP:
+        raise CapExceededError(f"pair support has {n_support} labels (cap {LABEL_CAP})")
+    sizes = np.array(sizes, dtype=np.int64)
     level_weight = np.append(np.asarray(weights, dtype=np.float64), 0.0)
-    class_weights = level_weight[keys]  # (classes, 2): the weight on side A and on side B
+    class_weights = level_weight[levels]  # (classes, 2): the weight on side A and on side B
     word, mask, owner = _word_pieces(sizes)
     coef = 2.0 * class_weights[owner]
     const = np.array([math.fsum(class_weights[:, side] * sizes) for side in (0, 1)])
-    cols = np.arange(-(-len(support) // 64))
+    cols = np.arange(-(-n_support // 64))
 
     def sampler(seed: int, idx: np.ndarray):
         counts = np.bitwise_count(rng.words2(seed, idx, cols)[:, word] & mask)

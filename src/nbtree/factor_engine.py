@@ -10,10 +10,11 @@ as columns in level order, to n values.  Two view shapes occur:
 * subtree view behind a directed edge: level 1 already branches by d-1.
 
 The views hold vertex ids; the exact route (`correlation.rule_site`)
-enumerates the labels of a finite label domain on them, and the Monte
-Carlo route (`correlation.linear_pair_sampler`) groups the vertices of two
-views into classes by their pair of levels, draws each class's Rademacher
-labels as packed bits and weights the class sums by level.
+enumerates the labels of a finite label domain on them.  Two views of a
+linear rule meet the labels only through their pair classes, the vertices
+at level i of one and level j of the other, whose sizes on the infinite
+tree have a closed form: the covariance oracle and the Monte Carlo route
+(`correlation.linear_pair_sampler`) read these tables and build no ball.
 
 Symmetrization averages a rule over all recursive child permutations of
 its view, which preserves means and cross-moments while contracting
@@ -24,14 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Callable
 
 import numpy as np
 
 from . import rng
+from ._exact import counted_fsum
+from .bounds import check_degree
 from .errors import CapExceededError, InteriorityError
-from .tree_core import TreeBall, build_ball, distances_from, vertices_at_distance
+from .tree_core import TreeBall
 
 #: cap on the number of terms in an exact orbit average
 ORBIT_CAP = 1_000_000
@@ -165,6 +168,50 @@ class EdgeRule:
 # ---------------------------------------------------------------------------
 
 
+def _pair_checks(d: int, k: int, depth: int) -> int:
+    """d as an int, once d, k and the view depth name two views."""
+    d = check_degree(d)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if depth < 0:
+        raise ValueError(f"view depth must be >= 0, got {depth}")
+    return d
+
+
+def vertex_pair_classes(d: int, k: int, r: int):
+    """Pair classes of the radius-r vertex views around two sites k apart:
+    the sorted (level in view A, level in view B) keys, r + 1 meaning "not
+    in the view", and the number of vertices in each class.  A vertex at
+    offset t from position p of the u-v path is p + t from u and k - p + t
+    from v; offset t >= 1 holds (d-1)^(t-1) vertices behind each of the
+    d - (p > 0) - (p < k) neighbors of position p off the path.
+    """
+    d = _pair_checks(d, k, r)
+    sizes = {}
+    # positions more than r from both ends reach neither view
+    for p in chain(range(min(k, r) + 1), range(max(k - r, r + 1), k + 1)):
+        for t in range(r - min(p, k - p) + 1):
+            n = (d - (p > 0) - (p < k)) * (d - 1) ** (t - 1) if t else 1
+            key = (min(p + t, r + 1), min(k - p + t, r + 1))
+            sizes[key] = sizes.get(key, 0) + n
+    return sorted(sizes), [sizes[key] for key in sorted(sizes)]
+
+
+def subtree_pair_classes(d: int, k: int, depth: int):
+    """Pair classes of the depth-D subtree views behind two same-direction
+    edges at edge distance k, near view first: the far subtree holds the
+    near one, whose level i is its level k + i, and level j of either
+    subtree has (d-1)^j vertices.
+    """
+    d = _pair_checks(d, k, depth)
+    sizes = {(i, min(k + i, depth + 1)): (d - 1) ** i for i in range(depth + 1)}
+    for j in range(depth + 1):
+        far_only = (d - 1) ** j - ((d - 1) ** (j - k) if j >= k else 0)
+        if far_only:
+            sizes[depth + 1, j] = far_only
+    return sorted(sizes), [sizes[key] for key in sorted(sizes)]
+
+
 @dataclass(frozen=True)
 class LinearCovariance:
     cov: float
@@ -172,32 +219,22 @@ class LinearCovariance:
     corr: float
 
 
-def sphere_size(d: int, i: int) -> int:
-    """Number of vertices at distance i from a vertex of the infinite tree."""
-    return 1 if i == 0 else d * (d - 1) ** (i - 1)
-
-
 def linear_rule_covariance_exact(d: int, profile, k: int) -> LinearCovariance:
     """Exact covariance/correlation of a linear rule at two distance-k sites.
 
-    Places the two sites in a ball just large enough that every vertex of
-    the infinite tree within distance r of either site is present, then
-    sums profile[dist(w,u)] * profile[dist(w,v)] over the shared view.
-    Assumes centered, unit-variance labels.
+    Sums profile[i] * profile[j] over the pair classes of the two sites'
+    views: each product is rounded as on one vertex, and the sum is rounded
+    once, so it is math.fsum over the vertices.  The variance sums the
+    sphere sizes, the classes at k = 0.  Assumes centered, unit-variance labels.
     """
     profile = np.asarray(profile, dtype=np.float64)
     if profile.ndim != 1 or profile.size == 0:
         raise ValueError("profile must be a non-empty 1-d coefficient array")
-    if k < 0:
-        raise ValueError("distance k must be >= 0")
-    r = profile.size - 1
-    ball = build_ball(d, r + (k + 1) // 2)
-    u, v = vertices_at_distance(ball, k)
-    du = distances_from(ball, u)
-    dv = distances_from(ball, v)
-    mask = (du <= r) & (dv <= r)
-    cov = math.fsum((profile[du[mask]] * profile[dv[mask]]).tolist())
-    var = math.fsum(sphere_size(d, i) * float(a) ** 2 for i, a in enumerate(profile))
+    coef = profile.tolist()
+    r = len(coef) - 1
+    cov = counted_fsum((n, coef[i] * coef[j])
+                       for (i, j), n in zip(*vertex_pair_classes(d, k, r)) if i <= r and j <= r)
+    var = math.fsum(n * coef[i] ** 2 for (i, _), n in zip(*vertex_pair_classes(d, 0, r)))
     corr = cov / var if var > 0 else 0.0
     return LinearCovariance(cov, var, corr)
 
@@ -331,12 +368,6 @@ def _table_rule_func(alphabet: int, seed: int) -> Callable[[np.ndarray], np.ndar
         idx = x.astype(np.int64) @ alphabet ** np.arange(x.shape[1] - 1, -1, -1, dtype=np.int64)
         return rng.to_unit(rng.words(seed, idx))
     return f
-
-
-def table_block_rule(radius: int, alphabet: int, seed: int) -> BlockRule:
-    """Deterministic random-valued rule on an alphabet view, driven by a table."""
-    return BlockRule(radius, _table_rule_func(alphabet, seed), symmetric=False,
-                     name=f"table:r{radius}:s{seed}", domain=f"alphabet:{alphabet}")
 
 
 def edge_tail_rule() -> EdgeRule:

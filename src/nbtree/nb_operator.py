@@ -47,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds
-from ._exact import root_lt, root_value
+from ._exact import counted_fsum, root_lt, root_value
 from .tree_core import TreeBall, check_ball, cone
 
 DEFAULT_TOL = 1e-10
@@ -175,24 +175,11 @@ def _b_classes(d: int, away: list, toward: list) -> tuple[list, list]:
 
 def _class_dot(counts: list, x_away: list, x_toward: list,
                y_away: list, y_toward: list) -> float:
-    """x @ y of two class-constant edge vectors, summed exactly, rounded once.
-
-    counts[h] is the number of edges of each orientation at height h.
-    Each class product is rounded as on one edge, then the counts-weighted
-    sum is accumulated as an integer over one power-of-two denominator, so
-    the result is math.fsum of the elementwise products over every edge.
-    """
-    num = 0
-    shift = 0  # the sum so far is num / 2**shift
-    for h in range(1, len(counts)):
-        for p in (x_away[h] * y_away[h], x_toward[h] * y_toward[h]):
-            a, b = p.as_integer_ratio()
-            s = b.bit_length() - 1
-            if s > shift:
-                num <<= s - shift
-                shift = s
-            num += counts[h] * a << (shift - s)
-    return num / (1 << shift)
+    """x @ y of two class-constant edge vectors, with counts[h] edges of each
+    orientation at height h: math.fsum of the elementwise products over
+    every edge, each class product rounded as on one edge."""
+    products = [x * y for x, y in zip(x_away[1:] + x_toward[1:], y_away[1:] + y_toward[1:])]
+    return counted_fsum(zip(counts[1:] * 2, products))
 
 
 def operator_norm_pow(ball: TreeBall, k: int, tol: float = DEFAULT_TOL,

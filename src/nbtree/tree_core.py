@@ -28,20 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import check_degree
 from .errors import CapExceededError
 
 #: refuse to build balls with more directed edges than this
 DIRECTED_EDGE_CAP = 50_000_000
-
-
-@dataclass(frozen=True)
-class DirectedEdge:
-    """One directed edge of a ball: id, endpoints, and height."""
-
-    id: int
-    tail: int
-    head: int
-    height: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,14 +87,6 @@ class TreeBall:
         """Height max(depth(tail), depth(head)) = depth of the child vertex."""
         return int(self.depth[self.edge_child(e)])
 
-    def is_away(self, e: int) -> bool:
-        """True if e points away from the root (parent -> child)."""
-        self._check_edge(e)
-        return e % 2 == 0
-
-    def directed_edge(self, e: int) -> DirectedEdge:
-        return DirectedEdge(e, self.edge_tail(e), self.edge_head(e), self.edge_height(e))
-
     # ---- vertex structure --------------------------------------------------
 
     def children(self, v: int) -> np.ndarray:
@@ -118,9 +101,6 @@ class TreeBall:
         if v == 0:
             return kids
         return np.concatenate(([int(self.parent[v])], kids))
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     def vertices_at_depth(self, j: int) -> np.ndarray:
         if not 0 <= j <= self.radius:
@@ -153,11 +133,10 @@ def ball_size(d: int, radius: int) -> int:
 def check_ball(d: int, radius: int) -> tuple[int, int]:
     """(d, radius) as ints, once they name a ball `build_ball` may build:
     d >= 3, radius >= 0 and at most DIRECTED_EDGE_CAP directed edges."""
-    if int(d) != d or d < 3:
-        raise ValueError(f"degree must be an integer >= 3, got {d}")
+    d = check_degree(d)
     if int(radius) != radius or radius < 0:
         raise ValueError(f"radius must be an integer >= 0, got {radius}")
-    d, radius = int(d), int(radius)
+    radius = int(radius)
     m = 2 * (ball_size(d, radius) - 1)
     if m > DIRECTED_EDGE_CAP:
         raise CapExceededError(
@@ -311,23 +290,6 @@ def hull_distance(ball: TreeBall, set1, set2) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # directed-edge relations
 # ---------------------------------------------------------------------------
-
-
-def edge_distance(ball: TreeBall, e1: int, e2: int) -> int:
-    """Distance between two directed edges, ignoring orientation.
-
-    0 when they share the underlying undirected edge; otherwise one more
-    than the closest pair of endpoints.
-    """
-    ball._check_edge(e1)
-    ball._check_edge(e2)
-    if e1 // 2 == e2 // 2:
-        return 0
-    u1, u2 = ball.edge_tail(e1), ball.edge_head(e1)
-    v1, v2 = ball.edge_tail(e2), ball.edge_head(e2)
-    return 1 + min(
-        vertex_distance(ball, a, b) for a in (u1, u2) for b in (v1, v2)
-    )
 
 
 def successor_lists(ball: TreeBall, edges) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,14 +20,22 @@ def checkout_env() -> dict:
 
 @pytest.fixture
 def no_ball(monkeypatch):
-    """Make every way of building a ``TreeBall`` raise, for the paths that
-    must not build one."""
-    from nbtree import acceptance, cli, tree_core
+    """Make every way of building a ``TreeBall`` or reading a view off one
+    raise, for the paths that must not build one: ``build_ball`` and
+    ``TreeBall.__init__``, ``acceptance._ball`` and ``acceptance.edge_pair``,
+    and ``vertices_at_distance``, ``vertex_ball_levels`` and
+    ``subtree_levels`` under every name the package binds them to."""
+    import nbtree.cli  # noqa: F401  (loads every module of the package)
+    from nbtree import tree_core
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("built a TreeBall")
+        raise AssertionError("built a TreeBall or read a view off one")
 
-    for module, name in ((tree_core, "build_ball"), (cli, "build_ball"),
-                         (acceptance, "build_ball"), (acceptance, "_ball"),
-                         (tree_core.TreeBall, "__init__")):
-        monkeypatch.setattr(module, name, refuse)
+    names = ("build_ball", "_ball", "edge_pair", "vertices_at_distance", "vertex_ball_levels",
+             "subtree_levels")
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "nbtree":
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(tree_core.TreeBall, "__init__", refuse)

@@ -50,6 +50,16 @@ def test_certificate_criterion_builds_no_ball(no_ball):
     assert acceptance.criterion_certificates(seed=0)["passed"]
 
 
+def test_linear_oracle_and_monte_carlo_rows_build_no_ball(no_ball):
+    # both read the closed-form pair-class tables of factor_engine
+    assert acceptance.criterion_sharpness(seed=0)["passed"]
+    for d, k in ((3, 0), (3, 1), (4, 5)):
+        for profile in ("geometric", "flat"):
+            row = acceptance.vertex_mc_row(d, k, profile, 4, 5000, 1, "linear")
+            assert row["verdict"] == "PASS", row
+        assert acceptance.edge_mc_row(d, k, 3, 5000, 2)["verdict"] == "PASS"
+
+
 def test_polarization_criterion_is_pinned():
     # values of the Fraction implementation; criterion 12 compares two runs
     # with each other and would not see a change that drifts consistently

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -111,6 +112,64 @@ def test_nb_certify_refuses_what_build_ball_refuses(capsys, no_ball, argv, messa
     assert main(["nb-certify"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def _simulate_grid(command):
+    """d, k and rule radius (view depth for edges) over both profiles, at
+    2000 samples and seed 5."""
+    for d in (3, 4):
+        for k in (0, 1, 2, 5, 8):
+            for r in (0, 1, 3):
+                if command == "simulate-edge":
+                    yield [command, "--d", str(d), "--k", str(k), "--depth", str(r)]
+                    continue
+                for profile in ("geometric", "flat"):
+                    yield [command, "--d", str(d), "--k", str(k), "--r", str(r),
+                           "--profile", profile]
+
+
+#: sha256 of each grid's exit codes and stdout, as the sampler built from
+#: two views on a ball printed them
+SIMULATE_GRID_SHA256 = {
+    "simulate-vertex": "1ecb4f93490e170d22eac737506f18f504dda8e3537292f145e5c4a84f81661b",
+    "simulate-edge": "24b60f7a7f7c83ad47924a3b8acecd8532c934932fe5ff8ec9a358e639c5e63b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SIMULATE_GRID_SHA256))
+def test_simulate_bytes_are_pinned_and_build_no_ball(capsys, no_ball, command):
+    h = hashlib.sha256()
+    for argv in _simulate_grid(command):
+        code, out = run_cli(capsys, *argv, "--samples", "2000", "--seed", "5")
+        h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == SIMULATE_GRID_SHA256[command]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate-vertex", "--d", "3", "--k", "1", "--r", "-2"], "rule radius must be >= 0, got -2"),
+    (["simulate-vertex", "--d", "2", "--k", "1", "--r", "-2"],
+     "degree must be an integer >= 3, got 2"),
+    (["simulate-vertex", "--d", "3", "--k", "-1"], "k must be >= 0"),
+    (["simulate-vertex", "--d", "3", "--k", "1", "--r", "17"],
+     "pair support has 524286 labels (cap 262144)"),
+    (["simulate-edge", "--d", "3", "--k", "1", "--depth", "-2"],
+     "view depth must be >= 0, got -2"),
+    (["simulate-edge", "--d", "2", "--k", "1"], "degree must be an integer >= 3, got 2"),
+])
+def test_simulate_refusals_name_the_arguments(capsys, no_ball, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-vertex", "--d", "3", "--k", "50", "--r", "2"],
+    ["simulate-edge", "--d", "3", "--k", "60", "--depth", "2"],
+])
+def test_simulate_runs_at_distances_beyond_the_ball_cap(capsys, no_ball, argv):
+    # two views this far apart once needed a ball above DIRECTED_EDGE_CAP
+    code, out = run_cli(capsys, *argv, "--samples", "2000")
+    assert code == 0 and json.loads(out)["verdict"] == "PASS"
 
 
 def test_walk_count_command(capsys):
@@ -253,6 +312,30 @@ def test_negative_rule_radius_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: rule radius must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--d", "3", "--k-max", "8"],
+    ["nb-certify", "--d", "3", "--radius", "6", "--k", "2"],
+])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_exits_quietly(checkout_env, argv, unbuffered):
+    # the read end is closed before the child writes: no traceback, no
+    # "Exception ignored" line at exit, and 128 + SIGPIPE, as a shell
+    # reports a process that SIGPIPE ended, not a verdict or usage code;
+    # buffered, the write fails only when stdout is flushed
+    env = {key: value for key, value in checkout_env.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nbtree.cli"] + argv, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_byte_identical_repeat_runs(capsys):

@@ -14,6 +14,7 @@ from nbtree._exact import root_abs_leq, root_sign
 from nbtree.bounds import vertex_corr_bound
 from nbtree.correlation import (
     ENUMERATION_CAP,
+    LABEL_CAP,
     TABLE_CAP,
     PolarizationResult,
     Site,
@@ -35,7 +36,7 @@ from nbtree.correlation import (
     symmetrization_moment_check,
     verify_bound,
 )
-from nbtree.acceptance import SYMMETRIZATION_PAIRS, edge_pair
+from nbtree.acceptance import SYMMETRIZATION_PAIRS
 from nbtree.errors import CapExceededError, NonExchangeableError
 from nbtree.factor_engine import (
     LinearRule,
@@ -47,13 +48,14 @@ from nbtree.factor_engine import (
     linear_rule_covariance_exact,
     parity_rule,
     subtree_levels,
+    subtree_pair_classes,
     sum_rule,
     symmetrize_rule,
-    table_block_rule,
-    vertex_ball_levels,
+    vertex_pair_classes,
 )
 from nbtree.nb_operator import walk_count
 from nbtree.tree_core import build_ball, cone, edge_between, path_vertices, vertices_at_distance
+from test_factor_engine import pair_views, table_block_rule, view_classes
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +94,7 @@ def test_mc_matches_exact_oracle():
     d, k = 3, 3
     rule = geometric_profile(d, 6)
     oracle = linear_rule_covariance_exact(d, rule.profile, k)
-    ball = build_ball(d, 6 + (k + 1) // 2)
-    u, v = vertices_at_distance(ball, k)
-    sampler = linear_pair_sampler(vertex_ball_levels(ball, u, 6), vertex_ball_levels(ball, v, 6),
-                                  rule.profile)
+    sampler = linear_pair_sampler(vertex_pair_classes(d, k, 6), rule.profile)
     est = monte_carlo_corr(sampler, 10_000, 42)
     assert abs(est.estimate - oracle.corr) <= 3 * est.stderr
 
@@ -109,10 +108,7 @@ def test_mc_deterministic_across_thread_counts():
 def _geometric_vertex_pair_sampler(d, k, r):
     """The sampler of a criterion-6 "linear-geom" row: radius-r geometric
     sums at two vertices k apart."""
-    ball = build_ball(d, (k + 1) // 2 + r)
-    u, v = vertices_at_distance(ball, k)
-    return linear_pair_sampler(vertex_ball_levels(ball, u, r), vertex_ball_levels(ball, v, r),
-                               geometric_profile(d, r).profile)
+    return linear_pair_sampler(vertex_pair_classes(d, k, r), geometric_profile(d, r).profile)
 
 
 @pytest.mark.parametrize("shift", [1e8, -1e8])
@@ -184,17 +180,19 @@ def _unpacked_sampler(levels_a, levels_b, weights):
     return sizes, sampler, np.abs(vec_a).sum() + np.abs(vec_b).sum()
 
 
-def _assert_packed_is_unpacked(levels_a, levels_b, weights, seed, idx):
-    """Integer class sums equal exactly; the two sums agree to 1e-12 of the
-    largest value they can take."""
+def _assert_packed_is_unpacked(levels_a, levels_b, classes, weights, seed, idx):
+    """The sampler of the class table of two views against one label per
+    vertex: integer class sums equal exactly; the two sums agree to 1e-12 of
+    the largest value they can take."""
     sizes, reference, scale = _unpacked_sampler(levels_a, levels_b, weights)
+    assert sizes.tolist() == classes[1]
     class_sums, ref_a, ref_b = reference(seed, idx)
     word, mask, owner = _word_pieces(sizes)
     w = rng.words2(seed, idx, np.arange(-(-int(sizes.sum()) // 64)))
     counts = np.bitwise_count(w[:, word] & mask).astype(np.int64)
     packed = np.stack([counts[:, owner == c].sum(axis=1) for c in range(len(sizes))], axis=1)
     assert np.array_equal(2 * packed - sizes, class_sums)
-    got_a, got_b = linear_pair_sampler(levels_a, levels_b, weights)(seed, idx)
+    got_a, got_b = linear_pair_sampler(classes, weights)(seed, idx)
     np.testing.assert_allclose(got_a, ref_a, rtol=1e-12, atol=1e-12 * scale)
     np.testing.assert_allclose(got_b, ref_b, rtol=1e-12, atol=1e-12 * scale)
 
@@ -205,14 +203,13 @@ def test_linear_sampler_estimate_matches_words2_reference(n_samples, threads):
     # packed class sums against one label per vertex drawn from the same
     # words, including a last chunk whose row count is not a multiple of 4;
     # two overlapping radius-3 views at d=4 span 89 support vertices
-    ball = build_ball(4, 4)
-    u, v = vertices_at_distance(ball, 2)
-    levels_a, levels_b = vertex_ball_levels(ball, u, 3), vertex_ball_levels(ball, v, 3)
+    levels_a, levels_b = pair_views("vertex", 4, 3, 2)
+    classes = vertex_pair_classes(4, 2, 3)
     weights = rng.to_unit(rng.words(1, np.arange(4))) - 0.25
     for idx in (np.arange(4096), np.arange(16_384, n_samples)):
-        _assert_packed_is_unpacked(levels_a, levels_b, weights, 77, idx)
+        _assert_packed_is_unpacked(levels_a, levels_b, classes, weights, 77, idx)
     _, reference, _ = _unpacked_sampler(levels_a, levels_b, weights)
-    sampler = linear_pair_sampler(levels_a, levels_b, weights)
+    sampler = linear_pair_sampler(classes, weights)
     got = monte_carlo_corr(sampler, n_samples, 77, threads=threads)
     assert got == monte_carlo_corr(sampler, n_samples, 77)
     want = monte_carlo_corr(lambda seed, idx: reference(seed, idx)[1:], n_samples, 77)
@@ -220,17 +217,14 @@ def test_linear_sampler_estimate_matches_words2_reference(n_samples, threads):
     assert not got.degenerate and got.estimate > 0.1
 
 
-def _pair_views(shape, d, r, k, facing):
-    """Two radius-r vertex views k apart, or two depth-r subtree views behind
-    edges at edge distance k, on the balls the Monte Carlo rows use."""
+def _pair_classes(shape, d, r, k, facing):
+    """The closed-form class table of `pair_views`; facing edges have none,
+    so theirs is grouped from the views."""
+    if facing:
+        return view_classes(*pair_views(shape, d, r, k, facing))
     if shape == "vertex":
-        ball = build_ball(d, (k + 1) // 2 + r)
-        u, v = vertices_at_distance(ball, k)
-        return vertex_ball_levels(ball, u, r), vertex_ball_levels(ball, v, r)
-    ball = build_ball(d, (k + 2) // 2 + r + 1)
-    e1, e2_same, e2_facing = edge_pair(ball, k)
-    e2 = e2_facing if facing else e2_same
-    return subtree_levels(ball, e1, r), subtree_levels(ball, e2, r)
+        return vertex_pair_classes(d, k, r)
+    return subtree_pair_classes(d, k, r)
 
 
 @settings(max_examples=120, deadline=None)
@@ -242,18 +236,24 @@ def _pair_views(shape, d, r, k, facing):
 @example("edge", 4, 3, 0, True, None, 7, 0, 300)      # the two sides of one edge
 @example("vertex", 4, 3, 2, False, -0.0, 2 ** 63, 16_384, 600)
 def test_level_sampler_is_the_coefficient_sampler(shape, d, r, k, facing, rate, seed, lo, n):
-    levels_a, levels_b = _pair_views(shape, d, r, k, facing)
+    facing = facing and shape == "edge"
+    levels_a, levels_b = pair_views(shape, d, r, k, facing)
     weights = geometric_profile(d, r, rate).profile
     idx = np.arange(lo, lo + n, dtype=np.int64)
-    _assert_packed_is_unpacked(levels_a, levels_b, weights, seed, idx)
+    _assert_packed_is_unpacked(levels_a, levels_b, _pair_classes(shape, d, r, k, facing),
+                               weights, seed, idx)
 
 
-@pytest.mark.parametrize("shape, d, r, k", [("vertex", 4, 3, 2), ("vertex", 4, 4, 7),
-                                            ("edge", 3, 3, 3), ("vertex", 3, 0, 0)])
-def test_linear_sampler_draws_one_word_per_64_support_vertices(monkeypatch, shape, d, r, k):
-    levels_a, levels_b = _pair_views(shape, d, r, k, False)
+@pytest.mark.parametrize("shape, d, r, k, facing", [
+    ("vertex", 4, 3, 2, False), ("vertex", 4, 4, 7, False), ("edge", 3, 3, 3, False),
+    ("edge", 3, 3, 3, True), ("vertex", 3, 0, 0, False)],
+    ids=["vertex-4-3-2", "vertex-4-4-7", "edge-3-3-3", "edge-3-3-3-facing", "vertex-3-0-0"])
+def test_linear_sampler_draws_one_word_per_64_support_vertices(monkeypatch, shape, d, r, k,
+                                                               facing):
+    levels_a, levels_b = pair_views(shape, d, r, k, facing)
     n_support = len(np.unique(np.concatenate(levels_a + levels_b)))
-    sampler = linear_pair_sampler(levels_a, levels_b, geometric_profile(d, r).profile)
+    sampler = linear_pair_sampler(_pair_classes(shape, d, r, k, facing),
+                                  geometric_profile(d, r).profile)
     drawn = []
     words2 = rng.words2
 
@@ -268,14 +268,22 @@ def test_linear_sampler_draws_one_word_per_64_support_vertices(monkeypatch, shap
 
 
 def test_linear_sampler_needs_one_weight_per_level():
-    ball = build_ball(3, 4)
-    u, v = vertices_at_distance(ball, 2)
-    levels_a, levels_b = vertex_ball_levels(ball, u, 2), vertex_ball_levels(ball, v, 2)
-    for weights in ((1.0, 0.5), (1.0, 0.5, 0.25, 0.125)):
-        with pytest.raises(ValueError, match="weights"):
-            linear_pair_sampler(levels_a, levels_b, weights)
-    with pytest.raises(ValueError, match="weights"):
-        linear_pair_sampler(levels_a, vertex_ball_levels(ball, v, 1), (1.0, 0.5, 0.25))
+    for k in (0, 2, 9):
+        classes = vertex_pair_classes(3, k, 2)
+        for weights in ((1.0, 0.5), (1.0, 0.5, 0.25, 0.125)):
+            with pytest.raises(ValueError, match="weights"):
+                linear_pair_sampler(classes, weights)
+        linear_pair_sampler(classes, (1.0, 0.5, 0.25))
+
+
+def test_linear_sampler_refuses_a_support_above_the_label_cap():
+    # the cap bounds each chunk's words, 4096 samples x 4096 words
+    assert sum(vertex_pair_classes(3, 1, 16)[1]) <= LABEL_CAP
+    linear_pair_sampler(vertex_pair_classes(3, 1, 16), geometric_profile(3, 16).profile)
+    with pytest.raises(CapExceededError, match=r"pair support has \d+ labels \(cap 262144\)"):
+        linear_pair_sampler(vertex_pair_classes(3, 1, 17), geometric_profile(3, 17).profile)
+    with pytest.raises(CapExceededError, match="pair support"):
+        linear_pair_sampler(subtree_pair_classes(3, 0, 1000), (1.0,) * 1001)
 
 
 def test_degenerate_estimate_fails_its_verdict():
@@ -899,7 +907,7 @@ def test_homogeneity_d3_depth1_k2():
     # cross-module: the per-source pair count is the walk count
     interior_source = next(
         e for e in range(ball.n_edges)
-        if ball.edge_height(e) <= 2 and not ball.is_away(e)
+        if ball.edge_height(e) <= 2 and e % 2 == 1
     )
     assert walk_count(ball, interior_source, 2) == res.pairs_per_source
 

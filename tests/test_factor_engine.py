@@ -7,6 +7,7 @@ plain label array with labels[v] the label of vertex v.
 """
 
 import math
+import re
 from itertools import permutations, product
 
 import numpy as np
@@ -15,9 +16,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nbtree import rng
+from nbtree.acceptance import edge_pair
 from nbtree.correlation import exact_corr_discrete, rule_site
 from nbtree.errors import CapExceededError, InteriorityError
 from nbtree.factor_engine import (
+    BlockRule,
     LinearRule,
     domain_values,
     edge_first_child_rule,
@@ -30,14 +33,53 @@ from nbtree.factor_engine import (
     orbit_size,
     parity_rule,
     subtree_levels,
+    subtree_pair_classes,
     sum_rule,
     symmetrize_rule,
-    table_block_rule,
     threshold_rule,
     vertex_ball_levels,
+    vertex_pair_classes,
     xor_pair_rule,
 )
-from nbtree.tree_core import build_ball, vertex_distance, vertices_at_distance
+from nbtree.tree_core import build_ball, distances_from, vertex_distance, vertices_at_distance
+
+
+def table_block_rule(radius, alphabet, seed):
+    """An order-sensitive block rule: the hashed table of `edge_table_rule`
+    read on a vertex view."""
+    return BlockRule(radius, edge_table_rule(radius, alphabet, seed).func, name=f"table:r{radius}",
+                     domain=f"alphabet:{alphabet}")
+
+
+def view_classes(levels_a, levels_b):
+    """Reference pair-class table of two views: their support grouped by
+    (level in view A, level in view B), "not in the view" being level
+    len(levels), in sorted key order."""
+    support = np.unique(np.concatenate(levels_a + levels_b))
+
+    def level_of(levels):
+        level = np.full(len(support), len(levels))
+        for i, lv in enumerate(levels):
+            level[np.searchsorted(support, lv)] = i
+        return level
+
+    keys, sizes = np.unique(np.stack([level_of(levels_a), level_of(levels_b)], axis=1),
+                            axis=0, return_counts=True)
+    return [tuple(key) for key in keys.tolist()], sizes.tolist()
+
+
+def pair_views(shape, d, r, k, facing=False):
+    """Two radius-r vertex views k apart, or two depth-r subtree views behind
+    edges at edge distance k (same direction unless `facing`), on a ball
+    just large enough to hold them."""
+    if shape == "vertex":
+        ball = build_ball(d, (k + 1) // 2 + r)
+        u, v = vertices_at_distance(ball, k)
+        return vertex_ball_levels(ball, u, r), vertex_ball_levels(ball, v, r)
+    ball = build_ball(d, (k + 2) // 2 + r + 1)
+    e1, e2_same, e2_facing = edge_pair(ball, k)
+    e2 = e2_facing if facing else e2_same
+    return subtree_levels(ball, e1, r), subtree_levels(ball, e2, r)
 
 
 def _labels(ball, seed, domain="uniform"):
@@ -239,6 +281,83 @@ def test_oracle_disjoint_supports():
     res = linear_rule_covariance_exact(3, (1.0, 0.5), 3)  # k > 2r
     assert res.cov == 0.0
     assert res.corr == 0.0
+
+
+@pytest.mark.parametrize("d, r, k", [(3, 0, 1), (3, 2, 5), (4, 3, 7), (5, 1, 40),
+                                     (3, 16, 33), (4, 4, 10 ** 6)])
+def test_oracle_is_exactly_zero_beyond_twice_the_radius(no_ball, d, r, k):
+    res = linear_rule_covariance_exact(d, geometric_profile(d, r).profile, k)
+    assert (res.cov, res.corr) == (0.0, 0.0) and res.var > 0
+
+
+def _bfs_covariance(d, profile, k):
+    """Reference (cov, var): BFS distances from both sites on a ball just
+    large enough to hold both views, and math.fsum of the products of
+    profile values over every vertex within distance r of both; the
+    variance weighs each sphere's squared coefficient by its size."""
+    profile = np.asarray(profile, dtype=np.float64)
+    r = profile.size - 1
+    ball = build_ball(d, r + (k + 1) // 2)
+    u, v = vertices_at_distance(ball, k)
+    du, dv = distances_from(ball, u), distances_from(ball, v)
+    mask = (du <= r) & (dv <= r)
+    cov = math.fsum((profile[du[mask]] * profile[dv[mask]]).tolist())
+    sphere = [1] + [d * (d - 1) ** (i - 1) for i in range(1, r + 1)]
+    return cov, math.fsum(n * a ** 2 for n, a in zip(sphere, profile.tolist()))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("r", range(6))
+def test_oracle_equals_the_bfs_oracle(d, r):
+    # random signs and magnitudes, and alternating scales 2^0 and 2^40, so
+    # that a sum that is not correctly rounded shows in the last bits
+    for k in range(2 * r + 2):
+        for s in range(3):
+            seed = 1000 * d + 100 * r + 10 * k + s
+            profile = rng.to_unit(rng.words(seed, np.arange(r + 1))) - 0.5
+            if s == 2:
+                profile *= 2.0 ** (40 * (np.arange(r + 1) % 2))
+            res = linear_rule_covariance_exact(d, profile, k)
+            assert (res.cov, res.var) == _bfs_covariance(d, profile, k), (k, s)
+
+
+def test_oracle_needs_no_ball_beyond_the_ball_cap(no_ball):
+    # the two views span a radius-23 ball at d=3, above DIRECTED_EDGE_CAP
+    from nbtree.bounds import vertex_corr_bound
+
+    res = linear_rule_covariance_exact(3, geometric_profile(3, 16).profile, 13)
+    # sphere i >= 1 holds 3 * 2^(i-1) vertices of weight 2^(-i/2): 1.5 each
+    assert res.var == pytest.approx(1.0 + 16 * 1.5, rel=1e-14)
+    assert 0.0 < res.corr <= vertex_corr_bound(3, 13)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_vertex_pair_classes_group_the_two_views(d):
+    for r in range(5):
+        for k in range(2 * r + 3):
+            assert vertex_pair_classes(d, k, r) == view_classes(*pair_views("vertex", d, r, k)), \
+                (r, k)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_subtree_pair_classes_group_the_two_views(d):
+    for depth in range(4):
+        for k in range(6):
+            assert subtree_pair_classes(d, k, depth) == view_classes(
+                *pair_views("edge", d, depth, k)), (depth, k)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: vertex_pair_classes(2, 1, 1), "degree must be an integer >= 3, got 2"),
+    (lambda: vertex_pair_classes(3, -1, 1), "k must be >= 0"),
+    (lambda: vertex_pair_classes(3, 1, -1), "view depth must be >= 0, got -1"),
+    (lambda: subtree_pair_classes(3.5, 1, 1), "degree must be an integer >= 3, got 3.5"),
+    (lambda: subtree_pair_classes(3, -1, 1), "k must be >= 0"),
+    (lambda: subtree_pair_classes(3, 1, -2), "view depth must be >= 0, got -2"),
+])
+def test_pair_classes_refuse_what_names_no_views(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_variance_formula_uses_sphere_sizes():

@@ -43,9 +43,9 @@ def test_star_ball_predecessor_counts():
     assert ball.n_edges == 6
     for e in range(6):
         preds = predecessors(ball, e)
-        if ball.is_away(e):
+        if e % 2 == 0:  # away from the root
             assert len(preds) == 2
-            assert all(not ball.is_away(int(p)) for p in preds)
+            assert all(p % 2 == 1 for p in preds)
         else:
             assert len(preds) == 0
 
@@ -350,7 +350,7 @@ def test_norm_invalid_k():
 
 
 def _class_of(ball, e) -> tuple[str, int]:
-    return ("away" if ball.is_away(e) else "toward"), ball.edge_height(e)
+    return ("toward" if e % 2 else "away"), ball.edge_height(e)
 
 
 def _cone_oracle(ball, k, backward=False):

@@ -56,10 +56,7 @@ from .tree_core import (
     build_ball,
     convex_hull,
     hull_distance,
-    predecessors,
-    reverse_edge,
     successors,
-    vertex_distance,
 )
 from .universal_factor import (
     VertexCode,

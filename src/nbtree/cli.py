@@ -25,6 +25,13 @@ from .tree_core import build_ball, forward_cone_interior, hull_distance
 from .universal_factor import roundtrip_check, roundtrip_min_radius
 
 
+def _open_for_write(flag: str, path: str):
+    try:
+        return open(path, "w")
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise NbtreeError(f"cannot write {flag} {path}: {exc.strerror}") from exc
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
@@ -152,7 +159,13 @@ def _cmd_universal_check(args, out) -> int:
 
 
 def _cmd_report(args, out) -> int:
-    doc = acceptance.run_report(seed=args.seed)
+    if args.metrics is None:
+        doc = acceptance.run_report(seed=args.seed)
+    else:
+        metrics = {}
+        with _open_for_write("--metrics", args.metrics) as fh:  # before any criterion runs
+            doc = acceptance.run_report(seed=args.seed, metrics=metrics)
+            _emit_json(metrics, fh)
     _emit_json(doc, out)
     return 0 if doc["all_passed"] else 1
 
@@ -270,6 +283,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run the full verification suite, emit one JSON doc")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--metrics", type=str, default=None,
+                   help="also write each criterion's wall seconds and worker pid "
+                        "to this JSON file")
     out_flag(p)
     p.set_defaults(fn=_cmd_report)
 
@@ -289,11 +305,7 @@ def main(argv=None) -> int:
             code = args.fn(args, sys.stdout)
             sys.stdout.flush()  # a closed pipe raises here, not at exit
             return code
-        try:
-            fh = open(out_path, "w")
-        except OSError as exc:  # a missing directory, a directory, no permission
-            raise NbtreeError(f"cannot write --out {out_path}: {exc.strerror}") from exc
-        with fh:
+        with _open_for_write("--out", out_path) as fh:
             return args.fn(args, fh)
     except (NbtreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,11 +61,6 @@ def to_alphabet(w: np.ndarray, size: int) -> np.ndarray:
     return np.minimum(vals, size - 1)
 
 
-def to_rademacher(w: np.ndarray) -> np.ndarray:
-    """Map uint64 words to +-1 with equal probability."""
-    return 1.0 - 2.0 * (w >> np.uint64(63)).astype(np.float64)
-
-
 def randint(seed: int, index, n: int) -> np.ndarray:
     """Deterministic integer draw in {0, ..., n-1} at stream position `index`."""
     return to_alphabet(words(seed, index), n)

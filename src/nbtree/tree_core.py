@@ -14,12 +14,12 @@ operations that need full neighborhoods check interiority explicitly.
 
 The non-backtracking successor rule e -> e' (head(e) = tail(e') and
 e' != reverse(e)) is computed in one place, `successor_lists`, vectorised
-over edge arrays.  Predecessors and k-step cones are derived from it.
+over edge arrays.  The k-step cones are derived from it.
 
 Vertex geometry likewise has one BFS and one path walk.  `distances_from`
 is a BFS from one vertex or a connected vertex set, and `hull_distance`
 reads it on the second hull.  `path_vertices` walks up to the lowest
-common ancestor; `vertex_distance` and `convex_hull` are read off it.
+common ancestor; `convex_hull` is read off it.
 """
 
 from __future__ import annotations
@@ -83,10 +83,6 @@ class TreeBall:
         v = self.edge_child(e)
         return v if e % 2 == 0 else int(self.parent[v])
 
-    def edge_height(self, e: int) -> int:
-        """Height max(depth(tail), depth(head)) = depth of the child vertex."""
-        return int(self.depth[self.edge_child(e)])
-
     # ---- vertex structure --------------------------------------------------
 
     def children(self, v: int) -> np.ndarray:
@@ -116,11 +112,6 @@ class TreeBall:
     def _check_edge(self, e: int) -> None:
         if not 0 <= e < self.n_edges:
             raise ValueError(f"edge id {e} outside [0, {self.n_edges})")
-
-
-def reverse_edge(e: int) -> int:
-    """Id of the reversed edge; an involution by construction."""
-    return e ^ 1
 
 
 def ball_size(d: int, radius: int) -> int:
@@ -183,11 +174,6 @@ def build_ball(d: int, radius: int) -> TreeBall:
 # ---------------------------------------------------------------------------
 # distances and hulls
 # ---------------------------------------------------------------------------
-
-
-def vertex_distance(ball: TreeBall, u: int, v: int) -> int:
-    """Length of the unique u-v path."""
-    return len(path_vertices(ball, u, v)) - 1
 
 
 def path_vertices(ball: TreeBall, u: int, v: int) -> list[int]:
@@ -325,11 +311,6 @@ def successors(ball: TreeBall, edges) -> np.ndarray:
     successors in ascending id order, concatenated in input order.
     """
     return successor_lists(ball, edges)[0]
-
-
-def predecessors(ball: TreeBall, edges) -> np.ndarray:
-    """Edges e' with e' -> e; e' -> e exactly when reverse(e) -> reverse(e')."""
-    return successors(ball, np.asarray(edges, dtype=np.int64) ^ 1) ^ 1
 
 
 def cone(ball: TreeBall, e, k: int, backward: bool = False) -> np.ndarray:

@@ -3,11 +3,14 @@
 Each test prints one PASS/FAIL line.  Criterion 12 runs the report
 command twice, each in a fresh process (the second with OpenBLAS on one
 thread), compares the emitted JSON byte for byte and checks it against
-the recorded digest.
+the recorded digest; a third run, pinned to one CPU and so to one worker
+process, must emit the same digest.
 """
 
 import functools
 import hashlib
+import json
+import os
 import subprocess
 import sys
 import time
@@ -116,3 +119,20 @@ def test_criterion_12_report_determinism(checkout_env):
     assert identical
     assert b'"all_passed": true' in outputs[0]
     assert hashlib.sha256(outputs[0]).hexdigest() == REPORT_SEED0_SHA256
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_report_pinned_to_one_cpu_keeps_its_bytes(checkout_env, tmp_path):
+    # one CPU in the affinity mask means a pool of one worker; the criteria
+    # then run one after another in dispatch order, and the bytes stay
+    cpu = min(os.sched_getaffinity(0))
+    metrics = tmp_path / "metrics.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nbtree.cli", "report", "--seed", "0",
+         "--metrics", str(metrics)],
+        capture_output=True, env=checkout_env, check=True,
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}), timeout=120)
+    assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_SEED0_SHA256
+    timings = json.loads(metrics.read_text())
+    assert timings["workers"] == 1
+    assert len({c["pid"] for c in timings["criteria"]}) == 1

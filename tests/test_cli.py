@@ -601,9 +601,106 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_report_metrics_sidecar(capsys, tmp_path):
+    # one timing per criterion in report order, each from a worker process;
+    # standard output keeps its bytes
+    from test_acceptance import REPORT_SEED0_SHA256
+    path = tmp_path / "metrics.json"
+    code, out = run_cli(capsys, "report", "--seed", "0", "--metrics", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SEED0_SHA256
+    metrics = json.loads(path.read_text())
+    report = json.loads(out)
+    assert [(c["id"], c["name"]) for c in metrics["criteria"]] == \
+        [(c["id"], c["name"]) for c in report["criteria"][:-1]]
+    pids = {c["pid"] for c in metrics["criteria"]}
+    assert os.getpid() not in pids and 1 <= len(pids) <= metrics["workers"]
+    assert all(c["wall_s"] >= 0.0 for c in metrics["criteria"])
+
+
+def test_unwritable_metrics_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    # exit 2 with the --out message form, before any criterion runs
+    from nbtree import acceptance
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("ran the report")
+
+    monkeypatch.setattr(acceptance, "run_report", refuse)
+    for path in (tmp_path / "no" / "such" / "m.json", tmp_path):
+        assert main(["report", "--metrics", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write --metrics {path}: ")
+        assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _raise_value_error(seed=0):
+    raise ValueError("criterion refused")
+
+
+@pytest.mark.parametrize("index,fn,want", [
+    # the largest criterion raises while the other worker is still busy
+    (5, _raise_value_error, 2),
+    (9, lambda seed=0: {"passed": False}, 1),
+])
+def test_report_worker_outcomes_reach_the_exit_code(capsys, monkeypatch, index, fn, want):
+    # an exception in a worker keeps its type (a usage error, exit 2) and a
+    # failed verdict exits 1; neither prints a traceback or leaves a worker
+    import multiprocessing
+
+    from nbtree import acceptance
+
+    criteria = list(acceptance.CRITERIA)
+    cid, name, _ = criteria[index]
+    criteria[index] = (cid, name, fn)
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    assert main(["report", "--seed", "0"]) == want
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if want == 2:
+        assert captured.out == "" and captured.err == "error: criterion refused\n"
+    else:
+        doc = json.loads(captured.out)
+        assert [c["id"] for c in doc["criteria"] if c["passed"] is False] == [cid]
+    assert multiprocessing.active_children() == []
+
+
+def _session_members(sid: int) -> list[int]:
+    """Pids of the live processes in session `sid`, read off /proc."""
+    members = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):  # not a pid, or the process just exited
+            continue
+        if int(fields[3]) == sid:
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads the session off /proc")
+def test_report_into_a_closed_pipe_leaves_no_worker(checkout_env):
+    # the report runs in a session of its own, so every process it forks
+    # stays in that session; after exit 141 none of them is left
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "nbtree.cli", "report", "--seed", "0"],
+                                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                env=checkout_env, start_new_session=True)
+        _, stderr = proc.communicate(timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert stderr == ""
+    assert _session_members(proc.pid) == []
+
+
 #: runs each argv given as JSON in argv[1] with every scipy import refused,
-#: and prints each exit code and stdout sha256 and the scipy and concurrent
-#: modules loaded
+#: and prints each exit code, stdout sha256 and whether multiprocessing was
+#: loaded by the end of that run, and the scipy and concurrent modules loaded
 _WITHOUT_SCIPY = """
 import contextlib, hashlib, io, json, sys
 
@@ -612,6 +709,9 @@ class RefuseScipy:
         if name.split(".")[0] == "scipy":
             raise ImportError(f"{name} refused")
 
+def loaded(package):
+    return [m for m in sys.modules if m.split(".")[0] == package]
+
 sys.meta_path.insert(0, RefuseScipy())
 from nbtree.cli import main
 runs = []
@@ -619,22 +719,22 @@ for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    runs.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
-print(json.dumps({"runs": runs,
-                  "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"],
-                  "concurrent": [m for m in sys.modules if m.split(".")[0] == "concurrent"]}))
+    runs.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
+                 bool(loaded("multiprocessing"))])
+print(json.dumps({"runs": runs, "scipy": loaded("scipy"), "concurrent": loaded("concurrent")}))
 """
 
 def test_every_subcommand_runs_without_scipy(checkout_env):
     # the package needs no scipy: every subcommand runs and the report
-    # keeps its bytes with every scipy import refused, and no run loads
-    # the thread pool
+    # keeps its bytes with every scipy import refused, no run loads the
+    # thread pool, and only the report, which runs last, loads the process pool
     from test_acceptance import REPORT_SEED0_SHA256
     argvs = [[command] + argv for command, argv in sorted(FUZZ_BASE.items())]
     argvs.append(["report", "--seed", "0"])
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)],
                           capture_output=True, text=True, env=checkout_env, check=True)
     doc = json.loads(proc.stdout)
-    assert [code for code, _ in doc["runs"]] == [0] * len(argvs)
+    assert [code for code, _, _ in doc["runs"]] == [0] * len(argvs)
     assert doc["runs"][-1][1] == REPORT_SEED0_SHA256
+    assert [pool for _, _, pool in doc["runs"]] == [False] * (len(argvs) - 1) + [True]
     assert doc["scipy"] == [] and doc["concurrent"] == []

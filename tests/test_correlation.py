@@ -56,6 +56,8 @@ from nbtree.factor_engine import (
 from nbtree.nb_operator import walk_count
 from nbtree.tree_core import build_ball, cone, edge_between, path_vertices, vertices_at_distance
 from test_factor_engine import pair_views, table_block_rule, view_classes
+from test_rng import to_rademacher
+from test_tree_core import edge_height
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +71,8 @@ def _identical_sampler(seed, idx):
 
 
 def _independent_sampler(seed, idx):
-    a = rng.to_rademacher(rng.words(seed + 1, idx))
-    b = rng.to_rademacher(rng.words(seed + 2, idx * 2 + 1))
+    a = to_rademacher(rng.words(seed + 1, idx))
+    b = to_rademacher(rng.words(seed + 2, idx * 2 + 1))
     return a, b
 
 
@@ -140,7 +142,7 @@ def test_mc_merged_moments_match_one_centred_pass(n_samples):
 
 def test_mc_degenerate_variance_flag():
     def constant(seed, idx):
-        return np.ones(len(idx)), rng.to_rademacher(rng.words(seed, idx))
+        return np.ones(len(idx)), to_rademacher(rng.words(seed, idx))
 
     est = monte_carlo_corr(constant, 1000, 5)
     assert est.degenerate and est.estimate == 0.0
@@ -299,7 +301,7 @@ def test_mc_non_finite_moments_raise(scale, threads):
     # moments whose total overflows (1e152), and variances whose product
     # overflows (1e100) must not turn into an estimate
     def sampler(seed, idx):
-        z = rng.to_rademacher(rng.words(seed, idx))
+        z = to_rademacher(rng.words(seed, idx))
         return z * scale, z * scale
 
     with pytest.raises(ValueError, match="not finite"):
@@ -907,7 +909,7 @@ def test_homogeneity_d3_depth1_k2():
     # cross-module: the per-source pair count is the walk count
     interior_source = next(
         e for e in range(ball.n_edges)
-        if ball.edge_height(e) <= 2 and e % 2 == 1
+        if edge_height(ball, e) <= 2 and e % 2 == 1
     )
     assert walk_count(ball, interior_source, 2) == res.pairs_per_source
 

@@ -41,7 +41,9 @@ from nbtree.factor_engine import (
     vertex_pair_classes,
     xor_pair_rule,
 )
-from nbtree.tree_core import build_ball, distances_from, vertex_distance, vertices_at_distance
+from nbtree.tree_core import build_ball, distances_from, vertices_at_distance
+from test_rng import to_rademacher
+from test_tree_core import vertex_distance
 
 
 def table_block_rule(radius, alphabet, seed):
@@ -88,7 +90,7 @@ def _labels(ball, seed, domain="uniform"):
     if domain == "uniform":
         return rng.to_unit(w)
     if domain == "rademacher":
-        return rng.to_rademacher(w)
+        return to_rademacher(w)
     return rng.to_alphabet(w, 2).astype(np.float64)
 
 

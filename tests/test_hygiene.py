@@ -5,9 +5,10 @@ are exempt), and every module-private top-level function is referenced
 somewhere in the package, so deleted code cannot leave dead helpers or
 stale imports behind.  A `Site` is built only by `correlation.rule_site`, so
 every exact observable is a rule's site table reduced over its rows.  No
-module imports SciPy, and ``concurrent`` (the thread pool behind
-``monte_carlo_corr(threads=...)``) is imported only inside functions, so
-importing the package, and every CLI subcommand, runs without loading it.
+module imports SciPy.  ``concurrent`` (the thread pool behind
+``monte_carlo_corr(threads=...)``) and ``multiprocessing`` (the process
+pool behind ``run_report``) are imported only inside functions, so
+importing the package runs without loading either.
 No module reads the environment, so every run is set by its arguments
 alone.
 """
@@ -97,7 +98,8 @@ def _imported_modules(node) -> list[str]:
 
 def test_scipy_is_not_imported_at_module_scope():
     # scipy nowhere, function bodies included; concurrent, which only
-    # monte_carlo_corr(threads > 1) needs, only inside functions
+    # monte_carlo_corr(threads > 1) needs, and multiprocessing, which only
+    # run_report needs, only inside functions
     found = []
     for name, tree in _modules().items():
         for node in ast.walk(tree):
@@ -105,7 +107,7 @@ def test_scipy_is_not_imported_at_module_scope():
                       if m.split(".")[0] == "scipy"]
         for node in _import_time_nodes(tree):
             found += [f"{name}:{node.lineno} {m}" for m in _imported_modules(node)
-                      if m.split(".")[0] == "concurrent"]
+                      if m.split(".")[0] in ("concurrent", "multiprocessing")]
     assert found == []
 
 

@@ -21,13 +21,8 @@ from nbtree.nb_operator import (
     operator_norm_pow,
     walk_count,
 )
-from nbtree.tree_core import (
-    build_ball,
-    predecessors,
-    reverse_edge,
-    successor_lists,
-    successors,
-)
+from nbtree.tree_core import build_ball, successor_lists, successors
+from test_tree_core import edge_height, predecessors, reverse_edge
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +345,7 @@ def test_norm_invalid_k():
 
 
 def _class_of(ball, e) -> tuple[str, int]:
-    return ("toward" if e % 2 else "away"), ball.edge_height(e)
+    return ("toward" if e % 2 else "away"), edge_height(ball, e)
 
 
 def _cone_oracle(ball, k, backward=False):
@@ -503,7 +498,7 @@ def test_cone_sums_match_dense_matrix_power():
     dense = _dense_matrix(ball)
     bk = np.linalg.matrix_power(dense, k)
     q = d - 1
-    heights = np.array([ball.edge_height(e) for e in range(ball.n_edges)], dtype=float)
+    heights = np.array([edge_height(ball, e) for e in range(ball.n_edges)], dtype=float)
     table = cone_weight_sums(d, radius, k)
     for e in range(0, ball.n_edges, 5):
         ws = table[_class_of(ball, e)]

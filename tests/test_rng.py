@@ -8,6 +8,11 @@ from nbtree import rng
 from nbtree.tree_core import build_ball
 
 
+def to_rademacher(w: np.ndarray) -> np.ndarray:
+    """Map uint64 words to +-1 with equal probability: the top bit, 1 -> -1."""
+    return 1.0 - 2.0 * (w >> np.uint64(63)).astype(np.float64)
+
+
 def test_words_pure_function_of_seed_and_index():
     a = rng.words(12, np.arange(100))
     b = rng.words(12, np.arange(100))
@@ -43,7 +48,7 @@ def test_unit_mapping_range():
 
 def test_rademacher_mapping():
     w = rng.words(2, np.arange(20000))
-    r = rng.to_rademacher(w)
+    r = to_rademacher(w)
     assert set(np.unique(r).tolist()) == {-1.0, 1.0}
 
 
@@ -57,7 +62,7 @@ def test_config_determinism_and_domains():
     c2 = rng.to_alphabet(_vertex_words(ball, 7), 2)
     assert np.array_equal(c1, c2)
     assert set(np.unique(c1).tolist()) == {0, 1}
-    rad = rng.to_rademacher(_vertex_words(ball, 7))
+    rad = to_rademacher(_vertex_words(ball, 7))
     assert set(np.unique(rad).tolist()) == {-1.0, 1.0}
 
 
@@ -80,6 +85,6 @@ def test_words2_stream_is_pinned():
     w = rng.words2(20161, rows, cols)
     assert hashlib.sha256(w.astype("<u8").tobytes()).hexdigest() == (
         "ad91d1b98a1af376f416078aa1be7eca49ffd62fba4358d0d37cee832f920f84")
-    bits = np.packbits(rng.to_rademacher(w) < 0)
+    bits = np.packbits(to_rademacher(w) < 0)
     assert hashlib.sha256(bits.tobytes()).hexdigest() == (
         "9321b4d2f1da36191c8450be2bf34385520e8eff3a9edcae1e3ac56ae9afe6d2")

@@ -17,12 +17,34 @@ from nbtree.tree_core import (
     forward_cone_interior,
     hull_distance,
     path_vertices,
-    predecessors,
-    reverse_edge,
     successors,
-    vertex_distance,
     vertices_at_distance,
 )
+
+
+# ---------------------------------------------------------------------------
+# oracles: edge and vertex relations that only the tests use
+# ---------------------------------------------------------------------------
+
+
+def reverse_edge(e: int) -> int:
+    """Id of the reversed edge; an involution by construction."""
+    return e ^ 1
+
+
+def edge_height(ball, e: int) -> int:
+    """Height max(depth(tail), depth(head)) = depth of the child vertex."""
+    return int(ball.depth[ball.edge_child(e)])
+
+
+def vertex_distance(ball, u: int, v: int) -> int:
+    """Length of the unique u-v path."""
+    return len(path_vertices(ball, u, v)) - 1
+
+
+def predecessors(ball, edges) -> np.ndarray:
+    """Edges e' with e' -> e; e' -> e exactly when reverse(e) -> reverse(e')."""
+    return successors(ball, np.asarray(edges, dtype=np.int64) ^ 1) ^ 1
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +127,14 @@ def test_reverse_is_involution_and_swaps_endpoints():
         assert reverse_edge(r) == e
         assert ball.edge_head(r) == ball.edge_tail(e)
         assert ball.edge_tail(r) == ball.edge_head(e)
-        assert ball.edge_height(r) == ball.edge_height(e)
+        assert edge_height(ball, r) == edge_height(ball, e)
 
 
 def test_edge_height_is_max_endpoint_depth():
     ball = build_ball(4, 3)
     for e in range(ball.n_edges):
         t, h = ball.edge_tail(e), ball.edge_head(e)
-        assert ball.edge_height(e) == max(ball.depth[t], ball.depth[h])
+        assert edge_height(ball, e) == max(ball.depth[t], ball.depth[h])
 
 
 def test_edge_between():
@@ -401,10 +423,10 @@ def test_successor_counts_and_boundary():
 def test_away_successors_increase_height():
     ball = build_ball(4, 4)
     for e in range(0, ball.n_edges, 2):  # away edges
-        h = ball.edge_height(e)
+        h = edge_height(ball, e)
         for s in successors(ball, e).tolist():
             assert s % 2 == 0  # away from the root
-            assert ball.edge_height(s) == h + 1
+            assert edge_height(ball, s) == h + 1
 
 
 def test_predecessors_are_transpose_of_successors():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nbtree import rng
 from nbtree.errors import LabelCollisionError, ReconstructionError
-from nbtree.tree_core import build_ball, distances_from, path_vertices, vertex_distance
+from nbtree.tree_core import build_ball, distances_from, path_vertices
 from nbtree.universal_factor import (
     VertexCode,
     _draw_pair,
@@ -17,6 +17,7 @@ from nbtree.universal_factor import (
     roundtrip_min_radius,
     sphere_overlap_count,
 )
+from test_tree_core import vertex_distance
 
 
 def _uniform_labels(ball, seed):

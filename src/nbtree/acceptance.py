@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import bounds, rng
+from . import bounds, correlation, rng
 from .correlation import (
     edge_homogeneity_check,
     exact_corr_discrete,
@@ -492,23 +492,28 @@ CRITERIA = [
 
 
 #: CRITERIA indices (criterion id - 1) in dispatch order, largest first, so
-#: that the last task a worker takes is short.  Seconds in one process at
-#: seed 0 on a 2-CPU machine: bound-compliance-sweep 0.70, oracle-agreement
-#: 0.32, polarization-and-transfer 0.29, universal-roundtrip 0.29,
-#: orbit-average-moments 0.20, walk-counts 0.14, norm-vs-bound 0.06,
-#: edge-homogeneity 0.04, cone-sum-certificates 0.01, the other two < 0.01.
-_DISPATCH_ORDER = (5, 4, 8, 10, 7, 3, 1, 9, 2, 6, 0)
+#: that the last task a worker takes is short.  Seconds per criterion at
+#: seed 0 from `report --metrics` on a 2-CPU machine (median of 5 runs):
+#: bound-compliance-sweep 0.38, oracle-agreement 0.31, universal-roundtrip
+#: 0.29, polarization-and-transfer 0.25, walk-counts 0.15, edge-homogeneity
+#: 0.10, norm-vs-bound 0.05, orbit-average-moments 0.02,
+#: cone-sum-certificates 0.01, the other two < 0.01.
+_DISPATCH_ORDER = (5, 4, 10, 8, 3, 9, 1, 7, 2, 6, 0)
 
 
-def _run_criterion(index: int, seed: int) -> tuple[int, dict, float, int]:
-    """Pool task: (index, result, wall seconds, worker pid) of CRITERIA[index].
+def _run_criterion(index: int, seed: int) -> tuple[int, dict, dict]:
+    """Pool task: (index, result, metrics) of CRITERIA[index]; the metrics
+    are its wall seconds, the worker's pid and the labelings the exact
+    route tabulated for it (`correlation.configs_tabulated`).
 
     The task is the index, not the function: the pool pickles its tasks,
     and a traced CRITERIA entry is a closure, which does not pickle.
     """
+    tabulated = correlation.configs_tabulated
     start = time.perf_counter()
     result = CRITERIA[index][2](seed=seed)
-    return index, result, time.perf_counter() - start, os.getpid()
+    return index, result, {"wall_s": time.perf_counter() - start, "pid": os.getpid(),
+                           "configs_tabulated": correlation.configs_tabulated - tabulated}
 
 
 def _pool_size() -> int:
@@ -526,7 +531,8 @@ def run_report(seed: int = 0, metrics: dict | None = None) -> dict:
     depend on the CPU count.  An exception raised by a criterion is raised
     here with its own type, and no worker outlives the call.  If `metrics`
     is a dict, it receives the worker count and, per criterion, its id,
-    name, wall seconds and the pid of the worker that ran it.
+    name, wall seconds, the pid of the worker that ran it and the labelings
+    the exact route tabulated for it in that worker.
 
     Criterion 12 (byte-identical repeat runs in fresh processes) is a
     statement about this very command, so it is exercised externally by
@@ -539,20 +545,20 @@ def run_report(seed: int = 0, metrics: dict | None = None) -> dict:
     # leaving the block terminates the workers, so an exception leaves none behind
     with multiprocessing.get_context("fork").Pool(workers) as pool:
         task = functools.partial(_run_criterion, seed=seed)
-        for index, result, wall_s, pid in pool.imap(task, _DISPATCH_ORDER):
-            done[index] = result, wall_s, pid
+        for index, result, measured in pool.imap(task, _DISPATCH_ORDER):
+            done[index] = result, measured
         pool.close()
         pool.join()
     criteria = []
     timings = []
     all_passed = True
     for index, (cid, name, _) in enumerate(CRITERIA):
-        result, wall_s, pid = done[index]
+        result, measured = done[index]
         all_passed &= bool(result["passed"])
         entry = {"id": cid, "name": name, "passed": bool(result["passed"])}
         entry.update({k: v for k, v in result.items() if k != "passed"})
         criteria.append(entry)
-        timings.append({"id": cid, "name": name, "wall_s": wall_s, "pid": pid})
+        timings.append({"id": cid, "name": name} | measured)
     if metrics is not None:
         metrics.update(workers=workers, criteria=timings)
     criteria.append({

@@ -2,11 +2,17 @@
 
 Two independent computation routes coexist deliberately:
 
-* an exact route that enumerates every labeling of the (small) union of
-  rule supports: every observable is built from the value tables of
+* an exact route over every labeling of the (small) union of rule
+  supports, by elimination over the overlap O of the two sides' supports
+  S1 and S2: the observables of each side depend only on the labels of
+  its own support, so they are independent given the labels on O.  Each
+  side is tabulated over its own A^|S| labelings from the value tables of
   `rule_site` sites, one per rule placement, reduced over their rows (a
   view of process values runs its rule on its distinct value tuples only;
-  `sum_rule(0)` makes the raw labels such a process), and
+  `sum_rule(0)` makes the raw labels such a process); its distinct value
+  tuples are counted per labeling of O, and every moment is an exact sum
+  of count x value terms rounded once.  The caps bound A^|S1 u S2|, the
+  work is A^|S1| + A^|S2|.  And
 * a Monte Carlo route with counter-based sampling and fixed-size
   chunks, whose moments are centred per chunk and merged in chunk index
   order, so estimates are byte-stable and a common offset of the samples
@@ -30,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng
-from ._exact import root_abs_leq, root_sign
+from ._exact import counted_fsum, root_abs_leq, root_sign
 from .errors import CapExceededError, NonExchangeableError
 from .factor_engine import (
     BlockRule,
@@ -54,26 +60,10 @@ LABEL_CAP = 262_144
 
 _Z95 = 1.959963984540054
 
-_SUM_CHUNK = 65536
-
 #: samples per Monte Carlo chunk; chunk moments are reduced in index order
 MC_CHUNK = 4096
 
 _NOT_FINITE = "Monte Carlo moments are not finite: a sample is, or a moment overflows"
-
-
-def compensated_sum(values: np.ndarray) -> float:
-    """Fixed-chunk pairwise partial sums combined exactly with math.fsum.
-
-    Chunk boundaries depend only on the array's length, so equal arrays
-    give equal sums, however they were computed.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size <= _SUM_CHUNK:
-        return math.fsum(values.tolist())
-    partials = [float(np.sum(values[i:i + _SUM_CHUNK]))
-                for i in range(0, values.size, _SUM_CHUNK)]
-    return math.fsum(partials)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +245,8 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     codes renumbered after each column so they stay below the row count;
     x[first][codes] equals x row for row.
     """
-    codes = np.zeros(len(x), dtype=np.int64)
-    for col in x.T:
+    _, first, codes = np.unique(x[:, 0], return_index=True, return_inverse=True)
+    for col in x.T[1:]:
         vals, digit = np.unique(col, return_inverse=True)
         _, first, codes = np.unique(codes * len(vals) + digit,
                                     return_index=True, return_inverse=True)
@@ -285,22 +275,17 @@ def rule_site(ball: TreeBall, rule, at) -> Site:
     return Site(np.concatenate(levels), func)
 
 
-def _site_values(ball: TreeBall, domain, sites: Sequence[Site]
-                 ) -> tuple[np.ndarray, int]:
-    """Values of every site under every labeling of the union support.
+#: labelings of a support `_site_values` has tabulated in this process, over all calls
+configs_tabulated = 0
 
-    Configurations are indexed in odometer order over the sorted support;
-    support position p holds digit (cfg // A^p) % A.  Each site's table over
-    its A^|local support| local labelings is one call of its func, and
-    each table reaches every configuration through one broadcast copy: seen
-    as an (A,)*|support| array, a site's row varies only along the axes of
-    the positions it reads.  The local ids of a site must be distinct.
-    """
-    values = domain_values(domain)
-    a_size = len(values)
 
-    support = np.unique(np.concatenate([s.local_ids for s in sites]))
-    n = len(support)
+def _support(sites: Sequence[Site]) -> np.ndarray:
+    """The sorted union of the sites' local ids."""
+    return np.array(sorted(set().union(*(s.local_ids.tolist() for s in sites))), dtype=np.int64)
+
+
+def _check_caps(a_size: int, n: int, sites: Sequence[Site]) -> int:
+    """A^n, once it and every site table are found within the caps."""
     n_cfg = a_size ** n
     if n_cfg > ENUMERATION_CAP:
         raise CapExceededError(
@@ -313,6 +298,26 @@ def _site_values(ball: TreeBall, domain, sites: Sequence[Site]
             raise CapExceededError(
                 f"site table {a_size}^{loc} = {a_size ** loc} exceeds cap {TABLE_CAP}"
             )
+    return n_cfg
+
+
+def _site_values(ball: TreeBall, domain, sites: Sequence[Site]
+                 ) -> tuple[np.ndarray, int]:
+    """Values of every site under every labeling of the union support.
+
+    Configurations are indexed in odometer order over the sorted support;
+    support position p holds digit (cfg // A^p) % A.  Each site's table over
+    its A^|local support| local labelings is one call of its func, and
+    each table reaches every configuration through one broadcast copy: seen
+    as an (A,)*|support| array, a site's row varies only along the axes of
+    the positions it reads.  The local ids of a site must be distinct.
+    """
+    global configs_tabulated
+    values = domain_values(domain)
+    a_size = len(values)
+    support = _support(sites)
+    n = len(support)
+    n_cfg = _check_caps(a_size, n, sites)
     pos_of = {int(v): p for p, v in enumerate(support)}
 
     out = np.empty((len(sites), n_cfg), dtype=np.float64)
@@ -331,12 +336,127 @@ def _site_values(ball: TreeBall, domain, sites: Sequence[Site]
         for ax in axes:
             shape[ax] = a_size
         grid[row] = table.reshape((a_size,) * loc).transpose(np.argsort(axes)).reshape(shape)
+    configs_tabulated += n_cfg
     return out, n_cfg
+
+
+def _not_finite(name: str) -> ValueError:
+    return ValueError(f"exact moments of {name} are not finite: "
+                      "a value is, or a product or a sum overflows")
+
+
+@dataclass(frozen=True)
+class _Side:
+    """One side's observables over the labelings of its own support S.
+
+    `tuples` holds the distinct tuples of observable values, one row each,
+    and `total` how many labelings of the union support give each.  The
+    entries (`overlap`, `code`, `count`), sorted by `overlap`, say how many
+    labelings of S that agree with overlap labeling `overlap` give tuple
+    `code`; overlap labelings are numbered alike on both sides.
+    """
+
+    tuples: np.ndarray
+    total: np.ndarray
+    overlap: np.ndarray
+    code: np.ndarray
+    count: np.ndarray
+
+
+def _tally(keys: np.ndarray, n_keys: int, weights: np.ndarray | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in 0..n_keys-1, sorted, and the summed weight of
+    each (one per occurrence by default), by a dense table when it is no
+    longer than the keys.  Weights are positive integers whose sums stay
+    below 2^53, so the float sums of `bincount` are exact."""
+    if n_keys <= len(keys):
+        table = np.bincount(keys, weights, minlength=n_keys)
+        distinct = np.flatnonzero(table)
+        return distinct, table[distinct].astype(np.int64)
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return distinct, np.bincount(inverse, weights).astype(np.int64)
+
+
+def _tabulate_side(domain, support: np.ndarray, sites: Sequence[Site], observe, names,
+                   overlap: np.ndarray, n_union: int) -> _Side:
+    """`observe` of the site values over the labelings of the sites' own
+    support S, grouped by distinct value tuple and overlap labeling.
+
+    observe maps the (sites, labelings) value matrix to one array of
+    values per name.  The overlap labels are read off the axes of the
+    (A,)*|S| table: support position p is axis |S|-1-p (see `_site_values`),
+    and the overlap axes, moved to the front in overlap id order, number
+    the overlap labelings alike on either side.
+    """
+    g, n_cfg = _site_values(None, domain, sites)
+    obs = np.asarray(observe(g), dtype=np.float64)
+    finite = np.isfinite(obs).all(axis=1)
+    if not finite.all():
+        raise _not_finite(names[int(np.argmin(finite))])
+    n, a_size = len(support), len(domain_values(domain))
+    ids = support.tolist()
+    front = [n - 1 - ids.index(v) for v in overlap.tolist()]
+    axes = front + [ax for ax in range(n) if ax not in front]
+    rows = obs.reshape((len(obs),) + (a_size,) * n).transpose(
+        [0] + [1 + ax for ax in axes]).reshape(len(obs), n_cfg).T
+    first, codes = _distinct_rows(rows)
+    n_tuples, n_overlap = len(first), a_size ** len(overlap)
+    # row r agrees with overlap labeling r // (labelings of S per overlap labeling)
+    keys = np.arange(n_cfg) // (n_cfg // n_overlap) * n_tuples + codes
+    keys, count = _tally(keys, n_overlap * n_tuples)
+    return _Side(rows[first], np.bincount(codes) * (n_union // n_cfg),
+                 keys // n_tuples, keys % n_tuples, count)
+
+
+def _eliminate(domain, sides) -> tuple[list[_Side], int]:
+    """Both sides tabulated over their own supports, and the number of
+    labelings of the union support, which the caps bound.
+
+    sides holds (sites, observe, names) per side; see `_tabulate_side`.
+    """
+    values = domain_values(domain)
+    supports = [_support(sites) for sites, _, _ in sides]
+    overlap = np.intersect1d(*supports, assume_unique=True)
+    n_union = _check_caps(len(values), sum(map(len, supports)) - len(overlap),
+                          [site for sites, _, _ in sides for site in sites])
+    return [_tabulate_side(domain, support, sites, observe, names, overlap, n_union)
+            for support, (sites, observe, names) in zip(supports, sides)], n_union
+
+
+def _pairs(side1: _Side, side2: _Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tuple of side 1, tuple of side 2, labelings of the union) for every
+    pair of tuples that occurs.
+
+    Within an overlap labeling the sides are independent, so each side-1
+    entry pairs with every side-2 entry of its overlap labeling, with the
+    product of their counts; equal pairs are then merged.  There are at
+    most as many pairs as labelings of the union.
+    """
+    start = np.searchsorted(side2.overlap, side1.overlap)
+    width = np.searchsorted(side2.overlap, side1.overlap, side="right") - start
+    i = np.repeat(np.arange(len(side1.code)), width)
+    j = np.repeat(start + width - np.cumsum(width), width) + np.arange(len(i))
+    n2 = len(side2.tuples)
+    keys, count = _tally(side1.code[i] * n2 + side2.code[j], len(side1.tuples) * n2,
+                         side1.count[i] * side2.count[j])
+    return keys // n2, keys % n2, count
+
+
+def _mean(name: str, count: np.ndarray, values: np.ndarray, n_cfg: int) -> float:
+    """Sum of count x value over the terms, exact and rounded once, over
+    n_cfg; ValueError, naming the observable, when it is not finite."""
+    if not np.isfinite(values).all():
+        raise _not_finite(name)
+    try:
+        return counted_fsum(zip(count.tolist(), values.tolist())) / float(n_cfg)
+    except OverflowError:
+        raise _not_finite(name) from None
 
 
 @dataclass(frozen=True)
 class ExactCorrResult:
-    """Exact covariance/correlation from full enumeration."""
+    """Exact covariance/correlation over every labeling of the union support
+    (`n_configs` of them)."""
 
     cov: float
     var1: float
@@ -351,18 +471,29 @@ class ExactCorrResult:
         return not (self.var1 > 0 and self.var2 > 0)
 
 
-def _corr_from_values(h1v: np.ndarray, h2v: np.ndarray, n_cfg: int) -> ExactCorrResult:
-    n = float(n_cfg)
-    e1 = compensated_sum(h1v) / n
-    e2 = compensated_sum(h2v) / n
-    e11 = compensated_sum(h1v * h1v) / n
-    e22 = compensated_sum(h2v * h2v) / n
-    e12 = compensated_sum(h1v * h2v) / n
+def _corr_from_sides(domain, sites1, observe1, sites2, observe2,
+                     names: tuple[str, str]) -> ExactCorrResult:
+    """Exact correlation of one observable per side, by `_eliminate`."""
+    (side1, side2), n_cfg = _eliminate(domain, ((sites1, observe1, names[:1]),
+                                                (sites2, observe2, names[1:])))
+    x, y = side1.tuples[:, 0], side2.tuples[:, 0]
+    c1, c2, count = _pairs(side1, side2)
+    with np.errstate(over="ignore"):  # an overflow is caught by _mean
+        e1 = _mean(names[0], side1.total, x, n_cfg)
+        e2 = _mean(names[1], side2.total, y, n_cfg)
+        e11 = _mean(names[0], side1.total, x * x, n_cfg)
+        e22 = _mean(names[1], side2.total, y * y, n_cfg)
+        e12 = _mean(" * ".join(names), count, x[c1] * y[c2], n_cfg)
     cov = e12 - e1 * e2
     var1 = e11 - e1 * e1
     var2 = e22 - e2 * e2
-    # zero variance means correlation 0 by convention
-    corr = cov / math.sqrt(var1 * var2) if var1 > 0 and var2 > 0 else 0.0
+    if not (math.isfinite(cov) and math.isfinite(var1 * var2)):
+        raise _not_finite(" and ".join(names))
+    corr = 0.0  # zero variance means correlation 0 by convention
+    if var1 > 0 and var2 > 0:
+        scale = var1 * var2
+        # a product that underflows to 0 takes the square roots one at a time
+        corr = cov / math.sqrt(scale) if scale > 0 else cov / math.sqrt(var1) / math.sqrt(var2)
     return ExactCorrResult(cov, var1, var2, corr, n_cfg)
 
 
@@ -386,8 +517,13 @@ def exact_corr_discrete(ball: TreeBall, rule, domain, region1, region2,
     """Exact correlation of h1 and h2 of the rule values on two vertex regions.
 
     h1/h2 receive the per-site value matrix of their region, one row per
-    region vertex, and must return one value per configuration; they
-    default to the identity on singletons and to the sum otherwise.
+    region vertex and one column per labeling of the region's own rule
+    support, and must return one value per labeling; they default to the
+    identity on singletons and to the sum otherwise.  The moments are
+    taken over the A^|S1 u S2| labelings of the union support, which
+    ENUMERATION_CAP bounds, by elimination over the overlap: the work is
+    A^|S1| + A^|S2| labelings.  Raises ValueError when a value of h1 or h2,
+    or a moment, is not finite.
     """
     region1 = [int(v) for v in region1]
     region2 = [int(v) for v in region2]
@@ -396,18 +532,17 @@ def exact_corr_discrete(ball: TreeBall, rule, domain, region1, region2,
     h1 = h1 or (h_identity if len(region1) == 1 else h_sum)
     h2 = h2 or (h_identity if len(region2) == 1 else h_sum)
     sites = [rule_site(ball, rule, v) for v in region1 + region2]
-    vals, n_cfg = _site_values(ball, domain, sites)
-    h1v = np.asarray(h1(vals[:len(region1)]), dtype=np.float64)
-    h2v = np.asarray(h2(vals[len(region1):]), dtype=np.float64)
-    return _corr_from_values(h1v, h2v, n_cfg)
+    return _corr_from_sides(domain, sites[:len(region1)], lambda g: [h1(g)],
+                            sites[len(region1):], lambda g: [h2(g)], ("h1", "h2"))
 
 
 def exact_edge_corr(ball: TreeBall, rule: EdgeRule, domain, e1: int, e2: int
                     ) -> ExactCorrResult:
-    """Exact correlation of the edge-process values at two directed edges."""
-    sites = [rule_site(ball, rule, e1), rule_site(ball, rule, e2)]
-    vals, n_cfg = _site_values(ball, domain, sites)
-    return _corr_from_values(vals[0], vals[1], n_cfg)
+    """Exact correlation of the edge-process values at two directed edges,
+    over the labelings of the union of their subtree views, by elimination
+    over the overlap as in `exact_corr_discrete`."""
+    return _corr_from_sides(domain, [rule_site(ball, rule, e1)], lambda g: g,
+                            [rule_site(ball, rule, e2)], lambda g: g, ("Y(e1)", "Y(e2)"))
 
 
 # ---------------------------------------------------------------------------
@@ -457,27 +592,35 @@ def symmetrization_moment_check(ball: TreeBall, e1: int, e2: int,
     the raw i.i.d. labels.  The pair (view at e1, view at e2) must be
     exchangeable and invariant under independent view automorphisms,
     which holds whenever the two subtrees are disjoint and g is
-    equivariant.
+    equivariant.  The moments are taken over the labelings of the union of
+    the two sides' supports, by elimination over their overlap as in
+    `exact_corr_discrete`.  Raises ValueError when a value of f or of its
+    orbit average, or a moment, is not finite.
     """
     f_bar = symmetrize_rule(view_rule, ball.d)
-    sites: list[Site] = []
-    views = []
-    for e in (e1, e2):
+
+    def view_side(e: int, at: str):
         flat = np.concatenate(subtree_levels(ball, e, view_rule.depth)).tolist()
-        views.append(slice(len(sites), len(sites) + len(flat)))
-        sites += [rule_site(ball, process_rule, w) for w in flat]
-    g, n_cfg = _site_values(ball, domain, sites)
-    (f1, b1), (f2, b2) = (_view_values(g[rows], (view_rule.func, f_bar.func)) for rows in views)
-    n = float(n_cfg)
+        return ([rule_site(ball, process_rule, w) for w in flat],
+                lambda g: _view_values(g, (view_rule.func, f_bar.func)),
+                (f"f at {at}", f"f-bar at {at}"))
 
-    def mean(x):
-        return compensated_sum(x) / n
+    (side1, side2), n_cfg = _eliminate(domain, (view_side(e1, "e1"), view_side(e2, "e2")))
+    (f1, b1), (f2, b2) = side1.tuples.T, side2.tuples.T
+    c1, c2, count = _pairs(side1, side2)
 
-    e_f1, e_f2, e_b1, e_b2 = mean(f1), mean(f2), mean(b1), mean(b2)
-    e_ff = mean(f1 * f2)
-    e_bb = mean(b1 * b2)
-    e_f1sq, e_b1sq = mean(f1 * f1), mean(b1 * b1)
-    e_f2sq, e_b2sq = mean(f2 * f2), mean(b2 * b2)
+    def side_moments(side: _Side, at: str) -> tuple[float, float, float, float]:
+        """E f, E fbar, E f^2, E fbar^2 at one edge."""
+        (f, b), total = side.tuples.T, side.total
+        return (_mean(f"f at {at}", total, f, n_cfg), _mean(f"f-bar at {at}", total, b, n_cfg),
+                _mean(f"f at {at}", total, f * f, n_cfg),
+                _mean(f"f-bar at {at}", total, b * b, n_cfg))
+
+    with np.errstate(over="ignore"):  # an overflow is caught by _mean
+        e_f1, e_b1, e_f1sq, e_b1sq = side_moments(side1, "e1")
+        e_f2, e_b2, e_f2sq, e_b2sq = side_moments(side2, "e2")
+        e_ff = _mean("f at e1 * f at e2", count, f1[c1] * f2[c2], n_cfg)
+        e_bb = _mean("f-bar at e1 * f-bar at e2", count, b1[c1] * b2[c2], n_cfg)
     return SymmetrizationCheck(
         mean_residual_1=abs(e_b1 - e_f1),
         mean_residual_2=abs(e_b2 - e_f2),
@@ -674,6 +817,16 @@ class HomogeneityResult:
     source_counts_ok: bool
 
 
+def _product_mean(domain, site1: Site, site2: Site) -> float:
+    """Exact E[Y_e1 Y_e2] of two site values, by elimination over the overlap
+    of their supports."""
+    (side1, side2), n_cfg = _eliminate(domain, (([site1], lambda g: g, ("Y(e1)",)),
+                                                ([site2], lambda g: g, ("Y(e2)",))))
+    c1, c2, count = _pairs(side1, side2)
+    with np.errstate(over="ignore"):  # an overflow is caught by _mean
+        return _mean("Y(e1) * Y(e2)", count, side1.tuples[c1, 0] * side2.tuples[c2, 0], n_cfg)
+
+
 def edge_homogeneity_check(ball: TreeBall, rule: EdgeRule, k: int, domain
                            ) -> HomogeneityResult:
     """Exact E[Y_e1 Y_e2] over all interior pairs e1 ->_k e2.
@@ -684,6 +837,8 @@ def edge_homogeneity_check(ball: TreeBall, rule: EdgeRule, k: int, domain
     across pairs; the maximum pairwise deviation is returned.  Also
     verifies that every source with an interior cone reaches exactly
     (d-1)^k targets, whose moments sum to (d-1)^k times the common value.
+    Each moment is over the labelings of the union of the two subtree
+    views, by elimination over their overlap as in `exact_corr_discrete`.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -710,9 +865,8 @@ def edge_homogeneity_check(ball: TreeBall, rule: EdgeRule, k: int, domain
         n_sources += 1
         vals = []
         for e2 in frontier.tolist():
-            sites = [rule_site(ball, rule, e1), rule_site(ball, rule, int(e2))]
-            sv, n_cfg = _site_values(ball, domain, sites)
-            vals.append(compensated_sum(sv[0] * sv[1]) / float(n_cfg))
+            vals.append(_product_mean(domain, rule_site(ball, rule, e1),
+                                      rule_site(ball, rule, e2)))
         moments.extend(vals)
         per_source_sums.append(math.fsum(vals))
 

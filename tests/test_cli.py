@@ -210,6 +210,34 @@ def test_exact_corr_sum_rule_values_are_pinned(capsys, k, value, n_configs):
     assert (doc["value"], doc["n_samples"]) == (value, n_configs)
 
 
+def _exact_cli_grid_digest() -> str:
+    """sha256 of the exit code, standard output and standard error of
+    exact-corr over rules x d x k x alphabet, and of symmetrize-check over
+    k x rule x alphabet."""
+    import contextlib
+    import io
+
+    argvs = [["exact-corr", "--d", d, "--k", k, "--rule", rule, "--alphabet", a]
+             for rule in ("sum", "parity", "xor-pair", "threshold")
+             for d in (3, 4) for k in range(7) for a in (2, 3)]
+    argvs += [["symmetrize-check", "--d", 3, "--k", k, "--rule", rule, "--alphabet", a]
+              for k in (1, 2) for rule in ("first-child", "table") for a in (2, 3)]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(x) for x in argv])
+        digest.update(f"{argv}\n{code}\n{out.getvalue()}{err.getvalue()}".encode())
+    return digest.hexdigest()
+
+
+def test_exact_cli_bytes_are_pinned():
+    # the digest of full enumeration of the union support: elimination over
+    # the overlap reproduces every byte, refusals included
+    assert _exact_cli_grid_digest() == \
+        "090c01ce067548151f429a1348dd9d5a406c11cff6c9f1ec23cba410f1afb75b"
+
+
 def test_exact_corr_symmetrizes_order_sensitive_rules(capsys):
     # the raw pair rule is order-sensitive and correlates perfectly at
     # k = 1; the command must test its orbit average instead and pass
@@ -616,6 +644,10 @@ def test_report_metrics_sidecar(capsys, tmp_path):
     pids = {c["pid"] for c in metrics["criteria"]}
     assert os.getpid() not in pids and 1 <= len(pids) <= metrics["workers"]
     assert all(c["wall_s"] >= 0.0 for c in metrics["criteria"])
+    # the exact route's criteria, and only they, tabulate labelings
+    assert {c["name"] for c in metrics["criteria"] if c["configs_tabulated"]} == {
+        "oracle-agreement", "bound-compliance-sweep", "orbit-average-moments",
+        "edge-homogeneity"}
 
 
 def test_unwritable_metrics_is_a_usage_error(capsys, monkeypatch, tmp_path):

@@ -1,30 +1,32 @@
 """Monte Carlo estimation, the exact enumeration engine, and identity checks."""
 
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nbtree import rng
+from nbtree import correlation, rng
 from nbtree._exact import root_abs_leq, root_sign
 from nbtree.bounds import vertex_corr_bound
 from nbtree.correlation import (
     ENUMERATION_CAP,
     LABEL_CAP,
     TABLE_CAP,
+    ExactCorrResult,
     PolarizationResult,
     Site,
     SymmetrizationCheck,
     _site_values,
     _word_pieces,
-    compensated_sum,
     edge_homogeneity_check,
     exact_corr_discrete,
     exact_edge_corr,
+    h_identity,
     h_parity,
     h_sum,
     lemma_consequence_check,
@@ -36,14 +38,16 @@ from nbtree.correlation import (
     symmetrization_moment_check,
     verify_bound,
 )
-from nbtree.acceptance import SYMMETRIZATION_PAIRS
+from nbtree.acceptance import SYMMETRIZATION_PAIRS, edge_pair
 from nbtree.errors import CapExceededError, NonExchangeableError
 from nbtree.factor_engine import (
+    EdgeRule,
     LinearRule,
     domain_values,
     edge_first_child_rule,
     edge_sum_rule,
     edge_table_rule,
+    edge_tail_rule,
     geometric_profile,
     linear_rule_covariance_exact,
     parity_rule,
@@ -52,6 +56,7 @@ from nbtree.factor_engine import (
     sum_rule,
     symmetrize_rule,
     vertex_pair_classes,
+    xor_pair_rule,
 )
 from nbtree.nb_operator import walk_count
 from nbtree.tree_core import build_ball, cone, edge_between, path_vertices, vertices_at_distance
@@ -313,9 +318,66 @@ def test_mc_minimum_samples():
         monte_carlo_corr(_identical_sampler, 99, 0)
 
 
-def test_compensated_sum_matches_fsum():
-    x = rng.to_unit(rng.words(8, np.arange(300_000))) - 0.5
-    assert compensated_sum(x) == pytest.approx(math.fsum(x.tolist()), abs=1e-9)
+# ---------------------------------------------------------------------------
+# full-enumeration reference of the exact route
+# ---------------------------------------------------------------------------
+
+_SUM_CHUNK = 65536
+
+
+def compensated_sum(values: np.ndarray) -> float:
+    """Fixed-chunk pairwise partial sums combined exactly with math.fsum.
+
+    Up to _SUM_CHUNK values, or for integer values whose partial sums stay
+    below 2^53, this is the correctly rounded exact sum.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.size <= _SUM_CHUNK:
+        return math.fsum(values.tolist())
+    partials = [float(np.sum(values[i:i + _SUM_CHUNK]))
+                for i in range(0, values.size, _SUM_CHUNK)]
+    return math.fsum(partials)
+
+
+def _corr_from_values(h1v: np.ndarray, h2v: np.ndarray, n_cfg: int,
+                      total=compensated_sum) -> ExactCorrResult:
+    """Moments of two observables given on every labeling of the union
+    support, each sum taken by `total`."""
+    n = float(n_cfg)
+    e1 = total(h1v) / n
+    e2 = total(h2v) / n
+    e11 = total(h1v * h1v) / n
+    e22 = total(h2v * h2v) / n
+    e12 = total(h1v * h2v) / n
+    cov = e12 - e1 * e2
+    var1 = e11 - e1 * e1
+    var2 = e22 - e2 * e2
+    corr = cov / math.sqrt(var1 * var2) if var1 > 0 and var2 > 0 else 0.0
+    return ExactCorrResult(cov, var1, var2, corr, n_cfg)
+
+
+def _enumerated_values(ball, rule, domain, region1, region2, h1=None, h2=None):
+    """h1 and h2 on every labeling of the union support, from one
+    `_site_values` table, and the number of labelings."""
+    h1 = h1 or (h_identity if len(region1) == 1 else h_sum)
+    h2 = h2 or (h_identity if len(region2) == 1 else h_sum)
+    sites = [rule_site(ball, rule, v) for v in list(region1) + list(region2)]
+    vals, n_cfg = _site_values(ball, domain, sites)
+    return (np.asarray(h1(vals[:len(region1)]), dtype=np.float64),
+            np.asarray(h2(vals[len(region1):]), dtype=np.float64), n_cfg)
+
+
+def _enumerated_product_mean(domain, site1, site2):
+    """Reference for one E[Y_e1 Y_e2] of edge_homogeneity_check."""
+    sv, n_cfg = _site_values(None, domain, [site1, site2])
+    return compensated_sum(sv[0] * sv[1]) / float(n_cfg)
+
+
+def test_compensated_sum_is_the_exact_sum_where_the_reference_is_used():
+    x = rng.to_unit(rng.words(8, np.arange(_SUM_CHUNK))) - 0.5
+    assert compensated_sum(x) == math.fsum(x.tolist())
+    ints = np.floor(rng.to_unit(rng.words(9, np.arange(300_000))) * 1000.0) - 500.0
+    assert compensated_sum(ints) == math.fsum(ints.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +460,146 @@ def test_exact_edge_corr_bounds():
     e2 = edge_between(ball, p[2], p[3])
     res = exact_edge_corr(ball, edge_sum_rule(1), "alphabet:2", e1, e2)
     assert res.corr ** 2 <= 1 + 1e-12
+
+
+def test_exact_route_tabulates_each_side_on_its_own_support():
+    ball = build_ball(3, 3)
+    u, v = vertices_at_distance(ball, 4)
+    before = correlation.configs_tabulated
+    res = exact_corr_discrete(ball, sum_rule(1), "alphabet:2", [u], [v])
+    assert res.n_configs == 2 ** 8  # the union support of 8 vertices
+    assert correlation.configs_tabulated - before == 2 ** 4 + 2 ** 4
+
+
+def _exact_case(family, d, r, alphabet, seed, coeffs):
+    return {"sum": lambda: sum_rule(r), "parity": lambda: parity_rule(r),
+            "sym-xor-pair": lambda: symmetrize_rule(xor_pair_rule(), d),
+            "table": lambda: table_block_rule(r, alphabet, seed),
+            "linear": lambda: LinearRule(r, tuple(coeffs[:r + 1]))}[family]()
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(["sum", "parity", "sym-xor-pair", "table", "linear"]),
+       alphabet=st.sampled_from([2, 3]), r=st.integers(0, 2), k=st.integers(0, 5),
+       regions=st.booleans(), parity_h2=st.booleans(), seed=st.integers(0, 2 ** 20),
+       # no coefficient so small that the reference's variance product underflows
+       coeffs=st.lists(st.just(0.0) | st.floats(1e-30, 2.0) | st.floats(-2.0, -1e-30),
+                       min_size=3, max_size=3))
+# one support on both sides, so the tallies are sparse; then 2^19 labelings of float
+# values; then disjoint regions of integer values past 2^16 labelings
+@example(family="linear", alphabet=2, r=2, k=0, regions=False, parity_h2=False, seed=0,
+         coeffs=[0.7, -0.3, 0.11])
+@example(family="linear", alphabet=2, r=2, k=4, regions=False, parity_h2=False, seed=0,
+         coeffs=[0.7, -0.3, 0.11])
+@example(family="sum", alphabet=3, r=1, k=5, regions=True, parity_h2=True, seed=0,
+         coeffs=[1.0] * 3)
+def test_exact_corr_matches_full_enumeration_bit_for_bit(family, alphabet, r, k, regions,
+                                                         parity_h2, seed, coeffs):
+    d = 3
+    r = min(r, 2 if family == "linear" else 1)
+    rule = _exact_case(family, d, r, alphabet, seed, coeffs)
+    ball = build_ball(d, (k + 1) // 2 + rule.radius + 1)
+    u, v = vertices_at_distance(ball, k)
+    region1, region2 = [u], [v]
+    h1 = h2 = None
+    if regions and rule.radius <= 1:
+        path = set(path_vertices(ball, u, v))
+        region1 += [int(c) for c in ball.children(u) if int(c) not in path][:1]
+        region2 += [int(c) for c in ball.neighbors(v) if int(c) not in path][:1]
+        h1, h2 = h_sum, (h_parity if parity_h2 else h_sum)
+    domain = f"alphabet:{alphabet}"
+    union = set().union(*(rule_site(ball, rule, x).local_ids.tolist()
+                          for x in region1 + region2))
+    assume(alphabet ** len(union) <= 2 ** 19)
+
+    got = exact_corr_discrete(ball, rule, domain, region1, region2, h1, h2)
+    h1v, h2v, n_cfg = _enumerated_values(ball, rule, domain, region1, region2, h1, h2)
+    integral = all(np.array_equal(x, np.round(x)) for x in (h1v, h2v))
+    # compensated_sum is the exact sum up to 2^16 values or on integers; past
+    # that, float values are summed exactly by math.fsum on the whole list
+    exact_sum = compensated_sum if n_cfg <= _SUM_CHUNK or integral else \
+        (lambda x: math.fsum(x.tolist()))
+    assert repr(got) == repr(_corr_from_values(h1v, h2v, n_cfg, exact_sum))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("rule", [edge_sum_rule(1), edge_tail_rule()], ids=lambda r: r.name)
+@pytest.mark.parametrize("domain", ["alphabet:2", "alphabet:3"])
+def test_exact_edge_corr_matches_full_enumeration_bit_for_bit(d, rule, domain):
+    ball = build_ball(d, 6)
+    for k in range(5):
+        e1, *targets = edge_pair(ball, k)  # same direction, then facing
+        for e2 in targets:
+            got = exact_edge_corr(ball, rule, domain, e1, e2)
+            sv, n_cfg = _site_values(ball, domain, [rule_site(ball, rule, e1),
+                                                    rule_site(ball, rule, e2)])
+            assert repr(got) == repr(_corr_from_values(sv[0], sv[1], n_cfg))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from([(3, 5, 2, 1), (3, 4, 0, 1), (3, 4, 1, 1), (4, 4, 1, 1),
+                             (3, 4, 2, 0)]),
+       domain=st.sampled_from(["alphabet:2", "alphabet:3", "rademacher"]),
+       table_seed=st.one_of(st.none(), st.integers(0, 2 ** 20)))
+def test_homogeneity_matches_full_enumeration_bit_for_bit(case, domain, table_seed):
+    d, radius, k, depth = case
+    ball = build_ball(d, radius)
+    if table_seed is None or domain == "rademacher":
+        rule = edge_sum_rule(depth)
+    else:  # float values: the orbit average of a hashed table
+        rule = symmetrize_rule(edge_table_rule(depth, int(domain.split(":")[1]), table_seed), d)
+    got = edge_homogeneity_check(ball, rule, k, domain)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlation, "_product_mean", _enumerated_product_mean)
+        want = edge_homogeneity_check(ball, rule, k, domain)
+    assert repr(got) == repr(want)
+
+
+def _scaled(bad: float):
+    """Values 1 where the labels sum to 0, else `bad`, with no float warning."""
+    return lambda values: np.where(values.sum(axis=0) > 0, bad, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e300])
+@pytest.mark.parametrize("side", ["h1", "h2"])
+def test_exact_corr_rejects_non_finite_moments(bad, side):
+    # an inf or nan value, or a value whose square overflows (1e300^2), is
+    # refused by name, with no float warning on the way
+    ball = build_ball(3, 3)
+    u, v = vertices_at_distance(ball, 2)
+    hs = {"h1": h_sum, "h2": h_sum} | {side: _scaled(bad)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"exact moments of {side} are not finite"):
+            exact_corr_discrete(ball, sum_rule(1), "alphabet:2", [u], [v], **hs)
+
+
+def test_exact_corr_survives_a_variance_product_that_underflows():
+    # variances of about 1e-212 are positive, their product rounds to 0
+    res = exact_corr_discrete(build_ball(3, 1), LinearRule(0, (1e-106,)), "alphabet:2",
+                              [0], [0])
+    assert res.var1 > 0 and res.var1 * res.var2 == 0.0
+    assert res.corr == pytest.approx(1.0, rel=1e-12)
+
+
+def test_exact_corr_rejects_a_variance_product_that_overflows():
+    # each variance is finite (about 1e200), their product is not
+    ball = build_ball(3, 3)
+    u, v = vertices_at_distance(ball, 2)
+    big = _scaled(1e100)
+    with pytest.raises(ValueError, match="exact moments of h1 and h2 are not finite"):
+        exact_corr_discrete(ball, sum_rule(1), "alphabet:2", [u], [v], big, big)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 1e300])
+def test_symmetrization_check_rejects_non_finite_moments(bad):
+    view = EdgeRule(1, lambda x: np.where(x[:, 1] > 0, bad, 0.5), name="bad")
+    e1, e2 = SYMMETRIZATION_PAIRS[2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="exact moments of f(-bar)? at e1 are not finite"):
+            symmetrization_moment_check(build_ball(3, 4), e1, e2, view, "alphabet:2",
+                                        sum_rule(0))
 
 
 def test_table_rules_reject_labels_outside_their_alphabet():

@@ -50,6 +50,7 @@ from .nb_operator import (
     cone_weight_sums,
     operator_norm_pow,
     walk_count,
+    walk_counts,
 )
 from .tree_core import (
     TreeBall,

@@ -47,7 +47,7 @@ from .factor_engine import (
     vertex_pair_classes,
     xor_pair_rule,
 )
-from .nb_operator import certify_claims, cone_weight_sums, operator_norm_pow, walk_count
+from .nb_operator import certify_claims, cone_weight_sums, operator_norm_pow, walk_counts
 from .tree_core import (
     TreeBall,
     build_ball,
@@ -212,7 +212,7 @@ def criterion_certificates(seed: int = 0) -> dict:
 
 
 def criterion_walk_counts(seed: int = 0) -> dict:
-    """walk_count equals (d-1)^k on 100 random interior edges per (d, k)."""
+    """walk_counts equals (d-1)^k on 100 random interior edges per (d, k)."""
     rows = []
     passed = True
     for d in (3, 4):
@@ -220,7 +220,7 @@ def criterion_walk_counts(seed: int = 0) -> dict:
         for k in range(1, 6):
             expected = (d - 1) ** k
             edges = _interior_draws(ball, k, seed + 17 * d + k, 100)
-            hits = sum(walk_count(ball, e, k) == expected for e in edges)
+            hits = int((walk_counts(ball, edges, k) == expected).sum())
             ok = hits == 100
             passed &= ok
             rows.append({"d": d, "k": k, "expected": expected,
@@ -493,27 +493,29 @@ CRITERIA = [
 
 #: CRITERIA indices (criterion id - 1) in dispatch order, largest first, so
 #: that the last task a worker takes is short.  Seconds per criterion at
-#: seed 0 from `report --metrics` on a 2-CPU machine (median of 5 runs):
-#: bound-compliance-sweep 0.38, oracle-agreement 0.31, universal-roundtrip
-#: 0.29, polarization-and-transfer 0.25, walk-counts 0.15, edge-homogeneity
-#: 0.10, norm-vs-bound 0.05, orbit-average-moments 0.02,
-#: cone-sum-certificates 0.01, the other two < 0.01.
-_DISPATCH_ORDER = (5, 4, 10, 8, 3, 9, 1, 7, 2, 6, 0)
+#: seed 0 from `report --metrics` on a 2-CPU machine (median of 9 runs):
+#: bound-compliance-sweep 0.36, polarization-and-transfer 0.32,
+#: universal-roundtrip 0.22, oracle-agreement 0.21, edge-homogeneity 0.08,
+#: norm-vs-bound 0.04, orbit-average-moments 0.02, cone-sum-certificates
+#: 0.008, walk-counts 0.007, the other two < 0.002.
+_DISPATCH_ORDER = (5, 8, 10, 4, 9, 1, 7, 2, 3, 6, 0)
 
 
 def _run_criterion(index: int, seed: int) -> tuple[int, dict, dict]:
     """Pool task: (index, result, metrics) of CRITERIA[index]; the metrics
-    are its wall seconds, the worker's pid and the labelings the exact
-    route tabulated for it (`correlation.configs_tabulated`).
+    are its wall seconds, the worker's pid, the labelings the exact route
+    tabulated for it (`correlation.configs_tabulated`) and the Monte Carlo
+    samples it drew (`correlation.mc_samples`).
 
     The task is the index, not the function: the pool pickles its tasks,
     and a traced CRITERIA entry is a closure, which does not pickle.
     """
-    tabulated = correlation.configs_tabulated
+    tabulated, sampled = correlation.configs_tabulated, correlation.mc_samples
     start = time.perf_counter()
     result = CRITERIA[index][2](seed=seed)
     return index, result, {"wall_s": time.perf_counter() - start, "pid": os.getpid(),
-                           "configs_tabulated": correlation.configs_tabulated - tabulated}
+                           "configs_tabulated": correlation.configs_tabulated - tabulated,
+                           "mc_samples": correlation.mc_samples - sampled}
 
 
 def _pool_size() -> int:
@@ -531,8 +533,9 @@ def run_report(seed: int = 0, metrics: dict | None = None) -> dict:
     depend on the CPU count.  An exception raised by a criterion is raised
     here with its own type, and no worker outlives the call.  If `metrics`
     is a dict, it receives the worker count and, per criterion, its id,
-    name, wall seconds, the pid of the worker that ran it and the labelings
-    the exact route tabulated for it in that worker.
+    name, wall seconds, the pid of the worker that ran it, and the labelings
+    the exact route tabulated and the Monte Carlo samples drawn for it in
+    that worker.
 
     Criterion 12 (byte-identical repeat runs in fresh processes) is a
     statement about this very command, so it is exercised externally by

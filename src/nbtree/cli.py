@@ -284,8 +284,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="run the full verification suite, emit one JSON doc")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--metrics", type=str, default=None,
-                   help="also write each criterion's wall seconds, worker pid and "
-                        "exact-route labelings tabulated to this JSON file")
+                   help="also write each criterion's wall seconds, worker pid, "
+                        "exact-route labelings tabulated and Monte Carlo samples "
+                        "drawn to this JSON file")
     out_flag(p)
     p.set_defaults(fn=_cmd_report)
 

@@ -29,6 +29,7 @@ so an identity that holds algebraically yields residual exactly zero.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
@@ -97,6 +98,10 @@ def _merge_moments(acc: tuple, chunk: tuple) -> tuple:
             mbb1 + mbb2 + db * db * w, cab1 + cab2 + da * db * w)
 
 
+#: samples `monte_carlo_corr` has drawn in this process, over all calls
+mc_samples = 0
+
+
 def monte_carlo_corr(pair_sampler: Callable[[int, np.ndarray], tuple],
                      n_samples: int, seed: int, threads: int = 1) -> CorrEstimate:
     """Pearson correlation of pairs drawn by a deterministic sampler.
@@ -110,6 +115,7 @@ def monte_carlo_corr(pair_sampler: Callable[[int, np.ndarray], tuple],
     stays in index order in the calling thread.  Raises ValueError when a
     sample or a moment is not finite.
     """
+    global mc_samples
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
     starts = range(0, n_samples, MC_CHUNK)
@@ -141,6 +147,7 @@ def monte_carlo_corr(pair_sampler: Callable[[int, np.ndarray], tuple],
         per_chunk = map(chunk_moments, starts)
 
     moments = reduce(_merge_moments, per_chunk)
+    mc_samples += n_samples
     if not all(map(math.isfinite, moments)):
         raise ValueError(_NOT_FINITE)
     _, _, _, m2_a, m2_b, c_ab = moments
@@ -191,8 +198,16 @@ def linear_pair_sampler(classes, weights):
     order; a set bit is label +1, so a class of n labels sums to
     2 * popcount(its bits) - n.  One sample draws ceil(|support| / 64)
     words of `rng.words2`, each a pure function of (seed, index, word), so
-    chunking cannot change a sample.  The two sums are bit-stable only
-    because each chunk is a single `@`.
+    chunking cannot change a sample.
+
+    A chunk of m samples allocates no large array, so it does not fault
+    fresh pages in: each thread keeps its own buffers, grown to the largest
+    chunk it has drawn, and a chunk uses C-order (rows, m) prefixes of them,
+    so every chunk size gets arrays of its own shape.  The words are drawn
+    transposed, one row per word (`rng.words2(..., out=)`), and each class
+    piece gathers, masks and popcounts its word as one row.  The two sums
+    are bit-stable only because each chunk is a single `@` on counts in one
+    fixed layout (see the comment in the sampler).
     """
     keys, sizes = classes
     levels = np.array(keys, dtype=np.int64)
@@ -208,18 +223,46 @@ def linear_pair_sampler(classes, weights):
     level_weight = np.append(np.asarray(weights, dtype=np.float64), 0.0)
     class_weights = level_weight[levels]  # (classes, 2): the weight on side A and on side B
     word, mask, owner = _word_pieces(sizes)
+    masks = mask[:, None]
     coef = 2.0 * class_weights[owner]
     const = np.array([math.fsum(class_weights[:, side] * sizes) for side in (0, 1)])
-    cols = np.arange(-(-n_support // 64))
+    n_words, n_pieces = -(-n_support // 64), word.size
+    cols = np.arange(n_words)
+    # monte_carlo_corr(threads=N) runs chunks of one sampler concurrently
+    kept = threading.local()
+
+    def chunk_arrays(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This thread's (words, pieces, counts) arrays for a chunk of m samples."""
+        if getattr(kept, "rows", -1) < m:
+            kept.rows = m
+            kept.flat = (np.empty(n_words * m, dtype=np.uint64),
+                         np.empty(n_pieces * m, dtype=np.uint64),
+                         np.empty(n_pieces * m, dtype=np.uint8))
+        drawn, pieces, counts = kept.flat
+        return (drawn[:n_words * m].reshape(n_words, m),
+                pieces[:n_pieces * m].reshape(n_pieces, m),
+                counts[:n_pieces * m].reshape(n_pieces, m))
 
     def sampler(seed: int, idx: np.ndarray):
-        counts = np.bitwise_count(rng.words2(seed, idx, cols)[:, word] & mask)
+        drawn, pieces, counts = chunk_arrays(len(idx))
+        rng.words2(seed, idx, cols, out=drawn.T)
+        np.take(drawn, word, axis=0, out=pieces)
+        np.bitwise_and(pieces, masks, out=pieces)
+        np.bitwise_count(pieces, out=counts)
         # float64 counts, because a uint8 operand takes NumPy's slower
-        # non-BLAS loop; BLAS sums depend on the row blocking: with OpenBLAS
-        # 0.3.31 (Haswell kernels), 20 chunks of 4096 x 320 cut into 7-row
-        # blocks changed 20,529 of 81,920 dgemv sums, so never split this
-        # product into row blocks
-        sums = counts.astype(np.float64) @ coef - const
+        # non-BLAS loop; the masked words are spent, so their buffer holds
+        # them.  BLAS sums depend on the operand's layout: f.T is
+        # column-major with strides (8, 8m), the layout of a gather
+        # W[:, word] from C-order (m, words) words, on which the report's
+        # bytes are pinned, while a C-order copy of the same counts changed
+        # the sums of 2,596 of the 4,096 samples of a d=3, k=4, r=4 chunk
+        # (seed 0), by up to 7e-15.  They depend on the row blocking too:
+        # with OpenBLAS 0.3.31 (Haswell kernels), 20 chunks of 4096 x 320
+        # cut into 7-row blocks changed 20,529 of 81,920 dgemv sums, so
+        # never split this product into row blocks
+        f = pieces.view(np.float64)
+        f[...] = counts
+        sums = f.T @ coef - const
         return sums[:, 0], sums[:, 1]
 
     return sampler

@@ -4,7 +4,7 @@ The operator maps a function f on directed edges to
 (Bf)(e) = sum of f over the predecessors e' -> e, and its adjoint to
 (B^T f)(e) = sum of f over the successors e -> e'; the relation itself
 is computed in one place, ``tree_core.successor_lists``, which
-`walk_count` follows through ``tree_core.cone``.  Two independent
+`walk_counts` follows one step at a time.  Two independent
 certificates are computed for the k-th power of B:
 
 * a power-iteration estimate of ||B^k|| on the finite ball, which the
@@ -48,7 +48,7 @@ import numpy as np
 
 from . import bounds
 from ._exact import counted_fsum, root_lt, root_value
-from .tree_core import TreeBall, check_ball, cone
+from .tree_core import TreeBall, check_ball, successor_lists
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -133,14 +133,30 @@ class CertificateReport:
         }
 
 
-def walk_count(ball: TreeBall, e0: int, k: int) -> int:
-    """Number of edges reachable from e0 by a k-step non-backtracking walk.
+def walk_counts(ball: TreeBall, edges, k: int) -> np.ndarray:
+    """Number of edges reachable from each of `edges` by a k-step non-backtracking walk.
 
-    A walk on the real cone: it checks the successor rule the class recursion assumes."""
+    Walks on the real cones: they check the successor rule the class
+    recursion assumes.  All cones advance together, one `successor_lists`
+    pass per step, each frontier edge carrying the position of its origin."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    ball._check_edge(e0)
-    return int(cone(ball, e0, k).size)
+    edges = np.atleast_1d(np.asarray(edges))  # an int beyond int64 is checked before the cast
+    outside = (edges < 0) | (edges >= ball.n_edges)
+    if outside.any():
+        ball._check_edge(int(edges[outside][0]))  # raises, naming the first such edge
+    frontier = edges.astype(np.int64)
+    n_edges = frontier.size
+    origin = np.arange(n_edges)
+    for _ in range(k):
+        frontier, n_next = successor_lists(ball, frontier)
+        origin = np.repeat(origin, n_next)
+    return np.bincount(origin, minlength=n_edges)
+
+
+def walk_count(ball: TreeBall, e0: int, k: int) -> int:
+    """Number of edges reachable from e0 by a k-step non-backtracking walk."""
+    return int(walk_counts(ball, e0, k)[0])
 
 
 def _b_classes(d: int, away: list, toward: list) -> tuple[list, list]:

@@ -39,15 +39,23 @@ def words(seed: int, index) -> np.ndarray:
     return _mix_inplace(np.uint64(seed & _U64_MASK) + (idx + np.uint64(1)) * _GOLDEN)
 
 
-def words2(seed: int, rows, cols) -> np.ndarray:
+def words2(seed: int, rows, cols, out: np.ndarray | None = None) -> np.ndarray:
     """Independent words indexed by (row, col); shape (len(rows), len(cols)).
 
     Row r is its own substream, so slicing by rows (e.g. Monte Carlo
-    chunks) yields the same values regardless of chunk boundaries.
+    chunks) yields the same values regardless of chunk boundaries.  Each
+    word is a pure function of (seed, row, col), so `out`, a uint64 array of
+    that shape in any memory layout (a transposed view included), can be
+    filled and mixed in place with the same words; it is then returned.
     """
     r = words(seed, rows)
     c = (np.asarray(cols, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-    return _mix_inplace(r[:, None] + c[None, :])
+    if out is None:
+        out = np.empty((r.size, c.size), dtype=np.uint64)
+    elif not isinstance(out, np.ndarray) or out.dtype != np.uint64 or out.shape != (r.size, c.size):
+        raise ValueError(f"out must be a uint64 array of shape ({r.size}, {c.size})")
+    np.add(r[:, None], c[None, :], out=out)
+    return _mix_inplace(out)
 
 
 def to_unit(w: np.ndarray) -> np.ndarray:

@@ -648,6 +648,9 @@ def test_report_metrics_sidecar(capsys, tmp_path):
     assert {c["name"] for c in metrics["criteria"] if c["configs_tabulated"]} == {
         "oracle-agreement", "bound-compliance-sweep", "orbit-average-moments",
         "edge-homogeneity"}
+    # 48 sweep rows of 50,000 samples and 20 coverage runs of 100,000
+    assert {c["name"]: c["mc_samples"] for c in metrics["criteria"] if c["mc_samples"]} == {
+        "bound-compliance-sweep": 2_400_000, "oracle-agreement": 2_000_000}
 
 
 def test_unwritable_metrics_is_a_usage_error(capsys, monkeypatch, tmp_path):

@@ -1,6 +1,7 @@
 """Monte Carlo estimation, the exact enumeration engine, and identity checks."""
 
 import math
+import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -264,14 +265,80 @@ def test_linear_sampler_draws_one_word_per_64_support_vertices(monkeypatch, shap
     drawn = []
     words2 = rng.words2
 
-    def counting(seed, rows, cols):
-        out = words2(seed, rows, cols)
+    def counting(seed, rows, cols, out=None):
+        out = words2(seed, rows, cols, out=out)
         drawn.append(out.shape)
         return out
 
     monkeypatch.setattr(rng, "words2", counting)
     sampler(5, np.arange(1000, 1300))
     assert drawn == [(300, -(-n_support // 64))]
+
+
+def _reference_linear_pair_sampler(classes, weights):
+    """The linear sampler's former chunk, whose sums are the bits it keeps:
+    a `W[:, word] & mask` gather of row-major words, then one `@`."""
+    keys, sizes = classes
+    sizes = np.array(sizes, dtype=np.int64)
+    class_weights = np.append(np.asarray(weights, dtype=np.float64), 0.0)[np.array(keys)]
+    word, mask, owner = _word_pieces(sizes)
+    coef = 2.0 * class_weights[owner]
+    const = np.array([math.fsum(class_weights[:, side] * sizes) for side in (0, 1)])
+    cols = np.arange(-(-int(sizes.sum()) // 64))
+
+    def sampler(seed, idx):
+        counts = np.bitwise_count(rng.words2(seed, idx, cols)[:, word] & mask)
+        sums = counts.astype(np.float64) @ coef - const
+        return sums[:, 0], sums[:, 1]
+
+    return sampler
+
+
+def _same_bits(got, want) -> bool:
+    """Both sums of `got` are those of `want` bit for bit (stricter than
+    equal reprs, and without formatting thousands of floats)."""
+    return all(np.array_equal(g.view(np.uint64), w.view(np.uint64)) for g, w in zip(got, want))
+
+
+#: chunk row counts, in the order one sampler draws them: a full chunk, the
+#: last chunks of 100,000 and 50,000 samples, and tiny ones; the kept buffers
+#: grow, then serve smaller chunks, then a larger one again
+_CHUNK_ROWS = (3, 4096, 1, 848, 1696)
+
+
+@pytest.mark.parametrize("shape", ["vertex", "edge"])
+@pytest.mark.parametrize("d", [3, 4])
+def test_linear_sampler_sums_are_the_reference_bits(shape, d):
+    # a BLAS sum depends on the layout of the count matrix, so the sums are
+    # compared bit for bit, not within a tolerance
+    pair_classes = vertex_pair_classes if shape == "vertex" else subtree_pair_classes
+    for k in range(9):
+        for r in range(5):
+            classes, weights = pair_classes(d, k, r), geometric_profile(d, r).profile
+            sampler = linear_pair_sampler(classes, weights)
+            reference = _reference_linear_pair_sampler(classes, weights)
+            lo = 0
+            for seed in (0, 7, 2 ** 63):
+                for m in _CHUNK_ROWS:
+                    idx = np.arange(lo, lo + m, dtype=np.int64)
+                    lo += m
+                    assert _same_bits(sampler(seed, idx), reference(seed, idx)), (k, r, seed, m)
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_threads_share_a_linear_sampler_without_sharing_its_buffers(threads):
+    # 13 chunks, the last of 848 rows, drawn by concurrent threads from one
+    # sampler, switching often; a buffer two threads shared would mix chunks
+    classes, weights = vertex_pair_classes(4, 7, 4), geometric_profile(4, 4).profile
+    sampler = linear_pair_sampler(classes, weights)
+    want = monte_carlo_corr(_reference_linear_pair_sampler(classes, weights), 50_000, 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert monte_carlo_corr(sampler, 50_000, 5, threads=threads) == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert monte_carlo_corr(sampler, 50_000, 5, threads=1) == want
 
 
 def test_linear_sampler_needs_one_weight_per_level():

@@ -20,8 +20,9 @@ from nbtree.nb_operator import (
     cone_weight_sums,
     operator_norm_pow,
     walk_count,
+    walk_counts,
 )
-from nbtree.tree_core import build_ball, successor_lists, successors
+from nbtree.tree_core import build_ball, cone, successor_lists, successors
 from test_tree_core import edge_height, predecessors, reverse_edge
 
 
@@ -282,6 +283,25 @@ def test_walk_count_dies_at_boundary():
     e = 0  # away from root, height 1: cone exits at k = 2
     assert walk_count(ball, e, 1) == 2
     assert walk_count(ball, e, 2) == 0
+
+
+def test_walk_counts_are_the_cone_sizes_of_every_edge():
+    # one pass advances every cone; repeated and unordered edges keep their place
+    ball = build_ball(3, 5)
+    edges = np.concatenate([np.arange(ball.n_edges)[::-1], [0, 0, 7]])
+    for k in range(6):
+        want = [cone(ball, int(e), k).size for e in edges]
+        assert walk_counts(ball, edges, k).tolist() == want
+        assert [walk_count(ball, int(e), k) for e in edges] == want
+    assert walk_counts(ball, [], 3).tolist() == []
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_walk_counts_check_every_edge_at_every_k(k):
+    ball = build_ball(3, 2)
+    for bad in ([0, ball.n_edges], [-1], [2 ** 70]):
+        with pytest.raises(ValueError, match=rf"edge id {bad[-1]} outside \[0, {ball.n_edges}\)"):
+            walk_counts(ball, bad, k)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from nbtree import rng
 from nbtree.tree_core import build_ball
@@ -88,3 +89,22 @@ def test_words2_stream_is_pinned():
     bits = np.packbits(to_rademacher(w) < 0)
     assert hashlib.sha256(bits.tobytes()).hexdigest() == (
         "9321b4d2f1da36191c8450be2bf34385520e8eff3a9edcae1e3ac56ae9afe6d2")
+
+
+def test_words2_fills_out_in_place():
+    # any layout takes the same words: a C-order array and the transposed
+    # view of a (cols, rows) buffer, as the Monte Carlo sampler draws
+    rows, cols = np.arange(40, 340, 3), np.arange(9)
+    want = rng.words2(77, rows, cols)
+    for out in (np.empty((100, 9), dtype=np.uint64), np.empty((9, 100), dtype=np.uint64).T):
+        assert rng.words2(77, rows, cols, out=out) is out
+        assert np.array_equal(out, want)
+
+
+def test_words2_refuses_an_out_of_the_wrong_shape_or_dtype():
+    rows, cols = np.arange(10), np.arange(3)
+    for out in (np.empty((3, 10), dtype=np.uint64), np.empty((10, 4), dtype=np.uint64),
+                np.empty((10, 3), dtype=np.int64), np.empty((10, 3), dtype=np.float64),
+                np.empty(30, dtype=np.uint64)):
+        with pytest.raises(ValueError, match="out must be a uint64 array of shape"):
+            rng.words2(1, rows, cols, out=out)

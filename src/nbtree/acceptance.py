@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import bounds, correlation, rng
+from . import bounds, correlation, nb_operator, rng
 from .correlation import (
     edge_homogeneity_check,
     exact_corr_discrete,
@@ -427,11 +427,10 @@ def criterion_polarization(seed: int = 0) -> dict:
     tables = [np.array([a, b, c], dtype=np.float64)
               for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)
               for c in (-1.0, 0.0, 1.0)]
+    marg = np.asarray(joint3).sum(axis=1)
     alpha = 0.0
     for f in tables:
         res = polarization_check(joint3, f, f)
-        p = np.asarray(joint3)
-        marg = p.sum(axis=1)
         var = float(marg @ (f * f) - (marg @ f) ** 2)
         if var > 0:
             alpha = max(alpha, abs(res.cross_covariance) / var)
@@ -493,29 +492,32 @@ CRITERIA = [
 
 #: CRITERIA indices (criterion id - 1) in dispatch order, largest first, so
 #: that the last task a worker takes is short.  Seconds per criterion at
-#: seed 0 from `report --metrics` on a 2-CPU machine (median of 9 runs):
-#: bound-compliance-sweep 0.36, polarization-and-transfer 0.32,
-#: universal-roundtrip 0.22, oracle-agreement 0.21, edge-homogeneity 0.08,
-#: norm-vs-bound 0.04, orbit-average-moments 0.02, cone-sum-certificates
-#: 0.008, walk-counts 0.007, the other two < 0.002.
-_DISPATCH_ORDER = (5, 8, 10, 4, 9, 1, 7, 2, 3, 6, 0)
+#: seed 0 from `report --metrics` on a 2-CPU machine (median of 7 runs):
+#: bound-compliance-sweep 0.33, universal-roundtrip 0.27,
+#: oracle-agreement 0.22, polarization-and-transfer 0.19,
+#: edge-homogeneity 0.10, norm-vs-bound 0.06, orbit-average-moments 0.02,
+#: cone-sum-certificates 0.013, walk-counts 0.010, the other two < 0.002.
+_DISPATCH_ORDER = (5, 10, 4, 8, 9, 1, 7, 2, 3, 6, 0)
 
 
 def _run_criterion(index: int, seed: int) -> tuple[int, dict, dict]:
     """Pool task: (index, result, metrics) of CRITERIA[index]; the metrics
     are its wall seconds, the worker's pid, the labelings the exact route
-    tabulated for it (`correlation.configs_tabulated`) and the Monte Carlo
-    samples it drew (`correlation.mc_samples`).
+    tabulated for it (`correlation.configs_tabulated`), the Monte Carlo
+    samples it drew (`correlation.mc_samples`) and the power iterations it
+    ran (`nb_operator.power_iterations`).
 
     The task is the index, not the function: the pool pickles its tasks,
     and a traced CRITERIA entry is a closure, which does not pickle.
     """
     tabulated, sampled = correlation.configs_tabulated, correlation.mc_samples
+    iterated = nb_operator.power_iterations
     start = time.perf_counter()
     result = CRITERIA[index][2](seed=seed)
     return index, result, {"wall_s": time.perf_counter() - start, "pid": os.getpid(),
                            "configs_tabulated": correlation.configs_tabulated - tabulated,
-                           "mc_samples": correlation.mc_samples - sampled}
+                           "mc_samples": correlation.mc_samples - sampled,
+                           "power_iterations": nb_operator.power_iterations - iterated}
 
 
 def _pool_size() -> int:
@@ -534,8 +536,8 @@ def run_report(seed: int = 0, metrics: dict | None = None) -> dict:
     here with its own type, and no worker outlives the call.  If `metrics`
     is a dict, it receives the worker count and, per criterion, its id,
     name, wall seconds, the pid of the worker that ran it, and the labelings
-    the exact route tabulated and the Monte Carlo samples drawn for it in
-    that worker.
+    the exact route tabulated, the Monte Carlo samples drawn and the power
+    iterations run for it in that worker.
 
     Criterion 12 (byte-identical repeat runs in fresh processes) is a
     statement about this very command, so it is exercised externally by

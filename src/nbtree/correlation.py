@@ -32,6 +32,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import reduce
+from operator import itemgetter, mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -679,21 +680,26 @@ def symmetrization_moment_check(ball: TreeBall, e1: int, e2: int,
 # ---------------------------------------------------------------------------
 
 
-def _check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has a non-finite entry")
-
-
-def _scaled_ints(*tables: np.ndarray) -> tuple[list[list[int]], int]:
-    """Finite float tables as integer numerators over one denominator.
+def _scaled_ints(flat: list[float]) -> tuple[list[int], int]:
+    """Finite Python floats as integer numerators over one denominator.
 
     Every finite float is m * 2^e, so the largest denominator among the
     entries is a power of two that every other one divides: the scaling
     is exact, and sums and differences of entries stay on that scale.
+    Its callers validate each input from one `tolist()` and scale all
+    entries that share a denominator in one call.
     """
-    ratios = [[x.as_integer_ratio() for x in t.tolist()] for t in tables]
-    den = max(d for r in ratios for _, d in r)
-    return [[num * (den // d) for num, d in r] for r in ratios], den
+    ratios = list(map(float.as_integer_ratio, flat))
+    den = max(map(itemgetter(1), ratios))
+    return [num * (den // d) for num, d in ratios], den
+
+
+def _finite_list(name: str, arr: np.ndarray) -> list[float]:
+    """arr's entries in C order, or ValueError if one is not finite."""
+    flat = arr.ravel().tolist()
+    if not all(map(math.isfinite, flat)):
+        raise ValueError(f"{name} has a non-finite entry")
+    return flat
 
 
 def _joint_ints(joint) -> tuple[list[list[int]], int]:
@@ -701,40 +707,45 @@ def _joint_ints(joint) -> tuple[list[list[int]], int]:
     arr = np.asarray(joint, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("joint must be a square matrix")
-    _check_finite("joint", arr)
-    if np.any(arr < 0):
+    flat = _finite_list("joint", arr)
+    if flat and min(flat) < 0:
         raise ValueError("joint probabilities must be non-negative")
     if abs(float(arr.sum()) - 1.0) > 1e-9:
         raise ValueError("joint probabilities must sum to 1")
-    if not np.array_equal(arr, arr.T):
+    n = len(arr)
+    if any(flat[i * n:(i + 1) * n] != flat[i::n] for i in range(n)):  # row i vs column i
         raise NonExchangeableError("joint distribution is not swap-symmetric")
-    return _scaled_ints(*arr)
+    nums, den = _scaled_ints(flat)
+    return [nums[i * n:(i + 1) * n] for i in range(n)], den
 
 
-def _table_ints(n: int, f1, f2) -> tuple[list[list[int]], int]:
+def _table_ints(n: int, f1, f2) -> tuple[tuple[list[int], list[int]], int]:
     """f1 and f2 as integer numerators over one common denominator."""
-    tables = []
+    flat = []
     for name, f in (("f1", f1), ("f2", f2)):
         arr = np.asarray(f, dtype=np.float64)
-        _check_finite(name, arr)
+        flat += _finite_list(name, arr)
         if arr.shape != (n,):
             raise ValueError("function tables must match the joint's size")
-        tables.append(arr)
-    return _scaled_ints(*tables)
+    nums, den = _scaled_ints(flat)
+    return (nums[:n], nums[n:]), den
 
 
-def _cov_ints(p: list[list[int]], den: int, f: list[int], g: list[int]) -> int:
-    """den^2 * cov(f(X1), g(X2)) under the pair weights p / den."""
-    e_fg = sum(a * sum(x * b for x, b in zip(row, g)) for a, row in zip(f, p))
-    e_f = sum(a * sum(row) for a, row in zip(f, p))
-    e_g = sum(b * sum(col) for b, col in zip(g, zip(*p)))
-    return den * e_fg - e_f * e_g
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
 
 
-def _cov_same_ints(marg: list[int], den: int, f: list[int], g: list[int]) -> int:
-    """den^2 * cov(f(X), g(X)) under the weights marg / den."""
-    e_fg = sum(m * a * b for m, a, b in zip(marg, f, g))
-    return den * e_fg - sum(m * a for m, a in zip(marg, f)) * sum(m * b for m, b in zip(marg, g))
+def _joint_products(p: list[list[int]], f1: list[int], f2: list[int]
+                    ) -> tuple[list[int], list[int], list[int]]:
+    """P f1, P f2 and the marginal of a swap-symmetric integer joint P.
+
+    P equals its transpose, so g . (P f) is sum P[i][j] f[j] g[i] whichever
+    coordinate f reads, and the row marginal is also the column one: every
+    covariance of f1, f2 and their sum and difference, at one point or
+    across the pair, is a dot product against these three vectors.
+    """
+    return ([_dot(row, f1) for row in p], [_dot(row, f2) for row in p],
+            [sum(row) for row in p])
 
 
 @dataclass(frozen=True)
@@ -755,17 +766,25 @@ def polarization_check(joint, f1, f2) -> PolarizationResult:
     implementation returns residual 0.0 exactly.  Also reports the
     swap-symmetry residual cov(f1(X1), f2(X2)) - cov(f1(X2), f2(X1)).
     Each float returned is the correctly rounded value of the exact one.
+
+    P f1 and P f2 are formed once (`_joint_products`); each covariance is
+    then one dot product against them plus the marginal means, so a call
+    costs O(n^2) integer products in all.  The swapped covariance is
+    still computed, as f2 . (P f1), not assumed equal to the direct one.
     """
     p, p_den = _joint_ints(joint)
     (f1, f2), f_den = _table_ints(len(p), f1, f2)
+    u, v, marg = _joint_products(p, f1, f2)
     scale = (p_den * f_den) ** 2
+    m1, m2 = _dot(marg, f1), _dot(marg, f2)
     s = [a + b for a, b in zip(f1, f2)]
     diff = [a - b for a, b in zip(f1, f2)]
-    lhs = _cov_ints(p, p_den, f1, f2)
-    rhs4 = _cov_ints(p, p_den, s, s) - _cov_ints(p, p_den, diff, diff)
-    swapped = _cov_ints(p, p_den, f2, f1)
+    lhs = p_den * _dot(f1, v) - m1 * m2
+    cov_s = p_den * _dot(s, [a + b for a, b in zip(u, v)]) - (m1 + m2) ** 2
+    cov_diff = p_den * _dot(diff, [a - b for a, b in zip(u, v)]) - (m1 - m2) ** 2
+    swapped = p_den * _dot(f2, u) - m2 * m1
     return PolarizationResult(
-        residual=abs(4 * lhs - rhs4) / (4 * scale),
+        residual=abs(4 * lhs - (cov_s - cov_diff)) / (4 * scale),
         swap_residual=abs(lhs - swapped) / scale,
         cross_covariance=lhs / scale,
     )
@@ -788,6 +807,9 @@ def lemma_consequence_check(joint, f1, f2, alpha: float) -> bool:
     numerators, every variance and covariance is an integer over one
     common positive scale, and with alpha = A/D each comparison is
     homogeneous, so it is decided on integers with those factors cleared.
+    As in `polarization_check`, P f1 and P f2 are formed once and every
+    variance and covariance is one dot product against them or the
+    marginal; c21 is computed as f2 . (P f1), not taken to equal c12.
     """
     p, _ = _joint_ints(joint)
     (f1, f2), _ = _table_ints(len(p), f1, f2)
@@ -795,20 +817,20 @@ def lemma_consequence_check(joint, f1, f2, alpha: float) -> bool:
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     a_num, a_den = alpha.as_integer_ratio()
-    total = sum(map(sum, p))
-    rows = [sum(row) for row in p]
-    cols = [sum(col) for col in zip(*p)]
+    u, v, marg = _joint_products(p, f1, f2)
+    total = sum(marg)
+    m1, m2 = _dot(marg, f1), _dot(marg, f2)
 
-    var1 = _cov_same_ints(rows, total, f1, f1)
-    var2 = _cov_same_ints(cols, total, f2, f2)
+    var1 = total * _dot(marg, [a * a for a in f1]) - m1 * m1
+    var2 = total * _dot(marg, [b * b for b in f2]) - m2 * m2
     if var1 == 0 or var2 == 0:
         return True  # correlation 0 by convention
 
-    c11 = _cov_ints(p, total, f1, f1)
-    c22 = _cov_ints(p, total, f2, f2)
-    c12 = _cov_ints(p, total, f1, f2)
-    c21 = _cov_ints(p, total, f2, f1)
-    w12 = _cov_same_ints(rows, total, f1, f2)
+    c11 = total * _dot(f1, u) - m1 * m1
+    c22 = total * _dot(f2, v) - m2 * m2
+    c12 = total * _dot(f1, v) - m1 * m2
+    c21 = total * _dot(f2, u) - m2 * m1
+    w12 = total * _dot(marg, [a * b for a, b in zip(f1, f2)]) - m1 * m2
     m = var1 * var2
 
     # For s = f1/s1 + f2/s2 (unit-variance scalings), multiplying through by

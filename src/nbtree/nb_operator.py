@@ -198,6 +198,10 @@ def _class_dot(counts: list, x_away: list, x_toward: list,
     return counted_fsum(zip(counts[1:] * 2, products))
 
 
+#: power iterations `operator_norm_pow` has run in this process, over all calls
+power_iterations = 0
+
+
 def operator_norm_pow(ball: TreeBall, k: int, tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> NormReport:
     """Estimate ||B^k|| by power iteration on v -> (B^T)^k B^k v.
@@ -213,6 +217,7 @@ def operator_norm_pow(ball: TreeBall, k: int, tol: float = DEFAULT_TOL,
     sums (`_class_dot`): every iteration's digits are those of the same
     iteration on full edge vectors with math.fsum reductions.
     """
+    global power_iterations
     if k < 1:
         raise ValueError("power k must be >= 1")
     if not tol > 0:
@@ -255,6 +260,7 @@ def operator_norm_pow(ball: TreeBall, k: int, tol: float = DEFAULT_TOL,
         v_away = [x / norm_w for x in w_away]
         v_toward = [x / norm_w for x in w_toward]
 
+    power_iterations += iterations
     estimate = math.sqrt(max(rho, 0.0))
     return NormReport(d, ball.radius, k, estimate, bound, iterations, residual, converged)
 

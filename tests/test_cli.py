@@ -330,6 +330,67 @@ def test_usage_errors_exit_two(capsys):
     assert main(["ball-info", "--d", "3", "--radius", "40"]) == 2  # size cap
 
 
+def test_reused_parser_reports_usage_errors(capsys):
+    # the parser outlives a successful call; a later usage error keeps its
+    # exit code and its message
+    assert main(["bounds", "--d", "3", "--k-max", "2"]) == 0
+    capsys.readouterr()
+    for _ in range(2):
+        assert main(["bounds", "--d", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: nbtree bounds ")
+        assert captured.err.endswith(
+            "nbtree bounds: error: the following arguments are required: --k-max\n")
+
+
+def test_help_exits_zero_twice(capsys):
+    helps = []
+    for _ in range(2):
+        assert main(["--help"]) == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0].startswith("usage: nbtree ") and helps[0] == helps[1]
+
+
+#: counts ArgumentParser constructions in a fresh interpreter: after the
+#: import, then after each of three exact-corr runs, whose stdouts it prints
+_PARSER_BUILDS = """
+import argparse, contextlib, io, json
+
+builds = 0
+init = argparse.ArgumentParser.__init__
+
+def counting(self, *args, **kwargs):
+    global builds
+    builds += 1
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting
+from nbtree.cli import main
+counts, outs = [builds], []
+for extra in ([], ["--alphabet", "3"], []):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["exact-corr", "--d", "3", "--k", "2"] + extra) == 0
+    counts.append(builds)
+    outs.append(out.getvalue())
+print(json.dumps({"counts": counts, "outs": outs}))
+"""
+
+
+def test_parser_is_built_once_per_process(checkout_env):
+    # not at import; 13 parsers (the top level and 12 subcommands) at the
+    # first call and none after; a flag given once does not stick
+    proc = subprocess.run([sys.executable, "-c", _PARSER_BUILDS], capture_output=True,
+                          text=True, env=checkout_env, check=True)
+    doc = json.loads(proc.stdout)
+    assert doc["counts"] == [0, 13, 13, 13]
+    first, alphabet3, again = doc["outs"]
+    assert json.loads(first)["n_samples"] == 128
+    assert json.loads(alphabet3)["n_samples"] == 2187
+    assert again == first
+
+
 @pytest.mark.parametrize("argv", [
     ["exact-corr", "--d", "3", "--k", "3", "--r", "-1"],
     ["simulate-vertex", "--d", "3", "--k", "4", "--r", "-1"],
@@ -651,6 +712,8 @@ def test_report_metrics_sidecar(capsys, tmp_path):
     # 48 sweep rows of 50,000 samples and 20 coverage runs of 100,000
     assert {c["name"]: c["mc_samples"] for c in metrics["criteria"] if c["mc_samples"]} == {
         "bound-compliance-sweep": 2_400_000, "oracle-agreement": 2_000_000}
+    # only the norm criterion runs power iteration
+    assert [c["name"] for c in metrics["criteria"] if c["power_iterations"]] == ["norm-vs-bound"]
 
 
 def test_unwritable_metrics_is_a_usage_error(capsys, monkeypatch, tmp_path):

@@ -1149,6 +1149,49 @@ def test_non_finite_inputs_are_value_errors(check, joint, f1, f2, name):
     assert info.type is ValueError
 
 
+_HALF = [[0.5, 0.0], [0.0, 0.5]]
+
+
+@pytest.mark.parametrize("check", [
+    polarization_check, lambda j, f1, f2: lemma_consequence_check(j, f1, f2, 0.5)],
+    ids=["polarization", "transfer"])
+@pytest.mark.parametrize("joint,f1,f2,error,message", [
+    ([[0.5, 0.5]], [1.0], [0.0], ValueError, "joint must be a square matrix"),
+    ([0.5, 0.5], [1.0, 0.0], [0.0, 1.0], ValueError, "joint must be a square matrix"),
+    ([[math.nan, 0.5]], [1.0], [0.0], ValueError, "joint must be a square matrix"),
+    ([[0.6, -0.1], [-0.1, 0.6]], [1.0, 0.0], [0.0, 1.0], ValueError,
+     "joint probabilities must be non-negative"),
+    ([[0.6, -0.1], [0.2, 0.3]], [1.0, 0.0], [0.0, 1.0], ValueError,
+     "joint probabilities must be non-negative"),
+    ([[0.5 + 1e-9, 0.0], [0.0, 0.5 + 1e-9]], [1.0, 0.0], [0.0, 1.0], ValueError,
+     "joint probabilities must sum to 1"),
+    ([[0.5 + 1e-9, 0.0], [0.1, 0.5 + 1e-9]], [1.0, 0.0], [0.0, 1.0], ValueError,
+     "joint probabilities must sum to 1"),
+    ([[0.5 + 2.5e-10, 0.0], [0.0, 0.5 + 2.5e-10]], [1.0, 0.0], [0.0, 1.0], None, None),
+    ([[0.4, 0.2], [0.1, 0.3]], [1.0, 0.0], [0.0, 1.0], NonExchangeableError,
+     "joint distribution is not swap-symmetric"),
+    (_HALF, [1.0, 0.0, 0.0], [0.0, 1.0], ValueError,
+     "function tables must match the joint's size"),
+    (_HALF, [1.0, 0.0], [0.0], ValueError, "function tables must match the joint's size"),
+    (_HALF, [[1.0, 0.0]], [0.0, 1.0], ValueError, "function tables must match the joint's size"),
+    (_HALF, [math.nan, 0.0, 0.0], [0.0, 1.0], ValueError, "f1 has a non-finite entry"),
+    (_HALF, [1.0, 0.0], [[math.inf], [0.0], [1.0]], ValueError, "f2 has a non-finite entry"),
+    (_HALF, [1.0, 0.0, 0.0], [math.nan, 1.0], ValueError,
+     "function tables must match the joint's size"),
+], ids=["row", "vector", "nan-row", "negative", "negative-asymmetric", "sum-off-2e-9",
+        "sum-off-asymmetric", "sum-off-5e-10", "asymmetric", "f1-long", "f2-short",
+        "f1-matrix", "nan-and-long-f1", "inf-and-shaped-f2", "f1-long-before-nan-f2"])
+def test_identity_checks_validate_in_order(check, joint, f1, f2, error, message):
+    # square, finite, non-negative, sum within 1e-9, swap-symmetric; then
+    # f1 and f2, each finite before its length: the first failure raises
+    if error is None:
+        check(joint, f1, f2)
+        return
+    with pytest.raises(error) as info:
+        check(joint, f1, f2)
+    assert info.type is error and str(info.value) == message
+
+
 @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
 def test_non_finite_alpha_is_a_value_error(alpha):
     joint = random_exchangeable_joint(3, 9)

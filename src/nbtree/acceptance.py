@@ -21,6 +21,7 @@ from .correlation import (
     edge_homogeneity_check,
     exact_corr_discrete,
     exact_edge_corr,
+    exchangeable_joints,
     h_parity,
     h_sum,
     lemma_consequence_check,
@@ -411,14 +412,23 @@ def criterion_symmetrization(seed: int = 0) -> dict:
     return {"passed": passed, "rows": rows}
 
 
+def _polarization_inputs(seed: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Criterion 9's 1000 (joint, f1, f2) on n = 2 + i % 4 points: pair i reads
+    the streams keyed by seed + 3000 + i (its joint, as in
+    `random_exchangeable_joint`), seed + 4000 + i and seed + 5000 + i (its
+    tables), each stream drawn for every i in one call."""
+    words = [rng.words(np.arange(1000, dtype=np.uint64) + np.uint64((seed + key) % 2 ** 64),
+                       np.arange(25)) for key in (3000, 4000, 5000)]
+    joints = {n: exchangeable_joints(words[0][n - 2::4, :n * n], n) for n in range(2, 6)}
+    f1s, f2s = (rng.to_unit(w[:, :5]) * 2.0 - 1.0 for w in words[1:])
+    return [(joints[n][i // 4], f1s[i, :n], f2s[i, :n])
+            for i, n in ((i, 2 + i % 4) for i in range(1000))]
+
+
 def criterion_polarization(seed: int = 0) -> dict:
     """Polarization identity on 1000 random pairs; bound transfer on a full scan."""
     worst = 0.0
-    for i in range(1000):
-        n = 2 + i % 4
-        joint = random_exchangeable_joint(n, seed + 3000 + i)
-        f1 = rng.to_unit(rng.words(seed + 4000 + i, np.arange(n))) * 2.0 - 1.0
-        f2 = rng.to_unit(rng.words(seed + 5000 + i, np.arange(n))) * 2.0 - 1.0
+    for joint, f1, f2 in _polarization_inputs(seed):
         res = polarization_check(joint, f1, f2)
         worst = max(worst, res.residual, res.swap_residual)
     identity_ok = worst <= 1e-12
@@ -461,61 +471,58 @@ def criterion_universal(seed: int = 0) -> dict:
     r1 = roundtrip_check(_ball(3, 6), 3, 500, seed + 71)
     r2 = roundtrip_check(_ball(4, 5), 2, 200, seed + 72)
     ball = _ball(3, 6)
-    sphere_ok = True
-    pairs_checked = 0
-    for t in range(50):
-        u = int(rng.randint(seed + 90, 2 * t, ball.n)[0])
-        v = int(rng.randint(seed + 90, 2 * t + 1, ball.n)[0])
-        counts = sphere_overlap_count(ball, u, v)
-        sphere_ok &= bool(np.all(counts[1:-1] == 1))
-        pairs_checked += 1
+    pairs = rng.randint(seed + 90, np.arange(100), ball.n).reshape(50, 2).tolist()
+    sphere_ok = all(bool(np.all(sphere_overlap_count(ball, u, v)[1:-1] == 1)) for u, v in pairs)
+    pairs_checked = len(pairs)
     ok = r1.passed and r2.passed and sphere_ok
     return {"passed": ok,
             "roundtrip_d3": r1.to_json_dict(), "roundtrip_d4": r2.to_json_dict(),
             "sphere_pairs_checked": pairs_checked, "sphere_ok": sphere_ok}
 
 
-CRITERIA = [
-    (1, "bound-formulas", criterion_bound_formulas),
-    (2, "norm-vs-bound", criterion_norm_bound),
-    (3, "cone-sum-certificates", criterion_certificates),
-    (4, "walk-counts", criterion_walk_counts),
-    (5, "oracle-agreement", criterion_oracle_agreement),
-    (6, "bound-compliance-sweep", criterion_bound_sweep),
-    (7, "sharpness-decay-rate", criterion_sharpness),
-    (8, "orbit-average-moments", criterion_symmetrization),
-    (9, "polarization-and-transfer", criterion_polarization),
-    (10, "edge-homogeneity", criterion_homogeneity),
-    (11, "universal-roundtrip", criterion_universal),
+#: (id, name, criterion, seconds): the seconds are the criterion's median
+#: wall time at seed 0 over 7 `report --metrics` runs on a 2-CPU machine,
+#: and set only the dispatch order
+_COSTED_CRITERIA = [
+    (1, "bound-formulas", criterion_bound_formulas, 0.00002),
+    (2, "norm-vs-bound", criterion_norm_bound, 0.025),
+    (3, "cone-sum-certificates", criterion_certificates, 0.0047),
+    (4, "walk-counts", criterion_walk_counts, 0.0037),
+    (5, "oracle-agreement", criterion_oracle_agreement, 0.105),
+    (6, "bound-compliance-sweep", criterion_bound_sweep, 0.148),
+    (7, "sharpness-decay-rate", criterion_sharpness, 0.0007),
+    (8, "orbit-average-moments", criterion_symmetrization, 0.0075),
+    (9, "polarization-and-transfer", criterion_polarization, 0.045),
+    (10, "edge-homogeneity", criterion_homogeneity, 0.037),
+    (11, "universal-roundtrip", criterion_universal, 0.016),
 ]
 
+CRITERIA = [entry[:3] for entry in _COSTED_CRITERIA]
 
-#: CRITERIA indices (criterion id - 1) in dispatch order, largest first, so
-#: that the last task a worker takes is short.  Seconds per criterion at
-#: seed 0 from `report --metrics` on a 2-CPU machine (median of 7 runs):
-#: bound-compliance-sweep 0.33, universal-roundtrip 0.27,
-#: oracle-agreement 0.22, polarization-and-transfer 0.19,
-#: edge-homogeneity 0.10, norm-vs-bound 0.06, orbit-average-moments 0.02,
-#: cone-sum-certificates 0.013, walk-counts 0.010, the other two < 0.002.
-_DISPATCH_ORDER = (5, 10, 4, 8, 9, 1, 7, 2, 3, 6, 0)
+#: CRITERIA indices (criterion id - 1), largest cost first, so that the last
+#: task a worker takes is short
+_DISPATCH_ORDER = tuple(sorted(range(len(CRITERIA)), key=lambda i: -_COSTED_CRITERIA[i][3]))
 
 
 def _run_criterion(index: int, seed: int) -> tuple[int, dict, dict]:
     """Pool task: (index, result, metrics) of CRITERIA[index]; the metrics
     are its wall seconds, the worker's pid, the labelings the exact route
-    tabulated for it (`correlation.configs_tabulated`), the Monte Carlo
+    tabulated for it (`correlation.configs_tabulated`) and the site tables
+    it built for them (`correlation.site_tables`), the Monte Carlo
     samples it drew (`correlation.mc_samples`) and the power iterations it
     ran (`nb_operator.power_iterations`).
 
     The task is the index, not the function: the pool pickles its tasks,
     and a traced CRITERIA entry is a closure, which does not pickle.
     """
-    tabulated, sampled = correlation.configs_tabulated, correlation.mc_samples
+    tabulated, tables = correlation.configs_tabulated, correlation.site_tables
+    sampled = correlation.mc_samples
     iterated = nb_operator.power_iterations
     start = time.perf_counter()
     result = CRITERIA[index][2](seed=seed)
     return index, result, {"wall_s": time.perf_counter() - start, "pid": os.getpid(),
                            "configs_tabulated": correlation.configs_tabulated - tabulated,
+                           "site_tables": correlation.site_tables - tables,
                            "mc_samples": correlation.mc_samples - sampled,
                            "power_iterations": nb_operator.power_iterations - iterated}
 
@@ -536,8 +543,8 @@ def run_report(seed: int = 0, metrics: dict | None = None) -> dict:
     here with its own type, and no worker outlives the call.  If `metrics`
     is a dict, it receives the worker count and, per criterion, its id,
     name, wall seconds, the pid of the worker that ran it, and the labelings
-    the exact route tabulated, the Monte Carlo samples drawn and the power
-    iterations run for it in that worker.
+    and site tables the exact route tabulated, the Monte Carlo samples drawn
+    and the power iterations run for it in that worker.
 
     Criterion 12 (byte-identical repeat runs in fresh processes) is a
     statement about this very command, so it is exercised externally by

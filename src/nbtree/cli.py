@@ -293,8 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--metrics", type=str, default=None,
                    help="also write each criterion's wall seconds, worker pid, "
-                        "exact-route labelings tabulated, Monte Carlo samples "
-                        "drawn and power iterations run to this JSON file")
+                        "exact-route labelings and site tables tabulated, Monte "
+                        "Carlo samples drawn and power iterations run to this JSON file")
     out_flag(p)
     p.set_defaults(fn=_cmd_report)
 

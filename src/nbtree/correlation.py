@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import itemgetter, mul
 from typing import Callable, Sequence
 
@@ -319,8 +319,9 @@ def rule_site(ball: TreeBall, rule, at) -> Site:
     return Site(np.concatenate(levels), func)
 
 
-#: labelings of a support `_site_values` has tabulated in this process, over all calls
+#: labelings of a support, and site tables, `_site_values` has built in this process
 configs_tabulated = 0
+site_tables = 0
 
 
 def _support(sites: Sequence[Site]) -> np.ndarray:
@@ -356,7 +357,7 @@ def _site_values(ball: TreeBall, domain, sites: Sequence[Site]
     as an (A,)*|support| array, a site's row varies only along the axes of
     the positions it reads.  The local ids of a site must be distinct.
     """
-    global configs_tabulated
+    global configs_tabulated, site_tables
     values = domain_values(domain)
     a_size = len(values)
     support = _support(sites)
@@ -381,6 +382,7 @@ def _site_values(ball: TreeBall, domain, sites: Sequence[Site]
             shape[ax] = a_size
         grid[row] = table.reshape((a_size,) * loc).transpose(np.argsort(axes)).reshape(shape)
     configs_tabulated += n_cfg
+    site_tables += len(sites)
     return out, n_cfg
 
 
@@ -421,23 +423,33 @@ def _tally(keys: np.ndarray, n_keys: int, weights: np.ndarray | None = None
     return distinct, np.bincount(inverse, weights).astype(np.int64)
 
 
-def _tabulate_side(domain, support: np.ndarray, sites: Sequence[Site], observe, names,
-                   overlap: np.ndarray, n_union: int) -> _Side:
-    """`observe` of the site values over the labelings of the sites' own
-    support S, grouped by distinct value tuple and overlap labeling.
+def _side(domain, sites: Sequence[Site], observe, names) -> tuple:
+    """(sites, observed) for `_eliminate`: observed() is `observe` of the
+    site values over the labelings of the sites' own support, one row of
+    values per name, refused by name when one is not finite.  observe maps
+    the (sites, labelings) value matrix to one array of values per name."""
 
-    observe maps the (sites, labelings) value matrix to one array of
-    values per name.  The overlap labels are read off the axes of the
-    (A,)*|S| table: support position p is axis |S|-1-p (see `_site_values`),
-    and the overlap axes, moved to the front in overlap id order, number
-    the overlap labelings alike on either side.
+    def observed() -> np.ndarray:
+        obs = np.asarray(observe(_site_values(None, domain, sites)[0]), dtype=np.float64)
+        finite = np.isfinite(obs).all(axis=1)
+        if not finite.all():
+            raise _not_finite(names[int(np.argmin(finite))])
+        return obs
+
+    return sites, observed
+
+
+def _tabulate_side(a_size: int, support: np.ndarray, obs: np.ndarray,
+                   overlap: np.ndarray, n_union: int) -> _Side:
+    """One side's observable rows over the labelings of its own support S,
+    grouped by distinct value tuple and overlap labeling.
+
+    The overlap labels are read off the axes of the (A,)*|S| table:
+    support position p is axis |S|-1-p (see `_site_values`), and the
+    overlap axes, moved to the front in overlap id order, number the
+    overlap labelings alike on either side.
     """
-    g, n_cfg = _site_values(None, domain, sites)
-    obs = np.asarray(observe(g), dtype=np.float64)
-    finite = np.isfinite(obs).all(axis=1)
-    if not finite.all():
-        raise _not_finite(names[int(np.argmin(finite))])
-    n, a_size = len(support), len(domain_values(domain))
+    n, n_cfg = len(support), obs.shape[1]
     ids = support.tolist()
     front = [n - 1 - ids.index(v) for v in overlap.tolist()]
     axes = front + [ax for ax in range(n) if ax not in front]
@@ -456,15 +468,16 @@ def _eliminate(domain, sides) -> tuple[list[_Side], int]:
     """Both sides tabulated over their own supports, and the number of
     labelings of the union support, which the caps bound.
 
-    sides holds (sites, observe, names) per side; see `_tabulate_side`.
+    sides holds one `_side` per side; its values are observed once the
+    caps pass.
     """
-    values = domain_values(domain)
-    supports = [_support(sites) for sites, _, _ in sides]
+    a_size = len(domain_values(domain))
+    supports = [_support(sites) for sites, _ in sides]
     overlap = np.intersect1d(*supports, assume_unique=True)
-    n_union = _check_caps(len(values), sum(map(len, supports)) - len(overlap),
-                          [site for sites, _, _ in sides for site in sites])
-    return [_tabulate_side(domain, support, sites, observe, names, overlap, n_union)
-            for support, (sites, observe, names) in zip(supports, sides)], n_union
+    n_union = _check_caps(a_size, sum(map(len, supports)) - len(overlap),
+                          [site for sites, _ in sides for site in sites])
+    return [_tabulate_side(a_size, support, observed(), overlap, n_union)
+            for support, (_, observed) in zip(supports, sides)], n_union
 
 
 def _pairs(side1: _Side, side2: _Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -518,8 +531,8 @@ class ExactCorrResult:
 def _corr_from_sides(domain, sites1, observe1, sites2, observe2,
                      names: tuple[str, str]) -> ExactCorrResult:
     """Exact correlation of one observable per side, by `_eliminate`."""
-    (side1, side2), n_cfg = _eliminate(domain, ((sites1, observe1, names[:1]),
-                                                (sites2, observe2, names[1:])))
+    (side1, side2), n_cfg = _eliminate(domain, (_side(domain, sites1, observe1, names[:1]),
+                                                _side(domain, sites2, observe2, names[1:])))
     x, y = side1.tuples[:, 0], side2.tuples[:, 0]
     c1, c2, count = _pairs(side1, side2)
     with np.errstate(over="ignore"):  # an overflow is caught by _mean
@@ -645,9 +658,9 @@ def symmetrization_moment_check(ball: TreeBall, e1: int, e2: int,
 
     def view_side(e: int, at: str):
         flat = np.concatenate(subtree_levels(ball, e, view_rule.depth)).tolist()
-        return ([rule_site(ball, process_rule, w) for w in flat],
-                lambda g: _view_values(g, (view_rule.func, f_bar.func)),
-                (f"f at {at}", f"f-bar at {at}"))
+        return _side(domain, [rule_site(ball, process_rule, w) for w in flat],
+                     lambda g: _view_values(g, (view_rule.func, f_bar.func)),
+                     (f"f at {at}", f"f-bar at {at}"))
 
     (side1, side2), n_cfg = _eliminate(domain, (view_side(e1, "e1"), view_side(e2, "e2")))
     (f1, b1), (f2, b2) = side1.tuples.T, side2.tuples.T
@@ -854,15 +867,20 @@ def lemma_consequence_check(joint, f1, f2, alpha: float) -> bool:
 
 
 def random_exchangeable_joint(n_points: int, seed: int) -> np.ndarray:
-    """Random swap-symmetric joint distribution.
+    """Random swap-symmetric joint distribution from words 0..n²-1 of the
+    `seed` stream; see `exchangeable_joints`."""
+    return exchangeable_joints(rng.words(seed, np.arange(n_points * n_points)), n_points)
 
-    Entries are integer weights divided by their float total, so the
+
+def exchangeable_joints(w: np.ndarray, n_points: int) -> np.ndarray:
+    """Swap-symmetric n x n joints, one per n² uint64 words along w's last axis.
+
+    Entries are integer weights divided by their float total, so each
     matrix is exactly symmetric but sums to 1 only within rounding.
     """
-    w = rng.words(seed, np.arange(n_points * n_points))
-    raw = (w >> np.uint64(40)).astype(np.float64).reshape(n_points, n_points) + 1.0
-    sym = (raw + raw.T)  # integer-valued, symmetric
-    return sym / float(sym.sum())
+    raw = (w >> np.uint64(40)).astype(np.float64).reshape(w.shape[:-1] + (n_points,) * 2) + 1.0
+    sym = raw + np.swapaxes(raw, -1, -2)  # integer-valued, symmetric
+    return sym / sym.sum(axis=(-2, -1), keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -882,14 +900,22 @@ class HomogeneityResult:
     source_counts_ok: bool
 
 
-def _product_mean(domain, site1: Site, site2: Site) -> float:
-    """Exact E[Y_e1 Y_e2] of two site values, by elimination over the overlap
-    of their supports."""
-    (side1, side2), n_cfg = _eliminate(domain, (([site1], lambda g: g, ("Y(e1)",)),
-                                                ([site2], lambda g: g, ("Y(e2)",))))
-    c1, c2, count = _pairs(side1, side2)
-    with np.errstate(over="ignore"):  # an overflow is caught by _mean
-        return _mean("Y(e1) * Y(e2)", count, side1.tuples[c1, 0] * side2.tuples[c2, 0], n_cfg)
+def _product_means(domain, site1: Site, sites2: Sequence[Site]) -> list[float]:
+    """Exact E[Y_e1 Y_e2] of one source site against each target site, by
+    elimination over the overlap of their supports.  The source's values
+    are tabulated once, when its first pair passes the caps; only the
+    grouping by overlap labeling runs per pair."""
+    sites1, observed1 = _side(domain, [site1], lambda g: g, ("Y(e1)",))
+    source = (sites1, cache(observed1))
+    means = []
+    for site2 in sites2:
+        (side1, side2), n_cfg = _eliminate(domain, (source, _side(domain, [site2], lambda g: g,
+                                                                  ("Y(e2)",))))
+        c1, c2, count = _pairs(side1, side2)
+        with np.errstate(over="ignore"):  # an overflow is caught by _mean
+            means.append(_mean("Y(e1) * Y(e2)", count,
+                               side1.tuples[c1, 0] * side2.tuples[c2, 0], n_cfg))
+    return means
 
 
 def edge_homogeneity_check(ball: TreeBall, rule: EdgeRule, k: int, domain
@@ -928,10 +954,8 @@ def edge_homogeneity_check(ball: TreeBall, rule: EdgeRule, k: int, domain
         if not all(subtree_ok(int(e2)) for e2 in frontier):
             continue
         n_sources += 1
-        vals = []
-        for e2 in frontier.tolist():
-            vals.append(_product_mean(domain, rule_site(ball, rule, e1),
-                                      rule_site(ball, rule, e2)))
+        vals = _product_means(domain, rule_site(ball, rule, e1),
+                              [rule_site(ball, rule, e2) for e2 in frontier.tolist()])
         moments.extend(vals)
         per_source_sums.append(math.fsum(vals))
 

@@ -94,14 +94,20 @@ def _grow_levels(ball: TreeBall, start: int, avoid: int, depth: int) -> list[np.
     return levels
 
 
+def check_vertex_view(ball: TreeBall, v: int, r: int) -> None:
+    """Refuse a radius-r view around v unless v is a vertex of the ball, r is
+    at least 0 and the view lies inside the ball."""
+    ball._check_vertex(v)
+    if r < 0:
+        raise ValueError(f"view depth must be >= 0, got {r}")
+    if int(ball.depth[v]) + r > ball.radius:
+        raise InteriorityError(f"radius-{r} view around vertex {v} (depth {int(ball.depth[v])}) "
+                               f"exits the radius-{ball.radius} ball")
+
+
 def vertex_ball_levels(ball: TreeBall, v: int, r: int) -> Levels:
     """Vertex ids of the radius-r view around v, one array per distance level."""
-    ball._check_vertex(v)
-    if int(ball.depth[v]) + r > ball.radius:
-        raise InteriorityError(
-            f"radius-{r} view around vertex {v} (depth {int(ball.depth[v])}) "
-            f"exits the radius-{ball.radius} ball"
-        )
+    check_vertex_view(ball, v, r)
     return tuple(_grow_levels(ball, v, -1, r))
 
 

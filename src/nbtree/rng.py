@@ -33,10 +33,13 @@ def _mix_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def words(seed: int, index) -> np.ndarray:
-    """Word `index` of the uint64 stream keyed by `seed` (vectorized)."""
-    idx = np.atleast_1d(np.asarray(index, dtype=np.uint64))
-    return _mix_inplace(np.uint64(seed & _U64_MASK) + (idx + np.uint64(1)) * _GOLDEN)
+def words(seed, index) -> np.ndarray:
+    """Word `index` of the uint64 stream keyed by `seed` (vectorized); for a
+    1-D uint64 array of keys, row i is `words(int(seed[i]), index)`."""
+    idx = (np.atleast_1d(np.asarray(index, dtype=np.uint64)) + np.uint64(1)) * _GOLDEN
+    if isinstance(seed, np.ndarray):
+        return _mix_inplace(seed.astype(np.uint64)[:, None] + idx)
+    return _mix_inplace(np.uint64(seed & _U64_MASK) + idx)
 
 
 def words2(seed: int, rows, cols, out: np.ndarray | None = None) -> np.ndarray:

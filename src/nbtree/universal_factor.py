@@ -6,7 +6,9 @@ rooted view around the vertex: own label, the sorted labels of all d
 neighbors, then per neighbor (taken in sorted order) the sorted labels of
 its d-1 outward neighbors, and so on to depth D.  Sorting erases the
 internal child order, so the code depends only on the isomorphism type
-of the labeled rooted ball.
+of the labeled rooted ball.  One encoder builds the views of many
+centres at once, level by level; `encode_vertex` runs it on one centre
+and `roundtrip_check` on both ends of every trial.
 
 When all labels are distinct, the codes of two vertices at distance
 n <= D+1 determine the labels along the connecting path: the radius-j
@@ -22,8 +24,8 @@ import numpy as np
 
 from . import rng
 from .errors import LabelCollisionError, ReconstructionError
-from .factor_engine import vertex_ball_levels
-from .tree_core import TreeBall, distances_from, path_vertices
+from .factor_engine import check_vertex_view
+from .tree_core import TreeBall, distances_from
 
 
 @dataclass(frozen=True)
@@ -42,50 +44,64 @@ class VertexCode:
     spheres: tuple[tuple[float, ...], ...]
 
 
+def _neighbors(ball: TreeBall, ids: np.ndarray) -> np.ndarray:
+    """Neighbour ids of an array of vertices, one row of d per vertex: the
+    row of v is `ball.neighbors(v)` (parent first, then children in
+    ascending order) padded with -1."""
+    col = np.arange(ball.d) - (ids > 0)[..., None]
+    kids = np.where(col < ball.child_count[ids][..., None], ball.child_start[ids][..., None] + col, -1)
+    return np.where(col < 0, ball.parent[ids][..., None], kids)
+
+
+def _code_levels(ball: TreeBall, labels: np.ndarray, centres: np.ndarray, depth: int
+                 ) -> tuple[list[np.ndarray], np.ndarray]:
+    """The depth-D views around many centres at once, labels in code order.
+
+    Level j is one (centres, |sphere j|) array: each level-(j-1) vertex's
+    outward neighbours sorted stably by label (ties keep ascending ids),
+    parents in code order.  Also flags each centre whose view repeats a
+    label.  Every view must lie inside the ball (`check_vertex_view`).
+    """
+    ids = centres[:, None]
+    came = np.full_like(ids, -1)  # interior rows hold no padding to drop
+    levels = [labels[ids]]
+    for j in range(depth):
+        fan = ball.d - (j > 0)
+        nbrs = _neighbors(ball, ids)
+        kids = nbrs[nbrs != came[:, :, None]].reshape(ids.shape + (fan,))
+        came = np.repeat(ids, fan, axis=1)
+        order = np.argsort(labels[kids], axis=2, kind="stable")
+        ids = np.take_along_axis(kids, order, axis=2).reshape(len(centres), came.shape[1])
+        levels.append(labels[ids])
+    flat = np.sort(np.concatenate(levels, axis=1), axis=1)
+    return levels, (flat[:, 1:] == flat[:, :-1]).any(axis=1)
+
+
 def encode_vertex(ball: TreeBall, labels: np.ndarray, v: int, depth: int) -> VertexCode:
     """Encode the depth-D view around v; labels[w] is vertex w's label, and
-    the labels in the view must be distinct."""
-    view = [labels[ids].tolist() for ids in vertex_ball_levels(ball, v, depth)]
-    blocks: list[tuple[tuple[float, ...], ...]] = [((view[0][0],),)]
-    order = [0]  # positions in the current level, in code order
-    for j in range(1, depth + 1):
-        # each level lists every parent's children together, parents in
-        # level order; visit the parents in code order instead
-        level = view[j]
-        fan = len(level) // len(view[j - 1])
-        level_blocks = []
-        nxt: list[int] = []
-        for p in order:
-            kids = sorted(range(p * fan, (p + 1) * fan), key=level.__getitem__)
-            level_blocks.append(tuple(level[c] for c in kids))
-            nxt.extend(kids)
-        blocks.append(tuple(level_blocks))
-        order = nxt
-    in_code_order = [[x for block in lv for x in block] for lv in blocks]
-    seen: set[float] = set()
-    for x in (x for level in in_code_order for x in level):
-        if x in seen:
-            raise LabelCollisionError(
-                f"duplicate label {x!r} in the depth-{depth} view around {v}"
-            )
-        seen.add(x)
-    spheres = tuple(tuple(sorted(level)) for level in in_code_order)
+    the labels in the view must be distinct.  This is the batch encoder of
+    `roundtrip_check` run on one centre."""
+    check_vertex_view(ball, v, depth)
+    levels, collides = _code_levels(ball, labels, np.array([v]), depth)
+    view = [lv[0].tolist() for lv in levels]
+    if collides[0]:
+        flat = [x for level in view for x in level]
+        x = next(x for i, x in enumerate(flat) if x in flat[:i])
+        raise LabelCollisionError(f"duplicate label {x!r} in the depth-{depth} view around {v}")
+    blocks = [((view[0][0],),)]
+    for parents, level in zip(view, view[1:]):
+        fan = len(level) // len(parents)
+        blocks.append(tuple(tuple(level[i:i + fan]) for i in range(0, len(level), fan)))
+    spheres = tuple(tuple(sorted(level)) for level in view)
     return VertexCode(v, depth, tuple(blocks), spheres)
 
 
-def _sorted_intersection(a: tuple[float, ...], b: tuple[float, ...]) -> list[float]:
-    out: list[float] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            i += 1
-        elif a[i] > b[j]:
-            j += 1
-        else:
-            out.append(a[i])
-            i += 1
-            j += 1
-    return out
+def _shared_labels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of two sphere arrays, each row free of repeats: how many
+    labels the rows share, and the first shared label (as a holds it)."""
+    both = np.sort(np.concatenate([a, b], axis=1), axis=1, kind="stable")
+    same = both[:, 1:] == both[:, :-1]
+    return same.sum(axis=1), both[np.arange(len(both)), np.argmax(same, axis=1)]
 
 
 def reconstruct_path(code_u: VertexCode, code_v: VertexCode, n: int) -> list[float]:
@@ -103,13 +119,14 @@ def reconstruct_path(code_u: VertexCode, code_v: VertexCode, n: int) -> list[flo
         )
     labels: list[float] = []
     for j in range(1, n):
-        common = _sorted_intersection(code_u.spheres[j], code_v.spheres[n - j])
-        if len(common) != 1:
+        count, label = _shared_labels(np.array([code_u.spheres[j]]),
+                                      np.array([code_v.spheres[n - j]]))
+        if count[0] != 1:
             raise ReconstructionError(
                 f"expected exactly one shared label at position {j}, found "
-                f"{len(common)}; the codes do not belong to vertices at distance {n}"
+                f"{count[0]}; the codes do not belong to vertices at distance {n}"
             )
-        labels.append(common[0])
+        labels.append(float(label[0]))
     return labels
 
 
@@ -155,10 +172,14 @@ def roundtrip_check(ball: TreeBall, depth: int, trials: int, seed: int
     label collision (counted separately).  Vertex v's label is the uniform
     [0, 1) double of word v of the `seed` stream, so labels repeat with
     negligible probability and the contract is successes == trials with
-    zero collisions.
+    zero collisions.  The trials run together, as arrays: `_draw_paths`
+    draws the pairs, `_code_levels` encodes all 2·trials ends, and path
+    position j is the label shared by two spheres, as in `reconstruct_path`.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if depth < 0:
+        raise ValueError(f"view depth must be >= 0, got {depth}")
     min_radius = roundtrip_min_radius(depth)
     if ball.radius < min_radius:
         raise ValueError(
@@ -166,49 +187,53 @@ def roundtrip_check(ball: TreeBall, depth: int, trials: int, seed: int
             f"so random interior pairs exist at every distance up to {depth + 1}"
         )
     labels = rng.to_unit(rng.words(seed, np.arange(ball.n)))
-    eligible = np.flatnonzero(ball.depth <= ball.radius - depth)
-    bases = rng.words(seed ^ 0x5EED, np.arange(trials)).tolist()
-    successes = 0
-    collisions = 0
-    for base in bases:
-        u, v, n = _draw_pair(ball, eligible, depth, base)
-        try:
-            code_u = encode_vertex(ball, labels, u, depth)
-            code_v = encode_vertex(ball, labels, v, depth)
-            got = reconstruct_path(code_u, code_v, n)
-        except LabelCollisionError:
-            collisions += 1
-            continue
-        except ReconstructionError:
-            continue
-        truth = [float(labels[w]) for w in path_vertices(ball, u, v)[1:-1]]
-        if got == truth:
-            successes += 1
-    return RoundtripResult(trials, successes, collisions)
+    path, n = _draw_paths(ball, depth, rng.words(seed ^ 0x5EED, np.arange(trials)))
+    ends = np.concatenate([path[:, 0], path[np.arange(trials), n]])
+    levels, collides = _code_levels(ball, labels, ends, depth)
+    ok = np.ones(trials, dtype=bool)
+    for j in range(1, depth + 1):
+        for m in range(1, depth + 2 - j):  # the trials with n = j + m
+            rows = np.flatnonzero(n == j + m)
+            count, label = _shared_labels(levels[j][rows], levels[m][trials + rows])
+            ok[rows] &= (count == 1) & (label == labels[path[rows, j]])
+    collided = collides[:trials] | collides[trials:]
+    return RoundtripResult(trials, int((ok & ~collided).sum()), int(collided.sum()))
 
 
-def _draw_pair(ball: TreeBall, eligible: np.ndarray, depth: int,
-               base: int) -> tuple[int, int, int]:
-    """Deterministic interior pair at distance 1..D+1 for one trial.
+def _draw_paths(ball: TreeBall, depth: int, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial, the vertices u = p_0, ..., p_n = v of a deterministic
+    interior path, n in 1..D+1; (trials, D+2) ids and n per trial.
 
-    `base` is the trial's word of the stream keyed by seed ^ 0x5EED.  Each
-    attempt reads one block of its own stream: position 0 picks u, 1 the
-    distance n, and 2 + step the neighbour taken at that step, each mapped
-    to its own alphabet size.
+    bases[t] is trial t's word of the stream keyed by seed ^ 0x5EED.  Its
+    attempt a reads the stream keyed by (bases[t] + a·1_000_003) mod 2^64:
+    position 0 picks u, 1 picks n, and 2 + step the step's neighbour among
+    those other than the previous vertex.  Failed trials draw again.
     """
+    eligible = np.flatnonzero(ball.depth <= ball.radius - depth)
+    table = _neighbors(ball, np.arange(ball.n))  # every retry round walks it
+    path = np.zeros((len(bases), depth + 2), dtype=np.int64)
+    n = np.zeros(len(bases), dtype=np.int64)
+    todo = np.arange(len(bases))
     for attempt in range(256):
-        w = rng.words(base + attempt * 1_000_003, np.arange(depth + 3))
-        u = int(eligible[int(rng.to_alphabet(w[0], len(eligible)))])
-        n = 1 + int(rng.to_alphabet(w[1], depth + 1))
-        v = u
-        prev = -1
-        ok = True
-        for step in range(n):
-            nbrs = [int(x) for x in ball.neighbors(v) if int(x) != prev]
-            if not nbrs:
-                ok = False
-                break
-            prev, v = v, nbrs[int(rng.to_alphabet(w[2 + step], len(nbrs)))]
-        if ok and int(ball.depth[v]) + depth <= ball.radius:
-            return u, v, n
-    raise RuntimeError("could not draw an interior pair; ball too small")
+        if not len(todo):
+            return path, n
+        w = rng.words(bases[todo] + np.uint64(attempt * 1_000_003), np.arange(depth + 3))
+        walk = np.empty((len(todo), depth + 2), dtype=np.int64)
+        walk[:, 0] = eligible[rng.to_alphabet(w[:, 0], len(eligible))]
+        steps = 1 + rng.to_alphabet(w[:, 1], depth + 1)
+        ok = np.ones(len(todo), dtype=bool)
+        prev = np.full(len(todo), -1)
+        for step in range(depth + 1):
+            nbrs = table[walk[:, step]]
+            valid = (nbrs >= 0) & (nbrs != prev[:, None])
+            ok &= (step >= steps) | valid.any(axis=1)
+            pick = rng.to_alphabet(w[:, 2 + step], valid.sum(axis=1))
+            col = np.argmax(valid & (np.cumsum(valid, axis=1) == pick[:, None] + 1), axis=1)
+            walk[:, step + 1] = nbrs[np.arange(len(todo)), col]
+            prev = walk[:, step]
+        ok &= ball.depth[walk[np.arange(len(todo)), steps]] + depth <= ball.radius
+        path[todo[ok]], n[todo[ok]] = walk[ok], steps[ok]
+        todo = todo[~ok]
+    if len(todo):
+        raise RuntimeError("could not draw an interior pair; ball too small")
+    return path, n

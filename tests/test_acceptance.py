@@ -15,9 +15,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from nbtree import acceptance, rng
+from nbtree.correlation import random_exchangeable_joint
 from nbtree.tree_core import build_ball, forward_cone_interior
 
 # (id, name, function, runtime limit in seconds or None)
@@ -69,6 +71,30 @@ def test_polarization_criterion_is_pinned():
     assert acceptance.criterion_polarization(seed=0) == {
         "passed": True, "worst_residual": 0.0, "scan_pairs": 729,
         "scan_alpha": 0.3088352029149968, "scan_ok": True}
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3001, 2**64 - 1500])
+def test_polarization_inputs_are_the_per_pair_draws(seed):
+    # one rng call per stream gives every joint and table byte for byte,
+    # with keys that wrap past 2^64
+    inputs = acceptance._polarization_inputs(seed)
+    assert len(inputs) == 1000
+    for i, (joint, f1, f2) in enumerate(inputs):
+        n = 2 + i % 4
+        assert joint.tobytes() == random_exchangeable_joint(n, seed + 3000 + i).tobytes()
+        for table, offset in ((f1, 4000), (f2, 5000)):
+            want = rng.to_unit(rng.words(seed + offset + i, np.arange(n))) * 2.0 - 1.0
+            assert table.tobytes() == want.tobytes()
+
+
+def test_dispatch_order_is_the_criteria_by_cost():
+    # every criterion once, largest recorded cost first, ties in report order
+    order = acceptance._DISPATCH_ORDER
+    assert sorted(order) == list(range(len(acceptance.CRITERIA)))
+    cost = [entry[3] for entry in acceptance._COSTED_CRITERIA]
+    assert all(cost[a] > cost[b] or (cost[a] == cost[b] and a < b)
+               for a, b in zip(order, order[1:]))
+    assert [entry[:3] for entry in acceptance._COSTED_CRITERIA] == acceptance.CRITERIA
 
 
 @functools.lru_cache(maxsize=None)

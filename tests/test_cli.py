@@ -314,6 +314,26 @@ def test_symmetrize_check_bytes_are_pinned(capsys, k, rule):
     assert hashlib.sha256(out.encode()).hexdigest() == SYMMETRIZE_CHECK_SHA256[k, rule]
 
 
+#: universal-check stdout (trials, successes, collisions), one argv each
+UNIVERSAL_CHECK_OUTPUTS = [
+    (["--d", "3", "--depth", "3", "--trials", "500", "--seed", "0"], (500, 500, 0)),
+    (["--d", "4", "--depth", "2", "--trials", "200", "--seed", "7", "--radius", "7"],
+     (200, 200, 0)),
+    (["--d", "5", "--depth", "1", "--trials", "300", "--seed", str(2**64 - 1)], (300, 300, 0)),
+    (["--d", "3", "--depth", "0", "--trials", "40", "--seed", "-5"], (40, 40, 0)),
+    (["--d", "3", "--depth", "2", "--trials", "0", "--seed", "1"], (0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("argv, counts", UNIVERSAL_CHECK_OUTPUTS)
+def test_universal_check_bytes_are_pinned(capsys, argv, counts):
+    code, out = run_cli(capsys, "universal-check", *argv)
+    assert code == 0
+    trials, successes, collisions = counts
+    assert out == (f'{{\n  "trials": {trials},\n  "successes": {successes},\n'
+                   f'  "collisions": {collisions}\n}}\n')
+
+
 def test_universal_check_command(capsys):
     code, out = run_cli(capsys, "universal-check", "--d", "3", "--depth", "3",
                         "--trials", "40", "--seed", "2")
@@ -714,6 +734,11 @@ def test_report_metrics_sidecar(capsys, tmp_path):
         "bound-compliance-sweep": 2_400_000, "oracle-agreement": 2_000_000}
     # only the norm criterion runs power iteration
     assert [c["name"] for c in metrics["criteria"] if c["power_iterations"]] == ["norm-vs-bound"]
+    # site tables go with tabulated labelings; homogeneity builds one per
+    # source (66) and one per target (264)
+    assert {c["name"] for c in metrics["criteria"] if c["site_tables"]} == {
+        c["name"] for c in metrics["criteria"] if c["configs_tabulated"]}
+    assert metrics["criteria"][9]["site_tables"] == 330
 
 
 def test_unwritable_metrics_is_a_usage_error(capsys, monkeypatch, tmp_path):

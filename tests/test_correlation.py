@@ -434,10 +434,14 @@ def _enumerated_values(ball, rule, domain, region1, region2, h1=None, h2=None):
             np.asarray(h2(vals[len(region1):]), dtype=np.float64), n_cfg)
 
 
-def _enumerated_product_mean(domain, site1, site2):
-    """Reference for one E[Y_e1 Y_e2] of edge_homogeneity_check."""
-    sv, n_cfg = _site_values(None, domain, [site1, site2])
-    return compensated_sum(sv[0] * sv[1]) / float(n_cfg)
+def _enumerated_product_means(domain, site1, sites2):
+    """Reference for one source's E[Y_e1 Y_e2] of edge_homogeneity_check:
+    each pair enumerated over the union of its two supports."""
+    means = []
+    for site2 in sites2:
+        sv, n_cfg = _site_values(None, domain, [site1, site2])
+        means.append(compensated_sum(sv[0] * sv[1]) / float(n_cfg))
+    return means
 
 
 def test_compensated_sum_is_the_exact_sum_where_the_reference_is_used():
@@ -617,7 +621,7 @@ def test_homogeneity_matches_full_enumeration_bit_for_bit(case, domain, table_se
         rule = symmetrize_rule(edge_table_rule(depth, int(domain.split(":")[1]), table_seed), d)
     got = edge_homogeneity_check(ball, rule, k, domain)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(correlation, "_product_mean", _enumerated_product_mean)
+        patch.setattr(correlation, "_product_means", _enumerated_product_means)
         want = edge_homogeneity_check(ball, rule, k, domain)
     assert repr(got) == repr(want)
 

@@ -108,3 +108,16 @@ def test_words2_refuses_an_out_of_the_wrong_shape_or_dtype():
                 np.empty(30, dtype=np.uint64)):
         with pytest.raises(ValueError, match="out must be a uint64 array of shape"):
             rng.words2(1, rows, cols, out=out)
+
+
+def test_array_seed_rows_are_the_scalar_streams():
+    # keys at both ends of uint64, and keys that wrapped past 2^64 when
+    # formed as base + offset in uint64
+    base = np.array([0, 2**63, 2**64 - 1, 2**64 - 3], dtype=np.uint64)
+    keys = np.concatenate([base, base + np.uint64(5), base + np.uint64(2**63 + 1)])
+    idx = np.arange(7)
+    grid = rng.words(keys, idx)
+    assert grid.shape == (len(keys), len(idx))
+    for key, row in zip(keys.tolist(), grid):
+        assert np.array_equal(row, rng.words(key, idx))
+    assert np.array_equal(rng.words(keys, 3)[:, 0], [rng.words(k, 3)[0] for k in keys.tolist()])

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbtree import rng
-from nbtree.errors import LabelCollisionError, ReconstructionError
+from nbtree.errors import InteriorityError, LabelCollisionError, ReconstructionError
 from nbtree.tree_core import build_ball, distances_from, path_vertices
 from nbtree.universal_factor import (
     VertexCode,
-    _draw_pair,
+    _code_levels,
+    _draw_paths,
+    _neighbors,
     encode_vertex,
     reconstruct_path,
     roundtrip_check,
@@ -174,6 +176,51 @@ def test_collision_inside_the_view_names_the_first_duplicate():
     assert repr(float(labels[0])) in str(got.value)
 
 
+def test_neighbor_rows_are_the_padded_neighbours():
+    for d, radius in ((3, 0), (3, 3), (5, 2)):
+        ball = build_ball(d, radius)
+        table = _neighbors(ball, np.arange(ball.n))
+        assert table.shape == (ball.n, d)
+        for v in range(ball.n):
+            nbrs = ball.neighbors(v).tolist()
+            assert table[v].tolist() == nbrs + [-1] * (d - len(nbrs))
+        ids = np.arange(ball.n)[::-1].reshape(1, -1)  # any array shape
+        assert np.array_equal(_neighbors(ball, ids)[0], table[::-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4, 5]), st.integers(0, 3), st.integers(0, 2**32),
+       st.sampled_from(["uniform", "few"]),
+       st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=3))
+def test_batch_encoder_matches_the_neighbour_walk_on_every_centre(d, depth, seed, labels,
+                                                                  copies):
+    # all interior centres of one ball at once, with ties, signed zeros and
+    # copied labels; a centre is flagged exactly when the walk refuses it
+    ball = build_ball(d, depth + 1)
+    centres = np.flatnonzero(ball.depth <= 1)
+    values = rng.to_unit(rng.words(seed, np.arange(ball.n)))
+    if labels == "few":
+        values = np.array([-0.0, 0.0, 0.25, 0.5])[rng.randint(seed, np.arange(ball.n), 4)]
+    for a, b in copies:
+        values[b % ball.n] = values[a % ball.n]
+    levels, collides = _code_levels(ball, values, centres, depth)
+    for i, v in enumerate(centres.tolist()):
+        want = _code_or_error(_walk_encode_vertex, ball, values, v, depth)
+        assert bool(collides[i]) == (not isinstance(want, VertexCode))
+        if isinstance(want, VertexCode):
+            in_code_order = [tuple(x for block in level for x in block) for level in want.blocks]
+            assert repr([tuple(level[i].tolist()) for level in levels]) == repr(in_code_order)
+
+
+def test_encoder_refuses_views_that_leave_the_ball():
+    ball = build_ball(3, 3)
+    leaf = int(ball.level_start[3])
+    with pytest.raises(InteriorityError, match=f"around vertex {leaf} "):
+        encode_vertex(ball, _uniform_labels(ball, 1), leaf, 1)
+    with pytest.raises(ValueError, match="view depth must be >= 0"):
+        encode_vertex(ball, _uniform_labels(ball, 1), 0, -1)
+
+
 # ---------------------------------------------------------------------------
 # reconstruction
 # ---------------------------------------------------------------------------
@@ -308,6 +355,27 @@ def _per_position_draw_pair(ball, eligible, depth, seed, trial):
     raise RuntimeError("could not draw an interior pair; ball too small")
 
 
+def _draw_pair(ball, eligible, depth, base):
+    """The former per-trial draw: one `rng.words` block per attempt and a
+    walk over `ball.neighbors`."""
+    for attempt in range(256):
+        w = rng.words(base + attempt * 1_000_003, np.arange(depth + 3))
+        u = int(eligible[int(rng.to_alphabet(w[0], len(eligible)))])
+        n = 1 + int(rng.to_alphabet(w[1], depth + 1))
+        v = u
+        prev = -1
+        ok = True
+        for step in range(n):
+            nbrs = [int(x) for x in ball.neighbors(v) if int(x) != prev]
+            if not nbrs:
+                ok = False
+                break
+            prev, v = v, nbrs[int(rng.to_alphabet(w[2 + step], len(nbrs)))]
+        if ok and int(ball.depth[v]) + depth <= ball.radius:
+            return u, v, n
+    raise RuntimeError("could not draw an interior pair; ball too small")
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([3, 4, 5]), st.integers(1, 3), st.integers(0, 3),
        st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
@@ -318,10 +386,48 @@ def test_block_draws_are_the_per_position_draws(d, depth, slack, seed, trials):
     radius = min(depth + 1 + slack, roundtrip_min_radius(depth))
     ball = build_ball(d, radius)
     eligible = np.flatnonzero(ball.depth <= ball.radius - depth)
-    bases = rng.words(seed ^ 0x5EED, np.arange(trials)).tolist()
-    for t, base in enumerate(bases):
-        assert (_draw_pair(ball, eligible, depth, base)
-                == _per_position_draw_pair(ball, eligible, depth, seed, t))
+    bases = rng.words(seed ^ 0x5EED, np.arange(trials))
+    path, n = _draw_paths(ball, depth, bases)
+    for t in range(trials):
+        u, v = int(path[t, 0]), int(path[t, n[t]])
+        assert (u, v, int(n[t])) == _per_position_draw_pair(ball, eligible, depth, seed, t)
+        assert path[t, :n[t] + 1].tolist() == path_vertices(ball, u, v)
+
+
+def _reference_roundtrip(ball, depth, trials, seed):
+    """The former roundtrip_check: one trial at a time, each pair drawn by
+    `_draw_pair`, encoded by `_walk_encode_vertex` and reconstructed by
+    `reconstruct_path`."""
+    labels = rng.to_unit(rng.words(seed, np.arange(ball.n)))
+    eligible = np.flatnonzero(ball.depth <= ball.radius - depth)
+    successes = collisions = 0
+    for base in rng.words(seed ^ 0x5EED, np.arange(trials)).tolist():
+        u, v, n = _draw_pair(ball, eligible, depth, base)
+        try:
+            got = reconstruct_path(_walk_encode_vertex(ball, labels, u, depth),
+                                   _walk_encode_vertex(ball, labels, v, depth), n)
+        except LabelCollisionError:
+            collisions += 1
+            continue
+        except ReconstructionError:
+            continue
+        successes += got == [float(labels[w]) for w in path_vertices(ball, u, v)[1:-1]]
+    return successes, collisions
+
+
+@pytest.mark.parametrize("d, depth, trials, seed, grid", [
+    (3, 3, 60, 71, None), (4, 2, 60, 2**64 - 1, None), (3, 0, 40, 8, None),
+    (3, 3, 80, 5, 1024), (3, 2, 80, 5, 128), (4, 1, 80, 6, 64), (5, 1, 60, 7, 64)])
+def test_roundtrip_counts_equal_the_trial_by_trial_reference(monkeypatch, d, depth, trials,
+                                                             seed, grid):
+    # labels rounded to `grid` values make collisions and, at grids 128 and
+    # 64, spheres that share several labels: all three outcomes occur
+    if grid is not None:
+        unit = rng.to_unit
+        monkeypatch.setattr(rng, "to_unit", lambda w: np.floor(unit(w) * grid) / grid)
+    ball = build_ball(d, roundtrip_min_radius(depth))
+    res = roundtrip_check(ball, depth, trials, seed)
+    assert (res.successes, res.collisions) == _reference_roundtrip(ball, depth, trials, seed)
 
 
 def test_roundtrip_radius_precondition():
